@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass / query succeeded, 1 a verification
-failed (failure report as JSON on stdout), 2 usage error.
+failed (failure report as JSON on stdout), 2 usage error (bad arguments,
+or an InputError such as an invalid ell or an unavailable normalization).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from .enlarged import (build_enlarged, check_jacobi, duality_report,
                        expected_dims, free_enlarged, verify_ecga_closure,
                        verify_scga_graded)
-from .errors import CgaError
+from .errors import CgaError, InputError
 from .funcspace import apply_op
 from .jsonio import gaussfunc_json, gens_json, weylop_json
 from .latexout import func_latex, func_plain, op_latex, op_plain
@@ -90,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "onshell", "transform", "spectrum",
                                       "all"])
     common(sp, chart=True, norm=["s5", "s6", "s7"], fmt=False)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-total", type=int, default=3)
     sp.add_argument("--max-degree", type=int, default=3)
     return p
@@ -170,18 +170,15 @@ def verify_closure(args) -> dict:
 def verify_jacobi(args) -> dict:
     ell = args.ell
     basis = free_enlarged(ell)
-    plain = check_jacobi(verify_ecga_closure(basis), graded=False,
-                         seed=args.seed)
-    graded = check_jacobi(verify_scga_graded(basis), graded=True,
-                          seed=args.seed)
-    return {"plainTriples": plain, "gradedTriples": graded,
-            "jacobiFailures": []}
+    plain = check_jacobi(verify_ecga_closure(basis), graded=False)
+    graded = check_jacobi(verify_scga_graded(basis), graded=True)
+    return {"plainTriples": plain, "gradedTriples": graded}
 
 
 def verify_duality(args) -> dict:
     ell = args.ell
     basis = free_enlarged(ell)
-    return duality_report(basis, seed=args.seed).to_json()
+    return duality_report(basis).to_json()
 
 
 def verify_onshell(args) -> dict:
@@ -259,6 +256,8 @@ def cmd_verify(args) -> int:
     for name in names:
         try:
             report["suites"][name] = suites[name](args)
+        except InputError:
+            raise
         except CgaError as exc:
             report["status"] = "fail"
             report["suites"][name] = {"error": type(exc).__name__,
@@ -282,12 +281,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ValueError as exc:  # InputError is a ValueError too
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except CgaError as exc:
         _emit({"status": "fail", "error": type(exc).__name__,
                "detail": str(exc)})
         return 1
-    except ValueError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,12 @@ class ZeroDivisor(CgaError):
     pass
 
 
-class BadEll(CgaError):
+class InputError(CgaError, ValueError):
+    """Input the package cannot work with: a usage error (CLI exit 2),
+    never a failed verification."""
+
+
+class BadEll(InputError):
     pass
 
 
@@ -42,10 +47,11 @@ class GradingViolation(CgaError):
 
 
 class JacobiFailure(CgaError):
-    def __init__(self, triple, residual):
+    def __init__(self, triple, residual, structure):
         self.triple = triple
         self.residual = residual
-        super().__init__(f"graded Jacobi fails on {triple}")
+        super().__init__(f"{structure} Jacobi fails on {triple}; "
+                         f"residual {residual!r}")
 
 
 class NoSolution(CgaError):
@@ -82,7 +88,7 @@ class DiagonalDependsOnC(CgaError):
     pass
 
 
-class NormalizationUnavailable(CgaError):
+class NormalizationUnavailable(InputError):
     pass
 
 

@@ -187,7 +187,7 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
                     break
             for vp, cc in work.items():
                 key = (mu2 + e, tuple(x + y for x, y in zip(vp, v)))
-                _acc2(res, key, cc)
+                _acc(res, key, cc)
     return GaussFunc(chart, f.kappa, res)
 
 
@@ -206,6 +206,3 @@ def _acc(d, k, v):
         d.pop(k, None)
     else:
         d[k] = s
-
-
-_acc2 = _acc

@@ -11,10 +11,6 @@ from fractions import Fraction
 from typing import Iterable
 
 
-def frac_plain(q: Fraction) -> str:
-    return str(q)
-
-
 def frac_latex(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)

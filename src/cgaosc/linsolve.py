@@ -19,10 +19,6 @@ _P0: List[Fraction] = []
 _P1 = [Fraction(1)]
 
 
-def _p_is_zero(p):
-    return not p
-
-
 def _p_mul(a, b):
     if not a or not b:
         return _P0
@@ -104,16 +100,17 @@ class SpanSolver:
             keys.update(c.keys())
         self.keys = sorted(keys)
 
-    def solve(self, b: Dict[Hashable, CScalar]) -> List[CScalar]:
+    def _echelon(self, b: Dict[Hashable, CScalar]):
+        """Fraction-free reduced echelon form of the rows of [cols | b],
+        one row per key: (rows, pivot column of each row), sorted by
+        pivot column."""
         n = self.n
-        if n == 0:
-            return []
         keys = self.keys
         zero = CScalar.zero()
         echelon: List[List[List[Fraction]]] = []   # rows in echelon form
         pivots: List[int] = []                     # pivot column per row
-        extra = [k for k in sorted(b.keys()) if k not in set(keys)]
-        for key in list(keys) + extra:
+        extra = sorted(set(b).difference(keys))
+        for key in keys + extra:
             if len(echelon) == n:
                 break
             row_cs = [c.get(key, zero) for c in self.cols]
@@ -146,6 +143,14 @@ class SpanSolver:
                 idx += 1
             echelon.insert(idx, row)
             pivots.insert(idx, pcol)
+        return echelon, pivots
+
+    def solve(self, b: Dict[Hashable, CScalar]) -> List[CScalar]:
+        n = self.n
+        if n == 0:
+            return []
+        zero = CScalar.zero()
+        echelon, pivots = self._echelon(b)
         # back-substitute; missing pivots get x = 0 (caller verifies residual)
         x_num: List[List[Fraction]] = [_P0] * n
         x_den: List[List[Fraction]] = [_P1] * n
@@ -180,33 +185,7 @@ class SpanSolver:
 
     def rank(self) -> int:
         """Rank of the column set (no right-hand side)."""
-        n = self.n
-        echelon: List[List[List[Fraction]]] = []
-        pivots: List[int] = []
-        zero = CScalar.zero()
-        for key in self.keys:
-            if len(echelon) == n:
-                break
-            row_cs = [c.get(key, zero) for c in self.cols]
-            if all(s.is_zero() for s in row_cs):
-                continue
-            row = _row_to_polys(row_cs)
-            for erow, p in zip(echelon, pivots):
-                if row[p]:
-                    piv = erow[p]
-                    mult = row[p]
-                    row = [_p_sub(_p_mul(x, piv), _p_mul(mult, y))
-                           for x, y in zip(row, erow)]
-            pcol = next((j for j in range(n) if row[j]), None)
-            if pcol is None:
-                continue
-            row = _reduce_content(row)
-            idx = 0
-            while idx < len(pivots) and pivots[idx] < pcol:
-                idx += 1
-            echelon.insert(idx, row)
-            pivots.insert(idx, pcol)
-        return len(echelon)
+        return len(self._echelon({})[0])
 
     def nullity(self) -> int:
         return self.n - self.rank()

@@ -5,7 +5,7 @@ multiplier-function certificates, and off-shell centralizers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -143,14 +143,15 @@ def solve_omega1(ell: HalfInt) -> Tuple[WeylOp, AlgebraElement]:
     # at ell=1/2, where a single w kills the whole sector) extend with the
     # negative-k constraints, which the true solution also satisfies
     cols = stacked(pos)
-    if SpanSolver(cols).nullity() > 1:
+    nullity = SpanSolver(cols).nullity()
+    if nullity > 1:
         cols = stacked(pos + neg)
-    full = SpanSolver(cols)
-    if full.nullity() == 0:
+        nullity = SpanSolver(cols).nullity()
+    if nullity == 0:
         raise NoSolution("no invariant operator in the degree-1 sector")
-    if full.nullity() > 1:
+    if nullity > 1:
         raise NonUniqueSolution(
-            f"solution space dimension {full.nullity()} before normalization")
+            f"solution space dimension {nullity} before normalization")
     # normalize the z_{+1} coefficient to 1 and move it to the rhs
     rhs = {k: -v for k, v in cols[0].items()}
     solver = SpanSolver(cols[1:])
@@ -255,30 +256,23 @@ def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
     return OnShellCertificate(omega=omega, table=table)
 
 
-@dataclass
-class CrossReport:
-    chart_kind: str
-    degree1_bracket_ok: bool
-    map_ok: bool  # osc only: Omega1 = -e^{-s} Omega0
-
-
-def cross_relations(omega0: WeylOp, omega1: WeylOp) -> CrossReport:
+def cross_relations(omega0: WeylOp, omega1: WeylOp) -> None:
     """Bracket relations between the two invariant operators:
     free chart [Omega1, Omega0] = -Omega1; osc chart
-    [Omega0, Omega1] = +Omega1 and Omega1 = -e^{-s} Omega0."""
+    [Omega0, Omega1] = +Omega1 and Omega1 = -e^{-s} Omega0.
+    Raises Mismatch with the residual when one fails."""
     chart = omega0.chart
     if chart.kind == "free":
         resid = omega1.commutator(omega0) + omega1
         if not resid.is_zero():
             raise Mismatch("[Omega1, Omega0] + Omega1", resid)
-        return CrossReport("free", True, True)
+        return
     resid = omega0.commutator(omega1) - omega1
     if not resid.is_zero():
         raise Mismatch("[Omega0, Omega1] - Omega1", resid)
     resid = omega1 + WeylOp.exp_s(chart, HalfInt(-2)) * omega0
     if not resid.is_zero():
         raise Mismatch("Omega1 + e^{-s} Omega0", resid)
-    return CrossReport("osc", True, True)
 
 
 def offshell_centralizer(omega: WeylOp, realized: Dict[GenLabel, WeylOp]

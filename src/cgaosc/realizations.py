@@ -443,7 +443,3 @@ def extract_structure(gens: Dict[GenLabel, WeylOp],
                 entries[(a, b)] = elem
                 kinds[(a, b)] = bracket_kind
     return StructureTable(labels, entries, kinds)
-
-
-def verify_isomorphic_tables(a: StructureTable, b: StructureTable) -> bool:
-    return a == b

@@ -178,6 +178,8 @@ def spectrum(ell: HalfInt, max_total: int,
              normalization: str = "section7") -> List[SpectrumRecord]:
     """All ladder states with multi-index total at most max_total,
     ordered by (energy, multi-index)."""
+    if max_total < 0:
+        raise ValueError("max_total must be non-negative")
     size = 2 if normalization == "section6" else Chart("osc", ell).L
     records = []
     for n in _multi_indices(size, max_total):
@@ -201,9 +203,6 @@ def _multi_indices(size: int, max_total: int):
 class LadderReport:
     ell: HalfInt
     normalization: str
-    omega_commutes: bool
-    shift_relations_ok: bool
-    z0_commutes: bool
     split_ok: Optional[bool]
     lowering_commutators_zero: Dict[Tuple[int, int], bool]
 
@@ -211,9 +210,6 @@ class LadderReport:
         return {
             "ell": {"twice": self.ell.twice},
             "normalization": self.normalization,
-            "omegaCommutes": self.omega_commutes,
-            "shiftRelationsOk": self.shift_relations_ok,
-            "z0Commutes": self.z0_commutes,
             "splitOk": self.split_ok,
             "loweringCommutatorsZero": {
                 f"{HalfInt(i)},{HalfInt(j)}": v
@@ -259,9 +255,7 @@ def ladder_relations(ell: HalfInt,
                 gens[w_label(HalfInt(-j))])
             lows[(-i, -j)] = comm.is_zero()
     return LadderReport(ell=ell, normalization=normalization,
-                        omega_commutes=True, shift_relations_ok=True,
-                        z0_commutes=True, split_ok=split_ok,
-                        lowering_commutators_zero=lows)
+                        split_ok=split_ok, lowering_commutators_zero=lows)
 
 
 def _h_scale(normalization: str) -> Fraction:

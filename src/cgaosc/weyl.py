@@ -118,10 +118,14 @@ class WeylOp:
             # polynomial powers of s are never allowed in the osc chart;
             # the var tuple only holds u's so check lengths instead
             for (e, v, d) in clean:
-                assert len(v) == chart.nvars and len(d) == chart.nders
+                if len(v) != chart.nvars or len(d) != chart.nders:
+                    raise ChartMismatch(
+                        f"term key {(e, v, d)} does not fit the osc chart")
         else:
             for (e, v, d) in clean:
-                assert e == 0, "free chart carries no exponential s-weight"
+                if e != 0:
+                    raise ChartMismatch(
+                        "free chart carries no exponential s-weight")
 
     def __setattr__(self, *a):
         raise AttributeError("WeylOp is immutable")

@@ -31,6 +31,18 @@ class TestParsing:
             main(["nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "closure", "--ell=-1/2"],
+        ["verify", "spectrum", "--ell", "5/2", "--normalization", "s6"],
+        ["spectrum", "--ell", "3/2", "--max-total", "-1"],
+        ["verify", "jacobi", "--ell", "1/2", "--seed", "3"],
+    ], ids=["bad-ell", "normalization", "max-total", "seed"])
+    def test_bad_input_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestGens:
     def test_json_round_trip(self, capsys):

@@ -57,6 +57,13 @@ class TestNormalForm:
         with pytest.raises(ChartMismatch):
             WeylOp.var(FREE, 0) * WeylOp.var(OSC, 0)
 
+    def test_term_keys_must_fit_the_chart(self):
+        one = CScalar.one()
+        with pytest.raises(ChartMismatch):
+            WeylOp(OSC, {(0, (0,) * (OSC.nvars + 1), (0,) * OSC.nders): one})
+        with pytest.raises(ChartMismatch):
+            WeylOp(FREE, {(2, (0,) * FREE.nvars, (0,) * FREE.nders): one})
+
 
 class TestSympyOracle:
     @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
