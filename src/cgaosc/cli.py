@@ -12,19 +12,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .enlarged import (build_enlarged, check_jacobi, duality_report,
-                       expected_dims, free_enlarged, verify_ecga_closure,
-                       verify_scga_graded)
+from .enlarged import (build_enlarged, check_jacobi, closure_tables,
+                       duality_report, expected_dims, free_enlarged)
 from .errors import CgaError, InputError
-from .funcspace import apply_op
 from .jsonio import gaussfunc_json, gens_json, weylop_json
-from .latexout import func_latex, func_plain, op_latex, op_plain
+from .latexout import func_latex, op_latex, op_plain
 from .onshell import (certify_onshell, cross_relations, offshell_centralizer,
                       omega0_free, omega0_osc, omega1_free, omega1_osc,
                       solve_omega1)
-from .realizations import (extract_structure, free_generators, label_sort_key,
-                           label_str, osc_generators)
-from .scalars import CScalar, HalfInt
+from .realizations import (free_generators, label_sort_key, label_str,
+                           osc_generators)
+from .scalars import HalfInt
 from .spectrum import (harmonic_reduction, hamiltonian,
                        hamiltonian_m_form_expected, ladder_relations,
                        matrix_oracle, spectrum, to_m_form, ladder_state,
@@ -158,8 +156,7 @@ def cmd_matrix(args) -> int:
 def verify_closure(args) -> dict:
     ell = args.ell
     basis = free_enlarged(ell)
-    verify_ecga_closure(basis)
-    verify_scga_graded(basis)
+    closure_tables(basis)
     ev, od, tot = expected_dims(ell)
     if (len(basis.even), len(basis.odd)) != (ev, od):
         raise CgaError(f"dimension mismatch: {len(basis.even)}, "
@@ -169,10 +166,9 @@ def verify_closure(args) -> dict:
 
 def verify_jacobi(args) -> dict:
     ell = args.ell
-    basis = free_enlarged(ell)
-    plain = check_jacobi(verify_ecga_closure(basis), graded=False)
-    graded = check_jacobi(verify_scga_graded(basis), graded=True)
-    return {"plainTriples": plain, "gradedTriples": graded}
+    plain, graded = closure_tables(free_enlarged(ell))
+    return {"plainTriples": check_jacobi(plain, graded=False),
+            "gradedTriples": check_jacobi(graded, graded=True)}
 
 
 def verify_duality(args) -> dict:
@@ -223,15 +219,19 @@ def verify_spectrum(args) -> dict:
     norm = NORMS[args.normalization]
     if norm == "section5":
         norm = "section7"
+    if min(args.max_total, args.max_degree) < 0:
+        raise ValueError("--max-total and --max-degree must be "
+                         "non-negative")
     rel = ladder_relations(ell, norm)
-    recs = spectrum(ell, args.max_total, norm)
+    # one ladder up to the larger bound serves both counts below
+    recs = spectrum(ell, max(args.max_total, args.max_degree), norm)
     out = {"relations": rel.to_json(),
-           "states": len(recs),
+           "states": sum(1 for r in recs if sum(r.n) <= args.max_total),
            "vacuumEnergy": str(vacuum_energy(ell, norm))}
     if norm == "section7":
         mo = matrix_oracle(ell, args.max_degree)
-        ladder = sorted(r.energy for r in spectrum(ell, args.max_degree,
-                                                   norm))
+        ladder = sorted(r.energy for r in recs
+                        if sum(r.n) <= args.max_degree)
         if ladder != sorted(mo.eigenvalues):
             raise CgaError("ladder and matrix spectra disagree")
         out["matrixAgrees"] = True

@@ -34,10 +34,6 @@ def cscalar_from_json(items: list) -> CScalar:
     return out
 
 
-def halfint_json(h: HalfInt) -> dict:
-    return {"twice": h.twice}
-
-
 def chart_json(chart: Chart) -> dict:
     return {"kind": chart.kind, "twice_ell": chart.ell.twice}
 
@@ -77,16 +73,6 @@ def gaussfunc_json(f: GaussFunc) -> dict:
                    "coef": cscalar_json(cs)}
                   for (mu2, vp), cs in f.sorted_terms()],
     }
-
-
-def gaussfunc_from_json(obj: dict) -> GaussFunc:
-    chart = chart_from_json(obj["chart"])
-    kappa = cscalar_from_json(obj["kappa"])
-    terms = {}
-    for t in obj["terms"]:
-        key = (int(t["twice_mu"]), tuple(int(x) for x in t["var"]))
-        terms[key] = cscalar_from_json(t["coef"])
-    return GaussFunc(chart, kappa, terms)
 
 
 def gens_json(gens: Dict) -> dict:

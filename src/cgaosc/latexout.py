@@ -8,7 +8,6 @@ uses s, u, v at ell=3/2 and s, u_1..u_L otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 
 def frac_latex(q: Fraction) -> str:

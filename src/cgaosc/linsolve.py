@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, List, Sequence
 
-from .errors import NonLaurentSolution, NonUniqueSolution
+from .errors import NonLaurentSolution
 from .scalars import CScalar, _from_poly, _to_poly, poly_divmod, poly_trim
 
 _F0 = Fraction(0)

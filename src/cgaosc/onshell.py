@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .enlarged import EnlargedBasis, build_enlarged
+from .enlarged import build_enlarged
 from .errors import Mismatch, NonUniqueSolution, NoSolution, NotProportional
 from .linsolve import SpanSolver
-from .realizations import (AlgebraElement, GenLabel, Z_MINUS, Z_PLUS, Z_ZERO,
+from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
                            free_generators, label_sort_key, label_str,
                            positive_w_indices, w_label, ww_label)
 from .scalars import CScalar, HalfInt, check_half_odd

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Tuple
 
-from .errors import NormalizationUnavailable, NotClosed, \
-    NonLaurentSolution, NonUniqueSolution
+from .errors import (GradingViolation, NonLaurentSolution,
+                     NormalizationUnavailable, NotClosed)
 from .linsolve import SpanSolver
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
@@ -360,53 +360,38 @@ class StructureTable:
 class SpanBasis:
     """Degree-graded exact span solver over a realized generator set."""
 
-    def __init__(self, gens: Dict[GenLabel, WeylOp], z0_label=Z_ZERO):
+    def __init__(self, gens: Dict[GenLabel, WeylOp]):
         self.gens = gens
         some = next(iter(gens.values()))
         self.chart = some.chart
-        z0 = gens[z0_label]
+        z0 = gens[Z_ZERO]
         self.degrees: Dict[GenLabel, HalfInt] = {}
         groups: Dict[int, list] = {}
         for label, op in gens.items():
             r = degree_of(op, z0)
-            if r is False or r is None or not isinstance(r, HalfInt):
-                raise NotClosed((label, z0_label), op)
+            if not isinstance(r, HalfInt):
+                raise NotClosed((label, Z_ZERO), op)
             self.degrees[label] = r
             groups.setdefault(r.twice, []).append(label)
         self.groups = {k: sorted(v, key=label_sort_key)
                        for k, v in groups.items()}
-        self._solvers: Dict[Tuple, SpanSolver] = {}
+        self._solvers: Dict[int, SpanSolver] = {}
 
-    def _solver(self, deg2: int, labels) -> Tuple[SpanSolver, list]:
-        key = (deg2, tuple(labels))
-        if key not in self._solvers:
-            self._solvers[key] = SpanSolver(
-                [self.gens[lb].terms for lb in labels])
-        return self._solvers[key], labels
-
-    def expand(self, op: WeylOp, deg2: int | None = None,
-               restrict=None) -> AlgebraElement:
-        """Re-expand op in the generator span; raises NotClosed on failure.
-
-        deg2: twice the expected grading (limits candidate generators);
-        restrict: optional predicate on labels further limiting candidates.
-        """
+    def expand(self, op: WeylOp, deg2: int) -> AlgebraElement:
+        """Re-expand op, of twice the grading deg2, in the span of the
+        generators of that grading; raises NotClosed on failure."""
         if op.is_zero():
             return AlgebraElement()
-        if deg2 is not None:
-            labels = list(self.groups.get(deg2, []))
-        else:
-            labels = list(self.gens.keys())
-            labels.sort(key=label_sort_key)
-        if restrict is not None:
-            labels = [lb for lb in labels if restrict(lb)]
+        labels = self.groups.get(deg2)
         if not labels:
             raise NotClosed(("<none>",), op)
-        solver, labels = self._solver(
-            deg2 if deg2 is not None else 10 ** 6, labels)
+        solver = self._solvers.get(deg2)
+        if solver is None:
+            solver = self._solvers[deg2] = SpanSolver(
+                [self.gens[lb].terms for lb in labels])
         try:
             xs = solver.solve(op.terms)
-        except (NonUniqueSolution, NonLaurentSolution) as exc:
+        except NonLaurentSolution as exc:
             raise NotClosed(tuple(labels), op) from exc
         elem = AlgebraElement({lb: x for lb, x in zip(labels, xs)})
         residual = op - elem.realize(self.gens, self.chart)
@@ -415,31 +400,66 @@ class SpanBasis:
         return elem
 
 
-def extract_structure(gens: Dict[GenLabel, WeylOp],
-                      bracket_kind: str = "commutator",
-                      z0_label=Z_ZERO) -> StructureTable:
-    """Compute all pairwise brackets of a closed realized set and
-    re-expand them in the span of the set."""
-    basis = SpanBasis(gens, z0_label)
-    labels = sorted(gens, key=label_sort_key)
-    entries = {}
-    kinds = {}
-    anti = bracket_kind == "anticommutator"
+def bracket_tables(realized: Dict[GenLabel, WeylOp],
+                   odd: frozenset = frozenset()
+                   ) -> Tuple[StructureTable, StructureTable]:
+    """The plain and the graded structure table of a closed realized set.
+
+    Each pair's products a*b and b*a are computed once.  The plain table
+    holds every commutator; the graded one holds the commutators of the
+    pairs that are not both odd and the anticommutators of odd-odd pairs
+    (the diagonal included), each of which must stay in its parity
+    sector.  Raises NotClosed naming the pair whose bracket leaves the
+    span, GradingViolation for one that leaves its sector."""
+    span = SpanBasis(realized)
+    labels = sorted(realized, key=label_sort_key)
+    even = frozenset(labels) - odd
+    c_entries, c_kinds = {}, {}
+    g_entries, g_kinds = {}, {}
+
+    def expand(op, a, b):
+        try:
+            return span.expand(op, span.degrees[a].twice
+                               + span.degrees[b].twice)
+        except NotClosed as exc:
+            raise NotClosed((a, b), exc.residual) from exc
+
     for i, a in enumerate(labels):
-        start = i if anti else i + 1
-        for b in labels[start:]:
-            if anti:
-                op = gens[a].anticommutator(gens[b])
-            else:
-                op = gens[a].commutator(gens[b])
-            if op.is_zero():
+        for b in labels[i:]:
+            odd_odd = a in odd and b in odd
+            if a == b and not odd_odd:
                 continue
-            deg2 = basis.degrees[a].twice + basis.degrees[b].twice
-            try:
-                elem = basis.expand(op, deg2)
-            except NotClosed:
-                raise NotClosed((a, b), op)
-            if not elem.is_zero():
-                entries[(a, b)] = elem
-                kinds[(a, b)] = bracket_kind
-    return StructureTable(labels, entries, kinds)
+            ab = realized[a] * realized[b]
+            ba = realized[b] * realized[a]
+            if a != b:
+                comm = ab - ba
+                if not comm.is_zero():
+                    elem = expand(comm, a, b)
+                    c_entries[(a, b)] = elem
+                    c_kinds[(a, b)] = "commutator"
+                    if not odd_odd:
+                        target = even if (a in odd) == (b in odd) else odd
+                        if any(lb not in target for lb in elem.coeffs):
+                            raise GradingViolation(
+                                f"bracket ({a}, {b}) leaves the graded "
+                                f"sector: {elem}")
+                        g_entries[(a, b)] = elem
+                        g_kinds[(a, b)] = "commutator"
+            if odd_odd:
+                anti = ab + ba
+                if not anti.is_zero():
+                    elem = expand(anti, a, b)
+                    if any(lb not in even for lb in elem.coeffs):
+                        raise GradingViolation(
+                            f"bracket {{{a}, {b}}} leaves the even "
+                            f"sector: {elem}")
+                    g_entries[(a, b)] = elem
+                    g_kinds[(a, b)] = "anticommutator"
+    return (StructureTable(labels, c_entries, c_kinds),
+            StructureTable(labels, g_entries, g_kinds))
+
+
+def extract_structure(gens: Dict[GenLabel, WeylOp]) -> StructureTable:
+    """All pairwise commutators of a closed realized set, re-expanded in
+    the span of the set."""
+    return bracket_tables(gens)[0]

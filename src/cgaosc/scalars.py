@@ -29,10 +29,6 @@ class HalfInt:
         raise AttributeError("HalfInt is immutable")
 
     @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
     def from_fraction(cls, q: Fraction) -> "HalfInt":
         q = Fraction(q)
         if q.denominator not in (1, 2):

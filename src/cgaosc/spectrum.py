@@ -18,8 +18,8 @@ from .errors import (DiagonalDependsOnC, Inconsistent, Mismatch,
                      NormalizationUnavailable, NotTriangular)
 from .funcspace import GaussFunc, apply_op
 from .onshell import omega0_osc
-from .realizations import (GenLabel, Z_ZERO, osc_generators,
-                           positive_w_indices, w_label)
+from .realizations import (Z_ZERO, osc_generators, positive_w_indices,
+                           w_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, conjugate
 

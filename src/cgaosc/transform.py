@@ -13,11 +13,10 @@ from typing import Dict, List
 
 from .errors import Mismatch, NormalizationUnavailable
 from .realizations import (GenLabel, extract_structure, free_generators,
-                           label_str, osc_generators)
+                           label_sort_key, label_str, osc_generators)
 from .onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
 from .scalars import CScalar, HalfInt, check_half_odd
-from .weyl import Chart, Substitution, WeylOp, conjugate, \
-    free_to_osc_substitution
+from .weyl import Substitution, WeylOp, conjugate, free_to_osc_substitution
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,13 @@ def certify_transform(ell: HalfInt,
     if img1 != omega1_osc(ell, normalization):
         raise Mismatch("Omega1", img1 - omega1_osc(ell, normalization))
 
-    if extract_structure(free) != extract_structure(osc):
-        raise Mismatch("structure tables", WeylOp.zero(Chart("free", ell)))
+    free_table, osc_table = extract_structure(free), extract_structure(osc)
+    for a, b in sorted(free_table.entries.keys() | osc_table.entries.keys(),
+                       key=lambda pair: tuple(map(label_sort_key, pair))):
+        diff = free_table.bracket(a, b) - osc_table.bracket(a, b)
+        if not diff.is_zero():
+            raise Mismatch(f"[{label_str(a)}, {label_str(b)}] in the "
+                           f"structure tables", diff)
 
     # bracket homomorphism on all generator pairs
     labels = sorted(free, key=lambda lb: lb)

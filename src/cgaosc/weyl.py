@@ -176,14 +176,6 @@ class WeylOp:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_multiplication(self) -> bool:
-        """True when the operator contains no derivative factors."""
-        return all(not any(d) for (_, _, d) in self.terms)
-
-    def constant_part(self) -> CScalar:
-        key = (0, (0,) * self.chart.nvars, (0,) * self.chart.nders)
-        return self.terms.get(key, CScalar.zero())
-
     # -- linear structure --------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, WeylOp):
@@ -366,16 +358,6 @@ def _raw_acc(res: Dict[Key, dict], key: Key, base: dict,
 
 def _raw_wrap(raw: dict) -> CScalar:
     return _cs_wrap({k: q for k, q in raw.items() if q})
-
-
-# -- brackets as free functions ------------------------------------------
-
-def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a.commutator(b)
-
-
-def anticommutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a.anticommutator(b)
 
 
 # -- grading ---------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import cgaosc.cli
+import cgaosc.enlarged
 from cgaosc.cli import main, parse_ell
 from cgaosc.jsonio import weylop_from_json
 from cgaosc.realizations import free_generators, parse_label
@@ -36,7 +38,10 @@ class TestParsing:
         ["verify", "spectrum", "--ell", "5/2", "--normalization", "s6"],
         ["spectrum", "--ell", "3/2", "--max-total", "-1"],
         ["verify", "jacobi", "--ell", "1/2", "--seed", "3"],
-    ], ids=["bad-ell", "normalization", "max-total", "seed"])
+        ["verify", "spectrum", "--ell", "1/2", "--max-total", "-1"],
+        ["verify", "spectrum", "--ell", "1/2", "--max-degree", "-1"],
+    ], ids=["bad-ell", "normalization", "max-total", "seed",
+            "verify-max-total", "verify-max-degree"])
     def test_bad_input_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -124,6 +129,33 @@ class TestVerify:
         assert payload["suites"]["closure"] == {"evenDim": 7, "oddDim": 2,
                                                 "ecgaDim": 9}
         assert payload["suites"]["spectrum"]["matrixAgrees"] is True
+
+    def test_all_checks_jacobi_once_per_table(self, capsys, monkeypatch):
+        calls = []
+        check = cgaosc.enlarged.check_jacobi
+
+        def counted(table, graded):
+            calls.append(graded)
+            return check(table, graded=graded)
+
+        for module in (cgaosc.cli, cgaosc.enlarged):
+            monkeypatch.setattr(module, "check_jacobi", counted)
+        code, _ = run(capsys, "verify", "all", "--ell", "3/2")
+        assert code == 0
+        assert sorted(calls) == [False, True]
+
+    # at ell=3/2 there are 1, 2 and 3 ladder states of total 0, 1 and 2
+    @pytest.mark.parametrize("max_total,max_degree,states",
+                             [(1, 2, 3), (2, 1, 6)])
+    def test_spectrum_separate_bounds(self, capsys, max_total, max_degree,
+                                      states):
+        code, out = run(capsys, "verify", "spectrum", "--ell", "3/2",
+                        "--max-total", str(max_total),
+                        "--max-degree", str(max_degree))
+        assert code == 0
+        rep = json.loads(out)["suites"]["spectrum"]
+        assert rep["states"] == states
+        assert rep["matrixAgrees"] is True
 
     def test_single_suite_threehalf(self, capsys):
         code, out = run(capsys, "verify", "duality", "--ell", "3/2")

@@ -2,11 +2,10 @@ import pytest
 
 from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
                              duality_report, expected_dims, free_enlarged,
-                             is_odd_label, verify_ecga_closure,
-                             verify_scga_graded)
-from cgaosc.errors import BadEll, JacobiFailure
-from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis,
-                                 StructureTable, Z_PLUS, Z_ZERO,
+                             is_odd_label)
+from cgaosc.errors import BadEll, JacobiFailure, NotClosed
+from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
+                                 Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
                                  osc_generators, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import degree_of
@@ -38,7 +37,7 @@ class TestDimensions:
 class TestClosure:
     def test_specific_brackets_threehalf(self):
         basis = free_enlarged(H(3))
-        table = verify_ecga_closure(basis)
+        table, _ = closure_tables(basis)
         got = table.bracket(Z_PLUS, ww_label(H(1), H(1)))
         assert got == AlgebraElement.of(ww_label(H(3), H(1)),
                                         CScalar.from_rational(2))
@@ -65,13 +64,34 @@ class TestClosure:
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_both_structures_close(self, ell):
         basis = free_enlarged(ell)
-        verify_ecga_closure(basis)
-        verify_scga_graded(basis)
+        closure_tables(basis)
 
     def test_osc_chart_matches_free(self):
         free = free_enlarged(H(3))
         osc = build_enlarged(osc_generators(H(3), "section7"), H(3))
         assert closure_tables(free) == closure_tables(osc)
+
+    def test_tables_are_built_once_per_basis(self):
+        basis = build_enlarged(osc_generators(H(1), "section7"), H(1))
+        assert basis.tables is None
+        tables = closure_tables(basis)
+        assert basis.tables is tables
+        assert closure_tables(basis) is tables
+        # the cached tables take no part in comparing bases
+        fresh = build_enlarged(osc_generators(H(1), "section7"), H(1))
+        assert fresh == basis
+
+    def test_not_closed_names_the_pair(self):
+        # without w{1/2,-1/2} the anticommutator {w_{1/2}, w_{-1/2}} leaves
+        # the span; z+-1 go too, so that no earlier pair fails first
+        realized = dict(free_enlarged(H(1)).realized)
+        for lb in (Z_PLUS, Z_MINUS, ww_label(H(1), H(-1))):
+            del realized[lb]
+        odd = frozenset({w_label(H(1)), w_label(H(-1))})
+        with pytest.raises(NotClosed) as exc:
+            bracket_tables(realized, odd)
+        assert exc.value.pair == (w_label(H(1)), w_label(H(-1)))
+        assert not exc.value.residual.is_zero()
 
 
 class TestJacobi:

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgaosc.enlarged import (build_enlarged, free_enlarged,
-                             verify_scga_graded)
+from cgaosc.enlarged import build_enlarged, closure_tables, free_enlarged
 from cgaosc.errors import NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import (certify_onshell, cross_relations,
@@ -183,7 +182,7 @@ class TestCentralizer:
     def test_centralizer_graded_closed(self):
         # the off-shell invariant set closes under the graded bracket
         basis = free_enlarged(H(3))
-        graded = verify_scga_graded(basis)
+        _, graded = closure_tables(basis)
         cen = set(offshell_centralizer(omega1_free(H(3)), basis.realized))
         for a in cen:
             for b in cen:

@@ -114,7 +114,7 @@ class TestClosureAllEll:
             if j.twice <= 0:
                 continue
             comm = gens[w_label(j)].commutator(gens[w_label(-j)])
-            el = basis.expand(comm, 0, restrict=lambda lb: lb == C_LABEL)
+            el = basis.expand(comm, 0)
             assert set(el.coeffs) == {C_LABEL}
             if ell == H(3):
                 assert el.coeffs[C_LABEL] \

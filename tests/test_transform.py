@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_cscalar
-from cgaosc.errors import NormalizationUnavailable
+import cgaosc.transform
+from cgaosc.errors import Mismatch, NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import omega0_osc
-from cgaosc.realizations import free_generators, osc_generators
+from cgaosc.realizations import (AlgebraElement, StructureTable, Z_MINUS,
+                                 Z_PLUS, Z_ZERO, free_generators,
+                                 osc_generators)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.transform import TransformSpec, certify_transform, transform
-from cgaosc.weyl import Chart, WeylOp, free_to_osc_substitution
+from cgaosc.weyl import Chart, free_to_osc_substitution
 
 H = HalfInt
 ELLS = [H(1), H(3), H(5), H(7), H(9)]
@@ -40,6 +43,25 @@ class TestCertification:
 
     def test_section5_threehalf(self):
         certify_transform(H(3), "section5")
+
+    def test_table_mismatch_names_the_entry(self, monkeypatch):
+        # double [z+1, z-1] = 2 z0 on the oscillator side only
+        extract = cgaosc.transform.extract_structure
+
+        def corrupted(gens):
+            table = extract(gens)
+            if next(iter(gens.values())).chart.kind == "osc":
+                entries = dict(table.entries)
+                pair = (Z_PLUS, Z_MINUS)
+                entries[pair] = entries[pair].scaled(CScalar.from_rational(2))
+                table = StructureTable(table.labels, entries, table.kinds)
+            return table
+
+        monkeypatch.setattr(cgaosc.transform, "extract_structure", corrupted)
+        with pytest.raises(Mismatch) as exc:
+            certify_transform(H(3), "section7")
+        assert exc.value.label.startswith("[z+1, z-1]")
+        assert exc.value.residual == AlgebraElement.of(Z_ZERO, -2)
 
     def test_each_generator_maps_threehalf_section5(self):
         spec = TransformSpec(H(3), "section5")
