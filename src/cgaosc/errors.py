@@ -66,18 +66,34 @@ class NonLaurentSolution(CgaError):
     pass
 
 
+def _residual_preview(residual, limit: int = 3) -> str:
+    """Term count and first `limit` sorted terms of a WeylOp, GaussFunc
+    or AlgebraElement residual."""
+    size = len(residual.sorted_terms())
+    noun = "term" if size == 1 else "terms"
+    shown = f", first {limit}" if size > limit else ""
+    return f"residual ({size} {noun}{shown}): {residual.head(limit)!r}"
+
+
 class NotProportional(CgaError):
     def __init__(self, label, residual):
         self.label = label
         self.residual = residual
-        super().__init__(f"on-shell certificate fails for {label}")
+        super().__init__(label, residual)
+
+    def __str__(self):
+        return (f"on-shell certificate fails for {self.label}; "
+                f"{_residual_preview(self.residual)}")
 
 
 class Mismatch(CgaError):
     def __init__(self, label, residual):
         self.label = label
         self.residual = residual
-        super().__init__(f"mismatch at {label}")
+        super().__init__(label, residual)
+
+    def __str__(self):
+        return f"mismatch at {self.label}; {_residual_preview(self.residual)}"
 
 
 class NotTriangular(CgaError):

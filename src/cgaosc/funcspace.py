@@ -125,6 +125,10 @@ class GaussFunc:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
+    def head(self, k: int) -> "GaussFunc":
+        """The first k terms, in sorted order."""
+        return GaussFunc(self.chart, self.kappa, dict(self.sorted_terms()[:k]))
+
     def __repr__(self):
         names = self.chart.var_names()
         parts = []
@@ -175,11 +179,11 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
                         if i == gvar:
                             if vp[i]:
                                 _acc(nxt, _bump(vp, i, -1),
-                                     cc.scale(Fraction(vp[i])))
+                                     cc.scale(vp[i]))
                             _acc(nxt, _bump(vp, i, +1), cc * kappa2)
                         elif vp[i]:
                             _acc(nxt, _bump(vp, i, -1),
-                                 cc.scale(Fraction(vp[i])))
+                                 cc.scale(vp[i]))
                     work = nxt
                     if not work:
                         break

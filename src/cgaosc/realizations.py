@@ -311,8 +311,15 @@ class AlgebraElement:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items(),
-                                 key=lambda kv: label_sort_key(kv[0]))))
+        return hash(tuple(self.sorted_terms()))
+
+    def sorted_terms(self):
+        return sorted(self.coeffs.items(),
+                      key=lambda kv: label_sort_key(kv[0]))
+
+    def head(self, k: int) -> "AlgebraElement":
+        """The first k terms, in sorted order."""
+        return AlgebraElement(dict(self.sorted_terms()[:k]))
 
     def realize(self, gens: Dict[GenLabel, WeylOp], chart: Chart) -> WeylOp:
         out = WeylOp.zero(chart)
@@ -323,9 +330,7 @@ class AlgebraElement:
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        bits = [f"({v})*{label_str(k)}"
-                for k, v in sorted(self.coeffs.items(),
-                                   key=lambda kv: label_sort_key(kv[0]))]
+        bits = [f"({v})*{label_str(k)}" for k, v in self.sorted_terms()]
         return " + ".join(bits)
 
 

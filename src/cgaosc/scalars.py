@@ -216,6 +216,12 @@ class CScalar:
             return _wrap({k: v * f for k, v in self.terms.items()})
         if not isinstance(other, CScalar):
             return NotImplemented
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # monomial times monomial: a product of nonzero Fractions is
+            # nonzero, so no zero coefficient can appear
+            (k1, v1), = self.terms.items()
+            (k2, v2), = other.terms.items()
+            return _wrap({k1 + k2: v1 * v2})
         res: dict[int, Fraction] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -229,7 +235,7 @@ class CScalar:
 
     __rmul__ = __mul__
 
-    def scale(self, f: Fraction) -> "CScalar":
+    def scale(self, f: int | Fraction) -> "CScalar":
         if not f:
             return _ZERO
         return _wrap({k: v * f for k, v in self.terms.items()})

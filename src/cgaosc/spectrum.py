@@ -140,34 +140,67 @@ def ladder_energy(ell: HalfInt, normalization: str,
                for a, na in enumerate(n, start=1)) + vacuum_energy(ell)
 
 
-def ladder_state(ell: HalfInt, normalization: str,
-                 n: Sequence[int]) -> SpectrumRecord:
-    """Eigenstate built by lowering operators acting on the vacuum.
+class Ladder:
+    """The lowering tree of one (ell, normalization) spectrum.
+
+    Holds the lowering operators by multi-index position, H, the vacuum
+    (checked once by vacuum()) and every state built so far.  A state is
+    one lowering step from its parent: state(n) = low_i(state(n - e_i))
+    with i the first position where n_i > 0, i.e. the outermost operator
+    of the state's word, so each state is the same product as a build
+    from the vacuum.  The lowering operators need not commute."""
+
+    def __init__(self, ell: HalfInt, normalization: str = "section7"):
+        gens = _gens_for(ell, normalization)
+        if normalization == "section6":
+            js = [-3, -1]
+        else:
+            js = [-(2 * a - 1) for a in range(1, Chart("osc", ell).L + 1)]
+        self.ell = ell
+        self.normalization = normalization
+        self.lowering = [gens[w_label(HalfInt(j))] for j in js]
+        self.h = hamiltonian(ell, normalization)
+        self.states: Dict[Tuple[int, ...], GaussFunc] = {
+            (0,) * len(js): vacuum(ell, normalization)}
+
+    def state(self, n: Tuple[int, ...]) -> GaussFunc:
+        """The state of the multi-index n (a tuple of ints), built down
+        the tree from its nearest ancestor built so far."""
+        if len(n) != len(self.lowering) or any(x < 0 for x in n):
+            raise ValueError(f"multi-index must have {len(self.lowering)} "
+                             "non-negative entries")
+        path = []
+        while n not in self.states:
+            i = next(i for i, x in enumerate(n) if x)
+            path.append((n, i))
+            n = n[:i] + (n[i] - 1,) + n[i + 1:]
+        state = self.states[n]
+        for m, i in reversed(path):
+            state = apply_op(self.lowering[i], state)
+            self.states[m] = state
+        return state
+
+
+def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
+                 ladder: Optional[Ladder] = None) -> SpectrumRecord:
+    """Eigenstate built by lowering operators acting on the vacuum, with
+    its eigen-relation checked exactly.
 
     section7: n = (n_1 .. n_L) with n_a counting w_{-(a-1/2)}; the
     highest lowering operator acts innermost.  section6: n = (m, k) with
-    m counting w_{-3/2} and k counting w_{-1/2}, w_{-1/2} innermost."""
+    m counting w_{-3/2} and k counting w_{-1/2}, w_{-1/2} innermost.
+    ladder, when given, is the Ladder of (ell, normalization) to build
+    on; otherwise one is made for this state."""
     n = tuple(int(x) for x in n)
-    if any(x < 0 for x in n):
-        raise ValueError("multi-index entries must be non-negative")
-    gens = _gens_for(ell, normalization)
-    state = vacuum(ell, normalization)
-    if normalization == "section6":
-        m, k = n
-        word = [(HalfInt(-1), k), (HalfInt(-3), m)]
-    else:
-        chart = Chart("osc", ell)
-        if len(n) != chart.L:
-            raise ValueError(f"multi-index must have {chart.L} entries")
-        word = [(HalfInt(-(2 * a - 1)), na)
-                for a, na in sorted(enumerate(n, start=1), reverse=True)]
-    for j, count in word:
-        low = gens[w_label(j)]
-        for _ in range(count):
-            state = apply_op(low, state)
+    if ladder is None:
+        ladder = Ladder(ell, normalization)
+    elif (ladder.ell, ladder.normalization) != (ell, normalization):
+        raise ValueError("the ladder belongs to another ell or "
+                         "normalization")
+    state = ladder.state(n)
     energy = ladder_energy(ell, normalization, n)
-    h = hamiltonian(ell, normalization)
-    resid = apply_op(h, state) - state.scaled(CScalar.from_rational(energy))
+    resid = apply_op(ladder.h, state) - state.scaled(
+        CScalar.from_rational(energy))
     if not resid.is_zero():
         raise Mismatch(f"eigen-relation for n={n}", resid)
     return SpectrumRecord(n=n, energy=energy, state=state,
@@ -177,13 +210,13 @@ def ladder_state(ell: HalfInt, normalization: str,
 def spectrum(ell: HalfInt, max_total: int,
              normalization: str = "section7") -> List[SpectrumRecord]:
     """All ladder states with multi-index total at most max_total,
-    ordered by (energy, multi-index)."""
+    ordered by (energy, multi-index).  One Ladder serves them all; every
+    state's eigen-relation is checked."""
     if max_total < 0:
         raise ValueError("max_total must be non-negative")
-    size = 2 if normalization == "section6" else Chart("osc", ell).L
-    records = []
-    for n in _multi_indices(size, max_total):
-        records.append(ladder_state(ell, normalization, n))
+    ladder = Ladder(ell, normalization)
+    records = [ladder_state(ell, normalization, n, ladder)
+               for n in _multi_indices(len(ladder.lowering), max_total)]
     records.sort(key=lambda r: (r.energy, r.n))
     return records
 

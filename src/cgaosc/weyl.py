@@ -292,6 +292,10 @@ class WeylOp:
     def sorted_terms(self) -> Iterable[Tuple[Key, CScalar]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
+    def head(self, k: int) -> "WeylOp":
+        """The first k terms, in sorted order."""
+        return _wrap(self.chart, dict(self.sorted_terms()[:k]))
+
     def leading(self) -> Tuple[Key, CScalar]:
         return max(self.terms.items(), key=lambda kv: kv[0])
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,19 @@ class TestParsing:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("ell,code", [("1/2", 0), ("-1/2", 2)])
+    def test_python_m_cgaosc(self, ell, code):
+        src = str(Path(cgaosc.cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgaosc", "verify", "spectrum",
+             f"--ell={ell}"], env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["status"] == "pass"
 
 
 class TestGens:

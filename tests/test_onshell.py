@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from cgaosc.enlarged import build_enlarged, closure_tables, free_enlarged
-from cgaosc.errors import NormalizationUnavailable
+from cgaosc.errors import NormalizationUnavailable, NotProportional
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import (certify_onshell, cross_relations,
                             offshell_centralizer, omega0_abstract_threehalf,
                             omega0_free, omega0_osc, omega1_abstract_threehalf,
                             omega1_free, omega1_osc, solve_omega1)
 from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
-                                 Z_ZERO, osc_generators, w_label, ww_label)
+                                 Z_ZERO, free_generators, osc_generators,
+                                 w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import Chart, WeylOp
 
@@ -130,6 +131,18 @@ class TestCertificates:
         om0 = omega0_osc(H(3), "section5")
         m0 = certify_onshell(om0, basis.realized).multipliers()
         assert set(m0) == {Z_PLUS, Z_MINUS}
+
+    def test_failure_shows_the_residual(self):
+        # z+1 is no invariant: its bracket with z-1 is not a multiple of it
+        gens = free_generators(H(3))
+        with pytest.raises(NotProportional) as exc:
+            certify_onshell(gens[Z_PLUS], gens)
+        resid = exc.value.residual
+        assert exc.value.label == "z-1"
+        assert resid == gens[Z_MINUS].commutator(gens[Z_PLUS])
+        assert str(exc.value).endswith(
+            f"residual ({len(resid.terms)} terms, first 3): "
+            f"{resid.head(3)!r}")
 
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_cross_relations(self, ell):

@@ -1,15 +1,18 @@
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import cgaosc.spectrum
 from cgaosc.errors import Mismatch, NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
-from cgaosc.realizations import osc_generators, w_label
+from cgaosc.realizations import osc_generators, positive_w_indices, w_label
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.spectrum import (ExactMatrix, harmonic_reduction, hamiltonian,
-                             hamiltonian_m_form_expected, ladder_relations,
-                             ladder_state, matrix_oracle, spectrum, to_m_form,
-                             vacuum, vacuum_energy)
+from cgaosc.spectrum import (ExactMatrix, Ladder, harmonic_reduction,
+                             hamiltonian, hamiltonian_m_form_expected,
+                             ladder_relations, ladder_state, matrix_oracle,
+                             spectrum, to_m_form, vacuum, vacuum_energy)
 from cgaosc.weyl import Chart, WeylOp
 
 H = HalfInt
@@ -93,6 +96,51 @@ class TestLadder:
             ladder_state(H(3), "section7", [1, -1])
         with pytest.raises(ValueError):
             ladder_state(H(3), "section7", [1, 0, 0])
+        with pytest.raises(ValueError):
+            ladder_state(H(3), "section6", [1, 0, 0])
+        with pytest.raises(ValueError):
+            ladder_state(H(3), "section7", [1, 0], Ladder(H(3), "section6"))
+
+    def test_shared_parts_built_once(self, monkeypatch):
+        counts = Counter()
+        for name in ("hamiltonian", "vacuum", "apply_op"):
+            def counted(*args, _name=name,
+                        _fn=getattr(cgaosc.spectrum, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cgaosc.spectrum, name, counted)
+        states = len(spectrum(H(5), 4))
+        raising = len(positive_w_indices(H(5)))
+        # one lowering step per state but the vacuum, one eigen-relation
+        # check per state, and the vacuum's raising-operator checks
+        assert counts == {"hamiltonian": 1, "vacuum": 1,
+                          "apply_op": (states - 1) + states + raising}
+
+    @pytest.mark.parametrize("ell,norm", [
+        (H(3), "section6"), (H(3), "section7"), (H(5), "section7"),
+    ], ids=str)
+    def test_standalone_state_matches_spectrum(self, ell, norm):
+        recs = spectrum(ell, 4, norm)
+        size = len(recs[0].n)
+        assert len({r.n for r in recs}) == comb(size + 4, 4)
+        for rec in recs:
+            assert ladder_state(ell, norm, rec.n) == rec
+
+    def test_failure_names_the_state_and_residual(self, monkeypatch):
+        energy = cgaosc.spectrum.ladder_energy
+
+        def off_at_02(ell, normalization, n):
+            return energy(ell, normalization, n) + (n == (0, 2))
+
+        monkeypatch.setattr(cgaosc.spectrum, "ladder_energy", off_at_02)
+        with pytest.raises(Mismatch) as exc:
+            spectrum(H(3), 4)
+        resid = exc.value.residual
+        assert resid == Ladder(H(3)).state((0, 2)).scaled(-1)
+        msg = str(exc.value)
+        assert "n=(0, 2)" in msg
+        assert f"({len(resid.terms)} terms" in msg
+        assert repr(resid.head(3)) in msg
 
 
 class TestSectionSixFixture:

@@ -62,6 +62,7 @@ class TestCertification:
             certify_transform(H(3), "section7")
         assert exc.value.label.startswith("[z+1, z-1]")
         assert exc.value.residual == AlgebraElement.of(Z_ZERO, -2)
+        assert str(exc.value).endswith("; residual (1 term): (-2)*z0")
 
     def test_each_generator_maps_threehalf_section5(self):
         spec = TransformSpec(H(3), "section5")
