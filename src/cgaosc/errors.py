@@ -38,8 +38,11 @@ class NotClosed(CgaError):
     def __init__(self, pair, residual):
         self.pair = pair
         self.residual = residual
-        super().__init__(f"bracket {pair} leaves the span; residual has "
-                         f"{len(residual.terms)} terms")
+        super().__init__(pair, residual)
+
+    def __str__(self):
+        return (f"bracket {self.pair} leaves the span; "
+                f"{_residual_preview(self.residual)}")
 
 
 class GradingViolation(CgaError):
@@ -50,8 +53,12 @@ class JacobiFailure(CgaError):
     def __init__(self, triple, residual, structure):
         self.triple = triple
         self.residual = residual
-        super().__init__(f"{structure} Jacobi fails on {triple}; "
-                         f"residual {residual!r}")
+        self.structure = structure
+        super().__init__(triple, residual, structure)
+
+    def __str__(self):
+        return (f"{self.structure} Jacobi fails on {self.triple}; "
+                f"{_residual_preview(self.residual)}")
 
 
 class NoSolution(CgaError):

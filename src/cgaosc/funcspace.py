@@ -4,7 +4,9 @@ where x1 is u_1 (osc chart) or y_1 (free chart; then there is no s and the
 monomial may also carry powers of t).
 
 Every chart operator maps this class to itself, which is what makes exact
-eigen-relation checks possible.
+eigen-relation checks possible.  apply_op moves the Gaussian onto the
+operator with weyl.conjugate and then applies each derivative to the
+polynomial part in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict, Tuple
 
 from .errors import ChartMismatch
 from .scalars import CScalar
-from .weyl import Chart, WeylOp
+from .weyl import Chart, WeylOp, conjugate, falling
 
 FKey = Tuple[int, Tuple[int, ...]]  # (2*mu, variable exponents)
 
@@ -37,6 +39,9 @@ class GaussFunc:
 
     def __setattr__(self, *a):
         raise AttributeError("GaussFunc is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.chart, self.kappa, self.terms)
 
     @classmethod
     def monomial(cls, chart: Chart, kappa: CScalar, mu2: int = 0,
@@ -153,52 +158,29 @@ def _as_cs(coef) -> CScalar:
 
 
 def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
-    """Exact image of f under the differential operator op."""
+    """Exact image of f = P e^{kappa x1^2} under op, computed as
+    e^{kappa x1^2} (conjugate(op, ("gauss", 2 kappa)) P): each term of the
+    conjugated operator meets each term of P in closed form,
+    d^n x^p = falling(p, n) x^{p-n} and d_s^n e^{mu s} = mu^n e^{mu s}."""
     if op.chart != f.chart:
         raise ChartMismatch("operator and function live in different charts")
     chart = op.chart
     osc = chart.kind == "osc"
-    gvar = chart.gauss_var
-    kappa2 = f.kappa + f.kappa
+    if not f.kappa.is_zero():
+        op = conjugate(op, ("gauss", f.kappa + f.kappa))
     res: Dict[FKey, CScalar] = {}
     for (e, v, d), c_op in op.terms.items():
+        space_ders = d[1:] if osc else d
         for (mu2, m), c_f in f.terms.items():
-            coef = c_op * c_f
-            if osc and d[0]:
-                mu = Fraction(mu2, 2)
-                coef = coef.scale(mu ** d[0])
-                if coef.is_zero():
-                    continue
-            # work: var exponent vector -> CScalar, all sharing (mu2)
-            work = {m: coef}
-            space_ders = d[1:] if osc else d
-            for i, n in enumerate(space_ders):
-                for _ in range(n):
-                    nxt: Dict[Tuple[int, ...], CScalar] = {}
-                    for vp, cc in work.items():
-                        if i == gvar:
-                            if vp[i]:
-                                _acc(nxt, _bump(vp, i, -1),
-                                     cc.scale(vp[i]))
-                            _acc(nxt, _bump(vp, i, +1), cc * kappa2)
-                        elif vp[i]:
-                            _acc(nxt, _bump(vp, i, -1),
-                                 cc.scale(vp[i]))
-                    work = nxt
-                    if not work:
-                        break
-                if not work:
-                    break
-            for vp, cc in work.items():
-                key = (mu2 + e, tuple(x + y for x, y in zip(vp, v)))
-                _acc(res, key, cc)
+            factor = Fraction(mu2, 2) ** d[0] if osc and d[0] else 1
+            for p, n in zip(m, space_ders):
+                if n:
+                    factor *= falling(p, n)
+            if factor:
+                key = (mu2 + e, tuple(p - n + q for p, n, q
+                                      in zip(m, space_ders, v)))
+                _acc(res, key, (c_op * c_f).scale(factor))
     return GaussFunc(chart, f.kappa, res)
-
-
-def _bump(vp: Tuple[int, ...], i: int, delta: int) -> Tuple[int, ...]:
-    lst = list(vp)
-    lst[i] += delta
-    return tuple(lst)
 
 
 def _acc(d, k, v):

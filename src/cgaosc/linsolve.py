@@ -80,7 +80,6 @@ def _reduce_content(row):
         g = _p_gcd(g, p)
     if len(g) > 1:
         row = [_p_exact_div(p, g) if p else p for p in row]
-    # rescale so the first nonzero entry has lead coefficient with small abs
     return row
 
 

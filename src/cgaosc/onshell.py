@@ -203,38 +203,18 @@ def _multiplier_candidate(comm: WeylOp, omega: WeylOp,
     if chart.kind == "free":
         if not gap.is_integer:
             return None
-        k = int(gap.as_fraction())
-        # compare t^{max(0,-k)} * comm with alpha * t^{max(0,k)} * omega
-        t = WeylOp.var(chart, 0)
-        lhs = t.power(max(0, -k)) * comm
-        base = t.power(max(0, k)) * omega
+        unit = WeylOp.var(chart, 0, power=int(gap.as_fraction()))
     else:
-        k = gap.twice
-        lhs = comm
-        base = WeylOp.exp_s(chart, HalfInt(k)) * omega
+        unit = WeylOp.exp_s(chart, gap)
+    base = unit * omega
     key, cb = base.leading()
-    ca = lhs.terms.get(key)
+    ca = comm.terms.get(key)
     if ca is None:
         return None
     alpha = ca.try_div(cb)
-    if alpha is None or lhs != base.scaled(alpha):
+    if alpha is None or comm != base.scaled(alpha):
         return None
-    if chart.kind == "free":
-        if k >= 0:
-            return WeylOp.var(chart, 0, power=k, coef=alpha)
-        # negative powers of t have no WeylOp form; return a tagged
-        # multiplication operator t^{|k|} on the wrong side is avoided by
-        # reporting the verified pair (alpha, k) through a synthetic term
-        return _negative_t_power(chart, k, alpha)
-    return WeylOp.exp_s(chart, HalfInt(k), coef=alpha)
-
-
-def _negative_t_power(chart: Chart, k: int, alpha: CScalar) -> WeylOp:
-    # a multiplication operator alpha * t^k with k < 0; the negative
-    # exponent is stored directly in the term key.  Such operators are
-    # only ever compared and printed, never multiplied.
-    key = (0, (k,) + (0,) * (chart.nvars - 1), (0,) * chart.nders)
-    return WeylOp(chart, {key: alpha})
+    return unit.scaled(alpha)
 
 
 def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]

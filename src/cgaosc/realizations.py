@@ -278,6 +278,9 @@ class AlgebraElement:
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
     @classmethod
     def of(cls, label: GenLabel, coef=1) -> "AlgebraElement":
         c = coef if isinstance(coef, CScalar) else CScalar.from_rational(coef)

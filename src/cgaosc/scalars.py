@@ -28,6 +28,9 @@ class HalfInt:
     def __setattr__(self, *a):
         raise AttributeError("HalfInt is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.twice,)
+
     @classmethod
     def from_fraction(cls, q: Fraction) -> "HalfInt":
         q = Fraction(q)
@@ -138,6 +141,9 @@ class CScalar:
 
     def __setattr__(self, *a):
         raise AttributeError("CScalar is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.terms,)
 
     # -- constructors -------------------------------------------------
     @classmethod

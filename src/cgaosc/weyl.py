@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb
 from typing import Dict, Iterable, Tuple
 
 from .errors import ChartMismatch, RelationViolation, UnsupportedWeight
@@ -44,6 +44,9 @@ class Chart:
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.ell)
 
     @property
     def nvars(self) -> int:
@@ -86,11 +89,21 @@ class Chart:
         return f"Chart({self.kind}, ell={self.ell})"
 
 
+def falling(m: int, k: int) -> int:
+    """The falling factorial m (m-1) ... (m-k+1), for any integer m and
+    k >= 0: d^k x^m = falling(m, k) x^{m-k}, negative m included."""
+    out = 1
+    for i in range(k):
+        out *= m - i
+    return out
+
+
 @lru_cache(maxsize=None)
 def _poly_cross(n: int, m: int):
-    """Expansion of d^n x^m: list of (k, k! C(n,k) C(m,k))."""
-    return tuple((k, Fraction(factorial(k) * comb(n, k) * comb(m, k)))
-                 for k in range(min(n, m) + 1))
+    """Expansion of d^n x^m for any integer m: the nonzero
+    (k, C(n,k) falling(m,k)), the coefficient of x^{m-k} d^{n-k}."""
+    return tuple((k, Fraction(comb(n, k) * falling(m, k)))
+                 for k in range(n + 1) if falling(m, k))
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +142,9 @@ class WeylOp:
 
     def __setattr__(self, *a):
         raise AttributeError("WeylOp is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.chart, self.terms)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -457,8 +473,7 @@ class Substitution:
     derivative of the source chart.  The defining Heisenberg relations of
     the images are verified at construction."""
 
-    def __init__(self, src: Chart, dst: Chart, var_images, der_images,
-                 check: bool = True):
+    def __init__(self, src: Chart, dst: Chart, var_images, der_images):
         if len(var_images) != src.nvars or len(der_images) != src.nders:
             raise ValueError("image count does not match chart")
         if src.kind == "osc":
@@ -467,8 +482,7 @@ class Substitution:
         self.dst = dst
         self.var_images = list(var_images)
         self.der_images = list(der_images)
-        if check:
-            self._check_relations()
+        self._check_relations()
 
     def _check_relations(self):
         one = WeylOp.one(self.dst)
@@ -510,8 +524,7 @@ def identity_substitution(chart: Chart) -> Substitution:
     return Substitution(
         chart, chart,
         [WeylOp.var(chart, i) for i in range(chart.nvars)],
-        [WeylOp.der(chart, i) for i in range(chart.nders)],
-        check=False)
+        [WeylOp.der(chart, i) for i in range(chart.nders)])
 
 
 def free_to_osc_substitution(ell: HalfInt) -> Substitution:

@@ -108,6 +108,13 @@ class TestCertificates:
         assert mult[Z_PLUS] == t_power(chart, -1)
         assert mult[Z_MINUS] == t_power(chart, 1)
 
+    @pytest.mark.parametrize("ell", ELLS[:3], ids=str)
+    def test_negative_power_multiplier_is_an_operator(self, ell):
+        omega = omega0_free(ell)
+        gens = free_generators(ell)
+        f = certify_onshell(omega, gens).multipliers()[Z_PLUS]
+        assert f * omega == gens[Z_PLUS].commutator(omega)
+
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_osc_multipliers(self, ell):
         gens = osc_generators(ell, "section7")

@@ -53,6 +53,27 @@ class TestNormalForm:
                 assert len(v) == OSC.nvars
                 assert len(d) == OSC.nders
 
+    def test_negative_t_powers(self):
+        t, dt = WeylOp.var(FREE, 0), WeylOp.der(FREE, 0)
+        t_inv = WeylOp.var(FREE, 0, power=-1)
+        assert dt * t_inv == t_inv * dt - WeylOp.var(FREE, 0, power=-2)
+        assert t_inv * t == t * t_inv == WeylOp.one(FREE)
+
+    def test_laurent_in_t_is_associative(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            a, b, d = (random_weylop(FREE, rng, nterms=2)
+                       * WeylOp.var(FREE, 0, power=rng.randint(-3, 0))
+                       for _ in range(3))
+            assert (a * b) * d == a * (b * d)
+
+    @pytest.mark.parametrize("kappa", [CScalar.zero(), CScalar.c()],
+                             ids=["bare", "gauss"])
+    def test_apply_to_negative_t_power(self, kappa):
+        f = GaussFunc.monomial(FREE, kappa, varpow=(-1, 0, 0))
+        want = GaussFunc.monomial(FREE, kappa, varpow=(-2, 0, 0), coef=-1)
+        assert apply_op(WeylOp.der(FREE, 0), f) == want
+
     def test_chart_mismatch(self):
         with pytest.raises(ChartMismatch):
             WeylOp.var(FREE, 0) * WeylOp.var(OSC, 0)
