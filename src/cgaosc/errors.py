@@ -69,8 +69,19 @@ class NonUniqueSolution(CgaError):
     pass
 
 
-class NonLaurentSolution(CgaError):
-    pass
+class NotGraded(CgaError):
+    """A linear system entry that is not a single power of c, or whose
+    power conflicts with the row and column potentials of the others."""
+
+    def __init__(self, key, column, entry):
+        self.key = key
+        self.column = column
+        self.entry = entry
+        super().__init__(key, column, entry)
+
+    def __str__(self):
+        return (f"system is not graded: entry {self.entry!r} at row "
+                f"{self.key!r}, column {self.column}")
 
 
 def _residual_preview(residual, limit: int = 3) -> str:

@@ -33,6 +33,12 @@ class GaussFunc:
             for k, v in terms.items():
                 if not v.is_zero():
                     clean[k] = v
+        for (mu2, vp) in clean:
+            if len(vp) != chart.nvars:
+                raise ChartMismatch(
+                    f"term key {(mu2, vp)} does not fit the {chart.kind} chart")
+            if mu2 and chart.kind == "free":
+                raise ChartMismatch("free-chart functions carry no s-weight")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "terms", clean)
@@ -49,8 +55,6 @@ class GaussFunc:
                  coef=None) -> "GaussFunc":
         if varpow is None:
             varpow = (0,) * chart.nvars
-        if chart.kind == "free" and mu2 != 0:
-            raise ChartMismatch("free-chart functions carry no s-weight")
         c = CScalar.one() if coef is None else _as_cs(coef)
         return cls(chart, kappa, {(mu2, tuple(varpow)): c})
 
@@ -103,8 +107,9 @@ class GaussFunc:
         return self.kappa == other.kappa
 
     def __hash__(self):
-        return hash((self.chart, self.kappa,
-                     tuple(sorted(self.terms.items()))))
+        # zero functions are equal whatever their kappa
+        kappa = self.kappa if self.terms else None
+        return hash((self.chart, kappa, tuple(sorted(self.terms.items()))))
 
     def proportionality(self, other: "GaussFunc") -> CScalar | None:
         """Return r with self = r * other, or None."""

@@ -1,9 +1,12 @@
-"""Exact linear solving over the Laurent-coefficient ring.
+"""Exact linear solving of graded systems at c = 1.
 
-Rows are scaled by a power of c to clear negative exponents, elimination
-is fraction-free (multiply-and-subtract only) over Q[c], and divisions
-happen once during back-substitution; solution components must reduce to
-Laurent polynomials (monomial denominators), which is checked.
+Every system the package solves is graded: each nonzero entry is a
+single power of c, and there are integer row potentials p and column
+potentials g (the right-hand side b counted as one more column) with
+entry (r, j) = q * c^(p_r - g_j).  Then A = D_row * A|_{c=1} * D_col with
+invertible diagonal powers of c, so the rank over Q(c) is the rank at
+c = 1, and x_j = xi_j * c^(g_j - g_b) solves A x = b whenever xi solves
+the system at c = 1.  The grading is checked before any rank is read.
 """
 
 from __future__ import annotations
@@ -11,84 +14,60 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, List, Sequence
 
-from .errors import NonLaurentSolution
-from .scalars import CScalar, _from_poly, _to_poly, poly_divmod, poly_trim
+from .errors import NotGraded
+from .scalars import CScalar
 
 _F0 = Fraction(0)
-_P0: List[Fraction] = []
-_P1 = [Fraction(1)]
 
 
-def _p_mul(a, b):
-    if not a or not b:
-        return _P0
-    res = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    res[i + j] += x * y
-    return poly_trim(res)
+def _at_one(s: CScalar | None) -> Fraction:
+    """Value at c = 1 of a zero or monomial entry."""
+    return next(iter(s.terms.values()), _F0) if s else _F0
 
 
-def _p_sub(a, b):
-    n = max(len(a), len(b))
-    res = [(a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0)
-           for i in range(n)]
-    return poly_trim(res)
-
-
-def _p_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, a = poly_divmod(a, b)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _p_exact_div(a, b):
-    q, r = poly_divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _row_to_polys(row: Sequence[CScalar]) -> List[List[Fraction]]:
-    """Scale a row of CScalars by a common power of c, return dense polys."""
-    shift = min((s.min_power() for s in row if not s.is_zero()), default=0)
-    out = []
-    for s in row:
-        if s.is_zero():
-            out.append(_P0)
-        else:
-            poly, lo = _to_poly(s)
-            out.append([_F0] * (lo - shift) + poly)
-    return out
-
-
-def _reduce_content(row):
-    polys = [p for p in row if p]
-    if not polys:
-        return row
-    g = polys[0]
-    for p in polys[1:]:
-        if len(g) == 1:
-            break
-        g = _p_gcd(g, p)
-    if len(g) > 1:
-        row = [_p_exact_div(p, g) if p else p for p in row]
-    return row
+def _potentials(cols: Sequence[Dict[Hashable, CScalar]]) -> List[int]:
+    """Column potentials g of a graded system, found by walking the
+    bipartite row/column graph; raises NotGraded naming an entry that is
+    not a single power of c or whose power conflicts with the others."""
+    powers: List[list] = [[] for _ in cols]     # column -> (row, power)
+    by_row: Dict[Hashable, list] = {}           # row -> (column, power)
+    for j, col in enumerate(cols):
+        for key, s in col.items():
+            if s:
+                if not s.is_monomial():
+                    raise NotGraded(key, j, s)
+                (k, _), = s.terms.items()
+                powers[j].append((key, k))
+                by_row.setdefault(key, []).append((j, k))
+    g: List[int | None] = [None] * len(cols)
+    p: Dict[Hashable, int] = {}
+    for start in range(len(cols)):
+        if g[start] is not None:
+            continue
+        g[start] = 0
+        stack = [start]
+        while stack:
+            j = stack.pop()
+            for key, k in powers[j]:
+                if key in p:
+                    if p[key] - g[j] != k:
+                        raise NotGraded(key, j, cols[j][key])
+                    continue
+                p[key] = g[j] + k
+                for j2, k2 in by_row[key]:
+                    if g[j2] is None:
+                        g[j2] = p[key] - k2
+                        stack.append(j2)
+    return g
 
 
 class SpanSolver:
     """Solve  sum_i x_i * col_i = b  exactly for CScalar unknowns.
 
-    Columns are dicts key->CScalar.  Rows (one per key) are fed into an
-    incremental fraction-free echelon; back-substitution recovers the x_i.
-    The caller is expected to verify the reconstruction at operator level.
+    Columns are dicts key->CScalar.  Rows (one per key) are fed at c = 1
+    into an incremental Gauss-Jordan elimination over Q; each solved
+    coefficient gets its power of c back from the potentials.  The caller
+    is expected to verify the reconstruction at operator level.
     """
 
     def __init__(self, cols: Sequence[Dict[Hashable, CScalar]]):
@@ -99,92 +78,48 @@ class SpanSolver:
             keys.update(c.keys())
         self.keys = sorted(keys)
 
-    def _echelon(self, b: Dict[Hashable, CScalar]):
-        """Fraction-free reduced echelon form of the rows of [cols | b],
-        one row per key: (rows, pivot column of each row), sorted by
-        pivot column."""
+    def _echelon(self, b: Dict[Hashable, CScalar]) -> Dict[int, List[Fraction]]:
+        """Reduced echelon form at c = 1 of the rows of [cols | b], one
+        row per key, as pivot column -> row with pivot entry 1."""
         n = self.n
-        keys = self.keys
-        zero = CScalar.zero()
-        echelon: List[List[List[Fraction]]] = []   # rows in echelon form
-        pivots: List[int] = []                     # pivot column per row
-        extra = sorted(set(b).difference(keys))
-        for key in keys + extra:
+        echelon: Dict[int, List[Fraction]] = {}
+        extra = sorted(set(b).difference(self.keys))
+        for key in self.keys + extra:
             if len(echelon) == n:
                 break
-            row_cs = [c.get(key, zero) for c in self.cols]
-            row_cs.append(b.get(key, zero))
-            if all(s.is_zero() for s in row_cs):
-                continue
-            row = _row_to_polys(row_cs)
-            for erow, p in zip(echelon, pivots):
-                if row[p]:
-                    piv = erow[p]
-                    mult = row[p]
-                    row = [_p_sub(_p_mul(x, piv), _p_mul(mult, y))
-                           for x, y in zip(row, erow)]
+            row = [_at_one(c.get(key)) for c in self.cols]
+            row.append(_at_one(b.get(key)))
+            for p, erow in echelon.items():
+                f = row[p]
+                if f:
+                    row = [x - f * y for x, y in zip(row, erow)]
             pcol = next((j for j in range(n) if row[j]), None)
             if pcol is None:
                 continue
-            row = _reduce_content(row)
-            # clear the new pivot column from the existing rows so the
-            # system stays triangular for back-substitution
-            for i, erow in enumerate(echelon):
-                if erow[pcol]:
-                    piv = row[pcol]
-                    mult = erow[pcol]
-                    echelon[i] = _reduce_content(
-                        [_p_sub(_p_mul(x, piv), _p_mul(mult, y))
-                         for x, y in zip(erow, row)])
-            # keep echelon sorted by pivot column
-            idx = 0
-            while idx < len(pivots) and pivots[idx] < pcol:
-                idx += 1
-            echelon.insert(idx, row)
-            pivots.insert(idx, pcol)
-        return echelon, pivots
+            piv = row[pcol]
+            row = [x / piv for x in row]
+            # keep the form reduced, so each pivot row's last entry is x
+            for p, erow in echelon.items():
+                f = erow[pcol]
+                if f:
+                    echelon[p] = [x - f * y for x, y in zip(erow, row)]
+            echelon[pcol] = row
+        return echelon
 
     def solve(self, b: Dict[Hashable, CScalar]) -> List[CScalar]:
         n = self.n
         if n == 0:
             return []
-        zero = CScalar.zero()
-        echelon, pivots = self._echelon(b)
-        # back-substitute; missing pivots get x = 0 (caller verifies residual)
-        x_num: List[List[Fraction]] = [_P0] * n
-        x_den: List[List[Fraction]] = [_P1] * n
-        for erow, p in zip(reversed(echelon), reversed(pivots)):
-            num, den = erow[n], _P1
-            for j in range(p + 1, n):
-                if erow[j] and x_num[j]:
-                    # num/den -= erow[j] * x_num[j]/x_den[j]
-                    num = _p_sub(_p_mul(num, x_den[j]),
-                                 _p_mul(_p_mul(erow[j], x_num[j]), den))
-                    den = _p_mul(den, x_den[j])
-            den = _p_mul(den, erow[p])
-            if num:
-                g = _p_gcd(num, den)
-                if len(g) > 1:
-                    num = _p_exact_div(num, g)
-                    den = _p_exact_div(den, g)
-            x_num[p], x_den[p] = num, den
-        out = []
-        for num, den in zip(x_num, x_den):
-            if not num:
-                out.append(zero)
-                continue
-            nz = [i for i, cf in enumerate(den) if cf]
-            if len(nz) != 1:
-                raise NonLaurentSolution(
-                    "solution coefficient is not Laurent in c")
-            k = nz[0]
-            coef = den[k]
-            out.append(_from_poly([cf / coef for cf in num], -k))
-        return out
+        g = _potentials(self.cols + [b])
+        echelon = self._echelon(b)
+        # missing pivots get x = 0 (caller verifies residual)
+        return [CScalar.c_power(g[j] - g[n], echelon[j][n])
+                if j in echelon else CScalar.zero() for j in range(n)]
 
     def rank(self) -> int:
         """Rank of the column set (no right-hand side)."""
-        return len(self._echelon({})[0])
+        _potentials(self.cols)
+        return len(self._echelon({}))
 
     def nullity(self) -> int:
         return self.n - self.rank()

@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Tuple
 
-from .errors import (GradingViolation, NonLaurentSolution,
-                     NormalizationUnavailable, NotClosed)
+from .errors import GradingViolation, NormalizationUnavailable, NotClosed
 from .linsolve import SpanSolver
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
@@ -397,10 +396,7 @@ class SpanBasis:
         if solver is None:
             solver = self._solvers[deg2] = SpanSolver(
                 [self.gens[lb].terms for lb in labels])
-        try:
-            xs = solver.solve(op.terms)
-        except NonLaurentSolution as exc:
-            raise NotClosed(tuple(labels), op) from exc
+        xs = solver.solve(op.terms)
         elem = AlgebraElement({lb: x for lb, x in zip(labels, xs)})
         residual = op - elem.realize(self.gens, self.chart)
         if not residual.is_zero():

@@ -242,6 +242,8 @@ class CScalar:
     __rmul__ = __mul__
 
     def scale(self, f: int | Fraction) -> "CScalar":
+        if f == 1:
+            return self
         if not f:
             return _ZERO
         return _wrap({k: v * f for k, v in self.terms.items()})
@@ -282,11 +284,6 @@ class CScalar:
     # -- misc -----------------------------------------------------------
     def items_sorted(self) -> Iterable[Tuple[int, Fraction]]:
         return sorted(self.terms.items())
-
-    def min_power(self) -> int:
-        if not self.terms:
-            return 0
-        return min(self.terms)
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -112,9 +112,13 @@ class TestCScalarBasics:
         assert b == CScalar.c_power(-1, Fraction(-1, 8)) \
             + CScalar.c_power(1, Fraction(-4))
 
+    def test_scale_by_one_is_identity(self):
+        a = CScalar.c_power(-2, 3) + CScalar.c_power(1, 5)
+        assert a.scale(1) is a
+        assert a.scale(Fraction(1)) is a
+
     def test_scale_and_min_power(self):
         a = CScalar.c_power(-2, 3) + CScalar.c_power(1, 5)
-        assert a.min_power() == -2
         assert a.scale(Fraction(0)) == CScalar.zero()
         assert a.scale(Fraction(1, 3)) \
             == CScalar.c_power(-2) + CScalar.c_power(1, Fraction(5, 3))

@@ -84,6 +84,16 @@ class TestNormalForm:
             WeylOp(OSC, {(0, (0,) * (OSC.nvars + 1), (0,) * OSC.nders): one})
         with pytest.raises(ChartMismatch):
             WeylOp(FREE, {(2, (0,) * FREE.nvars, (0,) * FREE.nders): one})
+        with pytest.raises(ChartMismatch):
+            GaussFunc(FREE, CScalar.zero(), {(0, (1,)): one})
+        with pytest.raises(ChartMismatch):
+            GaussFunc(FREE, CScalar.zero(), {(2, (0,) * FREE.nvars): one})
+
+    def test_zero_gaussfuncs_hash_alike(self):
+        a = GaussFunc.zero(FREE, CScalar.zero())
+        b = GaussFunc.zero(FREE, CScalar.c())
+        assert a == b
+        assert len({a, b}) == 1
 
 
 class TestSympyOracle:
