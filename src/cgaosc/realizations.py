@@ -409,12 +409,12 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
                    ) -> Tuple[StructureTable, StructureTable]:
     """The plain and the graded structure table of a closed realized set.
 
-    Each pair's products a*b and b*a are computed once.  The plain table
-    holds every commutator; the graded one holds the commutators of the
-    pairs that are not both odd and the anticommutators of odd-odd pairs
-    (the diagonal included), each of which must stay in its parity
-    sector.  Raises NotClosed naming the pair whose bracket leaves the
-    span, GradingViolation for one that leaves its sector."""
+    The plain table holds every commutator; the graded one holds the
+    commutators of the pairs that are not both odd and the
+    anticommutators of odd-odd pairs (the diagonal included), each of
+    which must stay in its parity sector.  Raises NotClosed naming the
+    pair whose bracket leaves the span, GradingViolation for one that
+    leaves its sector."""
     span = SpanBasis(realized)
     labels = sorted(realized, key=label_sort_key)
     even = frozenset(labels) - odd
@@ -433,10 +433,8 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
             odd_odd = a in odd and b in odd
             if a == b and not odd_odd:
                 continue
-            ab = realized[a] * realized[b]
-            ba = realized[b] * realized[a]
             if a != b:
-                comm = ab - ba
+                comm = realized[a].commutator(realized[b])
                 if not comm.is_zero():
                     elem = expand(comm, a, b)
                     c_entries[(a, b)] = elem
@@ -450,7 +448,7 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
                         g_entries[(a, b)] = elem
                         g_kinds[(a, b)] = "commutator"
             if odd_odd:
-                anti = ab + ba
+                anti = realized[a].anticommutator(realized[b])
                 if not anti.is_zero():
                     elem = expand(anti, a, b)
                     if any(lb not in even for lb in elem.coeffs):

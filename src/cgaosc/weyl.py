@@ -27,6 +27,7 @@ Key = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # (2*mu, var, der)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_F2 = Fraction(2)
 
 
 class Chart:
@@ -227,74 +228,39 @@ class WeylOp:
             return self.scaled(other)
         return NotImplemented
 
-    # -- product ------------------------------------------------------------
+    # -- product and brackets --------------------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CScalar)):
             return self.scaled(other)
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        chart = self.chart
-        osc = chart.kind == "osc"
-        L = chart.L
-        # accumulate raw {c-power: Fraction} dicts per normal-form key and
-        # wrap into CScalars only once at the end
         res: Dict[Key, dict] = {}
-        for (e1, v1, d1), c1 in self.terms.items():
-            t1 = c1.terms
-            for (e2, v2, d2), c2 in other.terms.items():
-                base = _raw_mul(t1, c2.terms)
-                e = e1 + e2
-                # options[i]: choices (der index, var index or -1, k, factor)
-                options = []
-                if osc:
-                    if d1[0] and e2:
-                        options.append(tuple(
-                            (0, -1, i, f) for i, f in _s_cross(d1[0], e2)))
-                    for a in range(L):
-                        n, m = d1[1 + a], v2[a]
-                        if n and m:
-                            options.append(tuple(
-                                (1 + a, a, k, f)
-                                for k, f in _poly_cross(n, m)))
-                else:
-                    for i in range(L + 1):
-                        n, m = d1[i], v2[i]
-                        if n and m:
-                            options.append(tuple(
-                                (i, i, k, f) for k, f in _poly_cross(n, m)))
-                if not options:
-                    key = (e, tuple(x + y for x, y in zip(v1, v2)),
-                           tuple(x + y for x, y in zip(d1, d2)))
-                    _raw_acc(res, key, base, _F1)
-                    continue
-                vsum = [x + y for x, y in zip(v1, v2)]
-                for combo in product(*options):
-                    factor = _F1
-                    dd = list(d1)
-                    vv = list(vsum)
-                    for di, vi, k, f in combo:
-                        dd[di] -= k
-                        if vi >= 0:
-                            vv[vi] -= k
-                        factor *= f
-                    key = (e, tuple(vv),
-                           tuple(x + y for x, y in zip(dd, d2)))
-                    _raw_acc(res, key, base, factor)
-        out = {}
-        for key, raw in res.items():
-            cs = _raw_wrap(raw)
-            if not cs.is_zero():
-                out[key] = cs
-        return _wrap(self.chart, out)
+        _product_terms(res, self, other, _F1, _F1)
+        return _from_raw(self.chart, res)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
-        return self * other - other * self
+        """[a, b] = a*b - b*a.  The plain monomial product of each term
+        pair is the same in a*b and b*a and cancels, so only the
+        contraction terms of the two orders are formed."""
+        self._check(other)
+        res: Dict[Key, dict] = {}
+        _product_terms(res, self, other, _F1, _F0)
+        _product_terms(res, other, self, -_F1, _F0)
+        return _from_raw(self.chart, res)
 
     def anticommutator(self, other: "WeylOp") -> "WeylOp":
-        return self * other + other * self
+        """{a, b} = a*b + b*a: twice the plain products, which the two
+        orders share, plus the contraction terms of both orders."""
+        self._check(other)
+        res: Dict[Key, dict] = {}
+        _product_terms(res, self, other, _F1, _F2)
+        _product_terms(res, other, self, _F1, _F0)
+        return _from_raw(self.chart, res)
 
     def power(self, n: int) -> "WeylOp":
+        if n < 0:
+            raise ValueError(f"WeylOp.power needs n >= 0, got {n}")
         res = WeylOp.one(self.chart)
         for _ in range(n):
             res = res * self
@@ -348,6 +314,63 @@ def _as_cs(coef) -> CScalar:
     return CScalar.from_rational(coef)
 
 
+def _product_terms(res: Dict[Key, dict], a: WeylOp, b: WeylOp,
+                   sign: Fraction, plain: Fraction) -> None:
+    """The one product loop: add the terms of a*b into res, a raw
+    {key: {c-power: Fraction}} map.  Moving a derivative of a term of a
+    past a variable or exp(mu s) of a term of b contracts k of them; the
+    k >= 0 choices of each such slot make the terms of the pair.  The
+    plain monomial product (k = 0 in every slot) enters times `plain`,
+    every contraction term (some k >= 1) times `sign`."""
+    osc = a.chart.kind == "osc"
+    L = a.chart.L
+    for (e1, v1, d1), c1 in a.terms.items():
+        t1 = c1.terms
+        for (e2, v2, d2), c2 in b.terms.items():
+            # options[i]: choices (der index, var index or -1, k, factor)
+            options = []
+            if osc:
+                if d1[0] and e2:
+                    options.append(tuple(
+                        (0, -1, i, f) for i, f in _s_cross(d1[0], e2)))
+                for i in range(L):
+                    n, m = d1[1 + i], v2[i]
+                    if n and m:
+                        options.append(tuple(
+                            (1 + i, i, k, f) for k, f in _poly_cross(n, m)))
+            else:
+                for i in range(L + 1):
+                    n, m = d1[i], v2[i]
+                    if n and m:
+                        options.append(tuple(
+                            (i, i, k, f) for k, f in _poly_cross(n, m)))
+            if not (options or plain):
+                continue
+            base = _raw_mul(t1, c2.terms)
+            e = e1 + e2
+            vsum = [x + y for x, y in zip(v1, v2)]
+            if plain:
+                key = (e, tuple(vsum), tuple(x + y for x, y in zip(d1, d2)))
+                _raw_acc(res, key, base, plain)
+            if not options:
+                continue
+            combos = product(*options)
+            # _poly_cross and _s_cross list k = 0 (factor 1) first, so the
+            # first combination is the plain product, added above
+            next(combos)
+            for combo in combos:
+                factor = sign
+                dd = list(d1)
+                vv = list(vsum)
+                for di, vi, k, f in combo:
+                    dd[di] -= k
+                    if vi >= 0:
+                        vv[vi] -= k
+                    factor *= f
+                key = (e, tuple(vv), tuple(x + y for x, y in zip(dd, d2)))
+                _raw_acc(res, key, base, factor)
+
+
 def _raw_mul(t1: dict, t2: dict) -> dict:
     """Product of two raw {c-power: Fraction} dicts."""
     if len(t1) == 1 and len(t2) == 1:
@@ -376,8 +399,10 @@ def _raw_acc(res: Dict[Key, dict], key: Key, base: dict,
         acc[k] = acc.get(k, _F0) + q * factor
 
 
-def _raw_wrap(raw: dict) -> CScalar:
-    return _cs_wrap({k: q for k, q in raw.items() if q})
+def _from_raw(chart: Chart, res: Dict[Key, dict]) -> WeylOp:
+    """The operator of a raw map; _wrap drops the keys that cancelled."""
+    return _wrap(chart, {key: _cs_wrap({k: q for k, q in raw.items() if q})
+                         for key, raw in res.items()})
 
 
 # -- grading ---------------------------------------------------------------
@@ -507,17 +532,39 @@ class Substitution:
     def __call__(self, a: WeylOp) -> WeylOp:
         if a.chart != self.src:
             raise ChartMismatch("operator not in the substitution source")
-        out = WeylOp.zero(self.dst)
+        images = self.var_images + self.der_images
+        powers: Dict[Tuple[int, int], WeylOp] = {}
+
+        def image_power(slot: int, p: int) -> WeylOp:
+            if (slot, p) not in powers:
+                img = images[slot]
+                if p < 0:
+                    names = self.src.var_names() + self.src.der_names()
+                    img = _exp_inverse(img, names[slot])
+                powers[(slot, p)] = img.power(abs(p))
+            return powers[(slot, p)]
+
+        out: Dict[Key, CScalar] = {}
         for (e, v, d), c in a.terms.items():
             term = WeylOp.const(self.dst, c)
-            for i, p in enumerate(v):
+            for slot, p in enumerate(v + d):
                 if p:
-                    term = term * self.var_images[i].power(p)
-            for i, p in enumerate(d):
-                if p:
-                    term = term * self.der_images[i].power(p)
-            out = out + term
-        return out
+                    term = term * image_power(slot, p)
+            for k, x in term.terms.items():
+                out[k] = out[k] + x if k in out else x
+        return _wrap(self.dst, out)
+
+
+def _exp_inverse(img: WeylOp, name: str) -> WeylOp:
+    """The inverse of a single exp-weight monomial q c^k e^{mu s}, the
+    only kind of image that a negative power can go through."""
+    if len(img.terms) == 1:
+        ((e, v, d), c), = img.terms.items()
+        if not any(v) and not any(d) and c.is_monomial():
+            inv = CScalar.one().div_monomial(c)
+            return _wrap(img.chart, {(-e, v, d): inv})
+    raise ValueError(f"negative power of {name}, whose image {img} is not "
+                     f"a single exp-weight monomial")
 
 
 def identity_substitution(chart: Chart) -> Substitution:

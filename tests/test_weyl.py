@@ -96,6 +96,51 @@ class TestNormalForm:
         assert len({a, b}) == 1
 
 
+class TestBracketKernel:
+    """commutator/anticommutator form only the contraction terms; they
+    must agree with the full products a*b and b*a."""
+
+    @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
+    def test_brackets_match_products(self, chart):
+        rng = random.Random(53)
+        pairs = []
+        for _ in range(30):
+            a = random_weylop(chart, rng)
+            b = random_weylop(chart, rng)
+            if chart.kind == "free":
+                a = a * WeylOp.var(FREE, 0, power=rng.randint(-3, 0))
+                b = WeylOp.var(FREE, 0, power=rng.randint(-3, 0)) * b
+            pairs.append((a, b))
+        pairs += [(a, a) for a, _ in pairs[:10]]
+        if chart.kind == "osc":
+            # d_s^2 u against e^{-3s/2} u^2 and back
+            a = WeylOp.der(OSC, 0, power=2) * WeylOp.var(OSC, 0)
+            b = (WeylOp.exp_s(OSC, HalfInt(-3), coef=CScalar.c())
+                 * WeylOp.var(OSC, 0, power=2))
+            pairs.append((a, b))
+        for a, b in pairs:
+            ab, ba = a * b, b * a
+            assert a.commutator(b) == ab - ba
+            assert a.anticommutator(b) == ab + ba
+
+    def test_pair_without_contraction(self):
+        # t^-2 x and y dy: no derivative of either meets a variable of
+        # the other, so the products commute
+        a = WeylOp.var(FREE, 0, power=-2) * WeylOp.var(FREE, 1)
+        b = WeylOp.var(FREE, 2) * WeylOp.der(FREE, 2)
+        assert a * b == b * a
+        assert a.commutator(b).is_zero()
+        assert a.anticommutator(b) == 2 * (a * b)
+
+    def test_chart_mismatch(self):
+        other = Chart("free", HalfInt(5))
+        for x, y in ((WeylOp.var(FREE, 0), WeylOp.var(OSC, 0)),
+                     (WeylOp.der(FREE, 0), WeylOp.var(other, 0))):
+            for bracket in (WeylOp.commutator, WeylOp.anticommutator):
+                with pytest.raises(ChartMismatch):
+                    bracket(x, y)
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
     def test_apply_matches_sympy(self, chart):
@@ -209,6 +254,50 @@ class TestSubstitution:
         for _ in range(10):
             a = random_weylop(FREE, rng)
             assert ident(a) == a
+
+    def test_negative_t_power(self):
+        sub = free_to_osc_substitution(HalfInt(3))
+        t, t_inv = WeylOp.var(FREE, 0), WeylOp.var(FREE, 0, power=-1)
+        assert sub(t_inv) == WeylOp.exp_s(OSC, HalfInt(-2))
+        assert sub(t_inv) * sub(t) == WeylOp.one(OSC)
+        assert (sub(WeylOp.var(FREE, 0, power=-3))
+                == WeylOp.exp_s(OSC, HalfInt(-6)))
+
+    def test_laurent_in_t_homomorphism(self):
+        rng = random.Random(59)
+        sub = free_to_osc_substitution(HalfInt(3))
+        for _ in range(20):
+            a, b = (random_weylop(FREE, rng, nterms=2)
+                    * WeylOp.var(FREE, 0, power=rng.randint(-3, 0))
+                    for _ in range(2))
+            assert sub(a * b) == sub(a) * sub(b)
+
+    def test_other_negative_powers_raise(self):
+        sub = free_to_osc_substitution(HalfInt(3))
+        with pytest.raises(ValueError):
+            WeylOp.var(FREE, 0).power(-1)
+        # y_1 -> e^{s/2} u_1 has no inverse among the operators
+        with pytest.raises(ValueError):
+            sub(WeylOp.var(FREE, 1, power=-1))
+        with pytest.raises(ValueError):
+            sub(WeylOp.der(FREE, 0, power=-1))
+
+    def test_image_powers_built_once(self, monkeypatch):
+        sub = free_to_osc_substitution(HalfInt(3))
+        calls = []
+        power = WeylOp.power
+
+        def counted(self, n):
+            calls.append(n)
+            return power(self, n)
+
+        monkeypatch.setattr(WeylOp, "power", counted)
+        t2, x = WeylOp.var(FREE, 0, power=2), WeylOp.var(FREE, 1)
+        dx = WeylOp.der(FREE, 1)
+        op = t2 * x + t2 * dx + t2 * x * dx
+        sub(op)
+        # t^2, x and dx: each image power is built once per call
+        assert sorted(calls) == [1, 1, 2]
 
     def test_bad_relations_rejected(self):
         # mapping d_t to something that does not commute with the images
