@@ -533,38 +533,32 @@ class Substitution:
         if a.chart != self.src:
             raise ChartMismatch("operator not in the substitution source")
         images = self.var_images + self.der_images
-        powers: Dict[Tuple[int, int], WeylOp] = {}
-
-        def image_power(slot: int, p: int) -> WeylOp:
-            if (slot, p) not in powers:
-                img = images[slot]
-                if p < 0:
-                    names = self.src.var_names() + self.src.der_names()
-                    img = _exp_inverse(img, names[slot])
-                powers[(slot, p)] = img.power(abs(p))
-            return powers[(slot, p)]
-
+        names = self.src.var_names() + self.src.der_names()
         out: Dict[Key, CScalar] = {}
         for (e, v, d), c in a.terms.items():
             term = WeylOp.const(self.dst, c)
             for slot, p in enumerate(v + d):
                 if p:
-                    term = term * image_power(slot, p)
+                    img = images[slot] if p > 0 else _inverse(images[slot],
+                                                              names[slot])
+                    term = term * img.power(abs(p))
             for k, x in term.terms.items():
                 out[k] = out[k] + x if k in out else x
         return _wrap(self.dst, out)
 
 
-def _exp_inverse(img: WeylOp, name: str) -> WeylOp:
-    """The inverse of a single exp-weight monomial q c^k e^{mu s}, the
-    only kind of image that a negative power can go through."""
+def _inverse(img: WeylOp, name: str) -> WeylOp:
+    """The inverse of a single monomial q c^k e^{mu s} t^m, the only kind
+    of image that a negative power can go through."""
     if len(img.terms) == 1:
         ((e, v, d), c), = img.terms.items()
-        if not any(v) and not any(d) and c.is_monomial():
+        nt = 1 if img.chart.kind == "free" else 0  # t is free var 0
+        if not any(v[nt:]) and not any(d) and c.is_monomial():
             inv = CScalar.one().div_monomial(c)
-            return _wrap(img.chart, {(-e, v, d): inv})
+            v_inv = tuple(-p for p in v[:nt]) + v[nt:]
+            return _wrap(img.chart, {(-e, v_inv, d): inv})
     raise ValueError(f"negative power of {name}, whose image {img} is not "
-                     f"a single exp-weight monomial")
+                     f"a single monomial in t and e^(mu s)")
 
 
 def identity_substitution(chart: Chart) -> Substitution:
