@@ -14,7 +14,7 @@ from .realizations import (AlgebraElement, C_LABEL, GenLabel, StructureTable,
                            Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
                            free_generators, label_sort_key, w_indices,
                            w_label, ww_label)
-from .scalars import CScalar, HalfInt, check_half_odd
+from .scalars import HalfInt, check_half_odd, from_raw, raw_acc, raw_mul
 from .weyl import WeylOp
 
 
@@ -81,12 +81,12 @@ def closure_tables(basis: EnlargedBasis
 
 # -- Jacobi verification on extracted tables --------------------------------
 
-def _add_scaled(acc: Dict[GenLabel, CScalar], row: Dict[GenLabel, CScalar],
-                coef: CScalar) -> None:
-    """acc += coef * row, on label -> coefficient maps."""
+def _add_scaled(res: Dict[GenLabel, dict], row: Dict[GenLabel, dict],
+                coef: dict, factor: int) -> None:
+    """res += factor * coef * row, on raw label -> {c-power: Fraction}
+    maps."""
     for lb, v in row.items():
-        prev = acc.get(lb)
-        acc[lb] = v * coef if prev is None else prev + v * coef
+        raw_acc(res, lb, raw_mul(v, coef), factor)
 
 
 def check_jacobi(table: StructureTable, graded: bool) -> int:
@@ -101,25 +101,26 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
 
     Returns n^3; raises JacobiFailure with the residual lhs - rhs."""
     labels = table.labels
-    ad = {x: {d: table.bracket(x, d).coeffs for d in labels}
+    ad = {x: {d: {lb: v.terms for lb, v in table.bracket(x, d).terms.items()}
+              for d in labels}
           for x in labels}
     odd = {x: graded and is_odd_label(x) for x in labels}
-    one, minus = CScalar.one(), CScalar.from_rational(-1)
     for i, a in enumerate(labels):
         ad_a = ad[a]
         for b in labels[i:]:
             ad_b, ab = ad[b], ad_a[b]
-            sign = minus if odd[a] and odd[b] else one
+            sign = -1 if odd[a] and odd[b] else 1
             for d in labels:
-                res: Dict[GenLabel, CScalar] = {}
+                res: Dict[GenLabel, dict] = {}
                 for e, k in ab.items():
-                    _add_scaled(res, ad[e][d], k)
+                    _add_scaled(res, ad[e][d], k, 1)
                 for e, k in ad_b[d].items():
-                    _add_scaled(res, ad_a[e], -k)
+                    _add_scaled(res, ad_a[e], k, -1)
                 for e, k in ad_a[d].items():
-                    _add_scaled(res, ad_b[e], sign * k)
-                if any(res.values()):
-                    raise JacobiFailure((a, b, d), AlgebraElement(res),
+                    _add_scaled(res, ad_b[e], k, sign)
+                if any(q for acc in res.values() for q in acc.values()):
+                    raise JacobiFailure((a, b, d),
+                                        AlgebraElement(from_raw(res)),
                                         "graded" if graded else "plain")
     return len(labels) ** 3
 
@@ -161,7 +162,7 @@ def duality_report(basis: EnlargedBasis) -> DualityReport:
     for i, a in enumerate(ww):
         for b in ww[i + 1:]:
             if any(lb not in ww_set
-                   for lb in ecga_table.bracket(a, b).coeffs):
+                   for lb in ecga_table.bracket(a, b).terms):
                 sp_closed = False
     osp = ww + [lb for lb in basis.odd]
     osp_set = set(osp)
@@ -169,7 +170,7 @@ def duality_report(basis: EnlargedBasis) -> DualityReport:
     for i, a in enumerate(osp):
         for b in osp[i:]:
             if any(lb not in osp_set
-                   for lb in scga_table.bracket(a, b).coeffs):
+                   for lb in scga_table.bracket(a, b).terms):
                 osp_closed = False
     return DualityReport(
         ell=basis.ell,

@@ -135,31 +135,6 @@ def op_latex(op, sym: str = "c") -> str:
     return op_body(op, latex=True, sym=sym)
 
 
-def func_plain(f, sym: str = "c") -> str:
-    names = f.chart.var_names()
-    parts = []
-    for (mu2, vp), cs in f.sorted_terms():
-        bits = []
-        if mu2:
-            bits.append(_exp_factor(mu2, False))
-        for name, p in zip(names, vp):
-            if p:
-                bits.append(_pow_factor(name, p, False))
-        pre = _coef_prefix(cs, sym, False)
-        if not bits:
-            body = scalar_plain(cs, sym)
-            if not (cs.is_monomial() or cs.is_rational()):
-                body = f"({body})"
-            parts.append(body)
-        else:
-            parts.append(pre + "*".join(bits))
-    body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-    g = f.chart.var_names()[f.chart.gauss_var]
-    if not f.kappa.is_zero():
-        body = f"({body}) * e^(({scalar_plain(f.kappa, sym)})*{g}^2)"
-    return body
-
-
 def func_latex(f, sym: str = "c") -> str:
     names = [_latex_name(n) for n in f.chart.var_names()]
     parts = []

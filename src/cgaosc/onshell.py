@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .enlarged import build_enlarged
-from .errors import Mismatch, NonUniqueSolution, NoSolution, NotProportional
+from .errors import (Mismatch, NonUniqueSolution, NoSolution,
+                     NormalizationUnavailable, NotProportional)
 from .linsolve import SpanSolver
 from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
                            free_generators, label_sort_key, label_str,
@@ -72,7 +73,6 @@ def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
         # -d_s - u d_v - (3/2) u d_u + (3/2) v d_v + (1/c) d_u^2
         # + (1/2) c u^2
         if ell.twice != 3:
-            from .errors import NormalizationUnavailable
             raise NormalizationUnavailable(
                 "section5 normalization exists only at ell=3/2")
         u = WeylOp.var(chart, 0)

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from .errors import GradingViolation, NormalizationUnavailable, NotClosed
 from .linsolve import SpanSolver
-from .scalars import CScalar, HalfInt, check_half_odd
+from .scalars import CScalar, HalfInt, LinComb, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
 
 GenLabel = Tuple
@@ -261,76 +261,29 @@ def _osc_generators_s5() -> Dict[GenLabel, WeylOp]:
 
 # -- structure extraction -----------------------------------------------
 
-class AlgebraElement:
+class AlgebraElement(LinComb):
     """Finite linear combination of generator labels."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Dict[GenLabel, CScalar] | None = None):
-        clean = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero():
-                    clean[k] = v
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
+    __slots__ = ()
+    _order = staticmethod(label_sort_key)
 
     @classmethod
     def of(cls, label: GenLabel, coef=1) -> "AlgebraElement":
-        c = coef if isinstance(coef, CScalar) else CScalar.from_rational(coef)
-        return cls({label: c})
+        return cls({label: coef})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        res = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = res.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                res.pop(k, None)
-            else:
-                res[k] = s
-        return AlgebraElement(res)
-
-    def __sub__(self, other):
-        return self + other.scaled(CScalar.from_rational(-1))
-
-    def scaled(self, coef: CScalar) -> "AlgebraElement":
-        if coef.is_zero():
-            return AlgebraElement()
-        return AlgebraElement({k: v * coef for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.sorted_terms()))
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: label_sort_key(kv[0]))
-
-    def head(self, k: int) -> "AlgebraElement":
-        """The first k terms, in sorted order."""
-        return AlgebraElement(dict(self.sorted_terms()[:k]))
+    @property
+    def coeffs(self) -> Dict[GenLabel, CScalar]:
+        """Read-only alias of terms."""
+        return self.terms
 
     def realize(self, gens: Dict[GenLabel, WeylOp], chart: Chart) -> WeylOp:
         out = WeylOp.zero(chart)
-        for label, coef in self.coeffs.items():
+        for label, coef in self.terms.items():
             out = out + gens[label].scaled(coef)
         return out
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = [f"({v})*{label_str(k)}" for k, v in self.sorted_terms()]
         return " + ".join(bits)
@@ -353,7 +306,7 @@ class StructureTable:
         if entry is None:
             return AlgebraElement()
         if (a, b) != key and self.kinds.get(key, "commutator") == "commutator":
-            return entry.scaled(CScalar.from_rational(-1))
+            return -entry
         return entry
 
     def __eq__(self, other):
@@ -441,7 +394,7 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
                     c_kinds[(a, b)] = "commutator"
                     if not odd_odd:
                         target = even if (a in odd) == (b in odd) else odd
-                        if any(lb not in target for lb in elem.coeffs):
+                        if any(lb not in target for lb in elem.terms):
                             raise GradingViolation(
                                 f"bracket ({a}, {b}) leaves the graded "
                                 f"sector: {elem}")
@@ -451,7 +404,7 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
                 anti = realized[a].anticommutator(realized[b])
                 if not anti.is_zero():
                     elem = expand(anti, a, b)
-                    if any(lb not in even for lb in elem.coeffs):
+                    if any(lb not in even for lb in elem.terms):
                         raise GradingViolation(
                             f"bracket {{{a}, {b}}} leaves the even "
                             f"sector: {elem}")

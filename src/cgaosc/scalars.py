@@ -1,5 +1,8 @@
 """Exact scalar arithmetic: half-integers and Laurent polynomials in the
-formal central-charge symbol.
+formal central-charge symbol, and the linear-combination core built on
+them: LinComb, the sparse {key: CScalar} structure of every operator,
+function and algebra element, and the raw accumulator that sums many
+products before any CScalar is made.
 
 Rational numbers are stdlib ``fractions.Fraction`` throughout; every
 operation in this module is exact and every value is immutable.
@@ -222,22 +225,7 @@ class CScalar:
             return _wrap({k: v * f for k, v in self.terms.items()})
         if not isinstance(other, CScalar):
             return NotImplemented
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # monomial times monomial: a product of nonzero Fractions is
-            # nonzero, so no zero coefficient can appear
-            (k1, v1), = self.terms.items()
-            (k2, v2), = other.terms.items()
-            return _wrap({k1 + k2: v1 * v2})
-        res: dict[int, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                s = res.get(k, _F0) + v1 * v2
-                if s:
-                    res[k] = s
-                else:
-                    del res[k]
-        return _wrap(res)
+        return _wrap(raw_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -336,6 +324,158 @@ def _coerce(x):
 _ZERO = CScalar()
 _ONE = CScalar({0: Fraction(1)})
 _C = CScalar({1: Fraction(1)})
+
+
+# -- the raw accumulator -----------------------------------------------------
+# A sum of many products is accumulated as {key: {c-power: Fraction}} and
+# made into CScalars once, by from_raw, instead of one CScalar per product.
+
+def raw_mul(t1: dict, t2: dict) -> dict:
+    """Product of two raw {c-power: Fraction} maps; no zero is stored."""
+    if len(t1) == 1 and len(t2) == 1:
+        # monomial times monomial: a product of nonzero Fractions is
+        # nonzero, so no zero coefficient can appear
+        (k1, q1), = t1.items()
+        (k2, q2), = t2.items()
+        return {k1 + k2: q1 * q2}
+    res: dict = {}
+    for k1, q1 in t1.items():
+        for k2, q2 in t2.items():
+            k = k1 + k2
+            s = res.get(k, _F0) + q1 * q2
+            if s:
+                res[k] = s
+            else:
+                del res[k]
+    return res
+
+
+def raw_acc(res: dict, key, base: dict, factor) -> None:
+    """res[key] += factor * base, for a raw map base and a rational
+    factor."""
+    acc = res.get(key)
+    if acc is None:
+        acc = {}
+        res[key] = acc
+    if factor == 1:  # the common case: skip the Fraction products
+        for k, q in base.items():
+            acc[k] = acc.get(k, _F0) + q
+    else:
+        for k, q in base.items():
+            acc[k] = acc.get(k, _F0) + q * factor
+
+
+def from_raw(res: dict) -> dict:
+    """The {key: CScalar} terms of an accumulator, without the keys whose
+    sums cancelled."""
+    out = {}
+    for key, raw in res.items():
+        terms = {k: q for k, q in raw.items() if q}
+        if terms:
+            out[key] = _wrap(terms)
+    return out
+
+
+# -- the linear-combination core ----------------------------------------------
+
+class LinComb:
+    """Immutable finite linear combination {key: CScalar}; no zero
+    coefficient is stored.
+
+    A subclass lists the slots that fix its space (a chart, a Gaussian
+    weight) in __slots__, takes them before the terms in its constructor
+    and validates its keys there.  It overrides _check to refuse an
+    operand from another space, and may override _space (what equality
+    compares besides the terms) and _order (how terms sort).  Operands
+    of different classes do not combine."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        clean = {}
+        if terms:
+            for k, v in terms.items():
+                if not isinstance(v, CScalar):
+                    v = CScalar.from_rational(v)
+                if v:
+                    clean[k] = v
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        space = tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), space + (self.terms,)
+
+    def _like(self, terms: dict) -> "LinComb":
+        """An element of self's space with the given nonzero terms."""
+        obj = object.__new__(type(self))
+        for name in self.__slots__:
+            object.__setattr__(obj, name, getattr(self, name))
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    def _check(self, other) -> None:
+        """Raise when other lives in another space than self."""
+
+    def _space(self) -> tuple:
+        """What, besides the terms, two equal elements share."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @staticmethod
+    def _order(key):
+        """The sort key of a term key."""
+        return key
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        res = dict(self.terms)
+        for k, v in other.terms.items():
+            s = res.get(k)
+            if s is None:
+                res[k] = v
+            else:
+                s = s + v
+                if s:
+                    res[k] = s
+                else:
+                    del res[k]
+        return (self if self.terms else other)._like(res)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scaled(self, coef) -> "LinComb":
+        """coef * self, for a CScalar, int or Fraction coef."""
+        if not coef:
+            return self._like({})
+        return self._like({k: v * coef for k, v in self.terms.items()})
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
+
+    def head(self, k: int) -> "LinComb":
+        """The first k terms, in sorted order."""
+        return self._like(dict(self.sorted_terms()[:k]))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and self._space() == other._space()
+
+    def __hash__(self):
+        return hash((self._space(), tuple(self.sorted_terms())))
 
 
 # -- dense polynomial helpers (coefficients ascending in c) --------------

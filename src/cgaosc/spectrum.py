@@ -102,9 +102,6 @@ def vacuum(ell: HalfInt, normalization: str = "section7") -> GaussFunc:
     check_half_odd(ell)
     chart = Chart("osc", ell)
     if normalization == "section6":
-        if ell.twice != 3:
-            raise NormalizationUnavailable(
-                "the section6 fixture exists only at ell=3/2")
         kappa = CScalar.c_power(1, Fraction(1, 2))
         f = GaussFunc.monomial(chart, kappa, mu2=2)
     else:
@@ -177,6 +174,11 @@ class Ladder:
         state = self.states[n]
         for m, i in reversed(path):
             state = apply_op(self.lowering[i], state)
+            if state.is_zero():
+                # a zero state satisfies every eigen-relation, so the
+                # eigen check cannot catch it
+                raise Mismatch(f"lowering step to n={m} gives the zero state",
+                               state)
             self.states[m] = state
         return state
 

@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .errors import ChartMismatch, RelationViolation, UnsupportedWeight
-from .scalars import CScalar, HalfInt, check_half_odd
-from .scalars import _wrap as _cs_wrap
+from .scalars import (CScalar, HalfInt, LinComb, check_half_odd, from_raw,
+                      raw_acc, raw_mul)
 
 Key = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # (2*mu, var, der)
 
@@ -114,38 +114,26 @@ def _s_cross(n: int, mu2: int):
     return tuple((i, Fraction(comb(n, i)) * mu ** i) for i in range(n + 1))
 
 
-class WeylOp:
+class WeylOp(LinComb):
     """Differential operator in canonical normal form."""
 
-    __slots__ = ("chart", "terms", "_hash")
+    __slots__ = ("chart",)
 
     def __init__(self, chart: Chart, terms: Dict[Key, CScalar] | None = None):
-        clean = {}
-        if terms:
-            for k, v in terms.items():
-                if not v.is_zero():
-                    clean[k] = v
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        super().__init__(terms)
         if chart.kind == "osc":
             # polynomial powers of s are never allowed in the osc chart;
             # the var tuple only holds u's so check lengths instead
-            for (e, v, d) in clean:
+            for (e, v, d) in self.terms:
                 if len(v) != chart.nvars or len(d) != chart.nders:
                     raise ChartMismatch(
                         f"term key {(e, v, d)} does not fit the osc chart")
         else:
-            for (e, v, d) in clean:
+            for (e, v, d) in self.terms:
                 if e != 0:
                     raise ChartMismatch(
                         "free chart carries no exponential s-weight")
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeylOp is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.chart, self.terms)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -154,8 +142,6 @@ class WeylOp:
 
     @classmethod
     def const(cls, chart: Chart, coef) -> "WeylOp":
-        if isinstance(coef, (int, Fraction)):
-            coef = CScalar.from_rational(coef)
         key = (0, (0,) * chart.nvars, (0,) * chart.nders)
         return cls(chart, {key: coef})
 
@@ -169,8 +155,7 @@ class WeylOp:
         v = [0] * chart.nvars
         v[index] = power
         key = (0, tuple(v), (0,) * chart.nders)
-        c = CScalar.one() if coef is None else _as_cs(coef)
-        return cls(chart, {key: c})
+        return cls(chart, {key: 1 if coef is None else coef})
 
     @classmethod
     def der(cls, chart: Chart, index: int, power: int = 1,
@@ -178,50 +163,14 @@ class WeylOp:
         d = [0] * chart.nders
         d[index] = power
         key = (0, (0,) * chart.nvars, tuple(d))
-        c = CScalar.one() if coef is None else _as_cs(coef)
-        return cls(chart, {key: c})
+        return cls(chart, {key: 1 if coef is None else coef})
 
     @classmethod
     def exp_s(cls, chart: Chart, mu: HalfInt, coef=None) -> "WeylOp":
         if chart.kind != "osc":
             raise ChartMismatch("exp(mu s) exists only in the osc chart")
         key = (mu.twice, (0,) * chart.nvars, (0,) * chart.nders)
-        c = CScalar.one() if coef is None else _as_cs(coef)
-        return cls(chart, {key: c})
-
-    # -- predicates -------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- linear structure --------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        self._check(other)
-        res = dict(self.terms)
-        for k, v in other.terms.items():
-            s = res.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                res.pop(k, None)
-            else:
-                res[k] = s
-        return _wrap(self.chart, res)
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return _wrap(self.chart, {k: -v for k, v in self.terms.items()})
-
-    def scaled(self, coef) -> "WeylOp":
-        c = _as_cs(coef)
-        if c.is_zero():
-            return WeylOp.zero(self.chart)
-        return _wrap(self.chart,
-                     {k: v * c for k, v in self.terms.items()})
+        return cls(chart, {key: 1 if coef is None else coef})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CScalar)):
@@ -237,7 +186,7 @@ class WeylOp:
         self._check(other)
         res: Dict[Key, dict] = {}
         _product_terms(res, self, other, _F1, _F1)
-        return _from_raw(self.chart, res)
+        return self._like(from_raw(res))
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         """[a, b] = a*b - b*a.  The plain monomial product of each term
@@ -247,7 +196,7 @@ class WeylOp:
         res: Dict[Key, dict] = {}
         _product_terms(res, self, other, _F1, _F0)
         _product_terms(res, other, self, -_F1, _F0)
-        return _from_raw(self.chart, res)
+        return self._like(from_raw(res))
 
     def anticommutator(self, other: "WeylOp") -> "WeylOp":
         """{a, b} = a*b + b*a: twice the plain products, which the two
@@ -256,7 +205,7 @@ class WeylOp:
         res: Dict[Key, dict] = {}
         _product_terms(res, self, other, _F1, _F2)
         _product_terms(res, other, self, _F1, _F0)
-        return _from_raw(self.chart, res)
+        return self._like(from_raw(res))
 
     def power(self, n: int) -> "WeylOp":
         if n < 0:
@@ -271,47 +220,12 @@ class WeylOp:
         if self.chart != other.chart:
             raise ChartMismatch(f"{self.chart} vs {other.chart}")
 
-    def sorted_terms(self) -> Iterable[Tuple[Key, CScalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def head(self, k: int) -> "WeylOp":
-        """The first k terms, in sorted order."""
-        return _wrap(self.chart, dict(self.sorted_terms()[:k]))
-
     def leading(self) -> Tuple[Key, CScalar]:
         return max(self.terms.items(), key=lambda kv: kv[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.chart, tuple(sorted(self.terms.items(),
-                                               key=lambda kv: kv[0]))))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         from .latexout import op_plain
         return f"WeylOp({op_plain(self)})"
-
-
-def _wrap(chart: Chart, terms: Dict[Key, CScalar]) -> WeylOp:
-    obj = WeylOp.__new__(WeylOp)
-    object.__setattr__(obj, "chart", chart)
-    object.__setattr__(obj, "terms",
-                       {k: v for k, v in terms.items() if not v.is_zero()})
-    object.__setattr__(obj, "_hash", None)
-    return obj
-
-
-def _as_cs(coef) -> CScalar:
-    if isinstance(coef, CScalar):
-        return coef
-    return CScalar.from_rational(coef)
 
 
 def _product_terms(res: Dict[Key, dict], a: WeylOp, b: WeylOp,
@@ -346,12 +260,12 @@ def _product_terms(res: Dict[Key, dict], a: WeylOp, b: WeylOp,
                             (i, i, k, f) for k, f in _poly_cross(n, m)))
             if not (options or plain):
                 continue
-            base = _raw_mul(t1, c2.terms)
+            base = raw_mul(t1, c2.terms)
             e = e1 + e2
             vsum = [x + y for x, y in zip(v1, v2)]
             if plain:
                 key = (e, tuple(vsum), tuple(x + y for x, y in zip(d1, d2)))
-                _raw_acc(res, key, base, plain)
+                raw_acc(res, key, base, plain)
             if not options:
                 continue
             combos = product(*options)
@@ -368,41 +282,7 @@ def _product_terms(res: Dict[Key, dict], a: WeylOp, b: WeylOp,
                         vv[vi] -= k
                     factor *= f
                 key = (e, tuple(vv), tuple(x + y for x, y in zip(dd, d2)))
-                _raw_acc(res, key, base, factor)
-
-
-def _raw_mul(t1: dict, t2: dict) -> dict:
-    """Product of two raw {c-power: Fraction} dicts."""
-    if len(t1) == 1 and len(t2) == 1:
-        (k1, q1), = t1.items()
-        (k2, q2), = t2.items()
-        return {k1 + k2: q1 * q2}
-    res: dict = {}
-    for k1, q1 in t1.items():
-        for k2, q2 in t2.items():
-            k = k1 + k2
-            s = res.get(k, _F0) + q1 * q2
-            if s:
-                res[k] = s
-            else:
-                del res[k]
-    return res
-
-
-def _raw_acc(res: Dict[Key, dict], key: Key, base: dict,
-             factor: Fraction) -> None:
-    acc = res.get(key)
-    if acc is None:
-        acc = {}
-        res[key] = acc
-    for k, q in base.items():
-        acc[k] = acc.get(k, _F0) + q * factor
-
-
-def _from_raw(chart: Chart, res: Dict[Key, dict]) -> WeylOp:
-    """The operator of a raw map; _wrap drops the keys that cancelled."""
-    return _wrap(chart, {key: _cs_wrap({k: q for k, q in raw.items() if q})
-                         for key, raw in res.items()})
+                raw_acc(res, key, base, factor)
 
 
 # -- grading ---------------------------------------------------------------
@@ -483,7 +363,7 @@ def _conjugate_by_der_image(a: WeylOp, der_index: int,
         n = d[der_index]
         rest = list(d)
         rest[der_index] = 0
-        base = _wrap(chart, {(e, v, tuple(rest)): c})
+        base = a._like({(e, v, tuple(rest)): c})
         if n == 0:
             out = out + base
         else:
@@ -534,7 +414,7 @@ class Substitution:
             raise ChartMismatch("operator not in the substitution source")
         images = self.var_images + self.der_images
         names = self.src.var_names() + self.src.der_names()
-        out: Dict[Key, CScalar] = {}
+        out = WeylOp.zero(self.dst)
         for (e, v, d), c in a.terms.items():
             term = WeylOp.const(self.dst, c)
             for slot, p in enumerate(v + d):
@@ -542,9 +422,8 @@ class Substitution:
                     img = images[slot] if p > 0 else _inverse(images[slot],
                                                               names[slot])
                     term = term * img.power(abs(p))
-            for k, x in term.terms.items():
-                out[k] = out[k] + x if k in out else x
-        return _wrap(self.dst, out)
+            out = out + term
+        return out
 
 
 def _inverse(img: WeylOp, name: str) -> WeylOp:
@@ -556,7 +435,7 @@ def _inverse(img: WeylOp, name: str) -> WeylOp:
         if not any(v[nt:]) and not any(d) and c.is_monomial():
             inv = CScalar.one().div_monomial(c)
             v_inv = tuple(-p for p in v[:nt]) + v[nt:]
-            return _wrap(img.chart, {(-e, v_inv, d): inv})
+            return img._like({(-e, v_inv, d): inv})
     raise ValueError(f"negative power of {name}, whose image {img} is not "
                      f"a single monomial in t and e^(mu s)")
 

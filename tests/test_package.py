@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import importlib
@@ -47,6 +48,55 @@ def test_benchmark_entry_points_exist():
     for modname, cls_name, attr, _ in tracing.METHODS + tracing.COUNTED:
         cls = getattr(importlib.import_module(modname), cls_name)
         assert attr in vars(cls), f"{modname}.{cls_name}.{attr}"
+
+
+def _definitions(tree):
+    """Every top-level function and class of a module, and every
+    non-dunder method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield item
+
+
+def _mentions(tree):
+    """(name, line) of every identifier a module names: names,
+    attributes, imports, and strings that are identifiers (the
+    benchmark looks some names up by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+
+
+def test_no_dead_helpers():
+    # each definition in the package is named somewhere outside its own
+    # body, in the package, the tests or the benchmark
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
+    mentions = {p: list(_mentions(tree)) for p, tree in trees.items()}
+    dead = []
+    for path in files:
+        if path.parent != ROOT / "src" / "cgaosc":
+            continue
+        for node in _definitions(trees[path]):
+            lines = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (p != path or line not in lines)
+                       for p, found in mentions.items()
+                       for name, line in found):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead
 
 
 @dataclasses.dataclass

@@ -126,6 +126,15 @@ class TestLadder:
         for rec in recs:
             assert ladder_state(ell, norm, rec.n) == rec
 
+    def test_zero_lowering_step_is_refused(self):
+        # a zero state satisfies H 0 = E 0, so only the ladder can tell
+        ladder = Ladder(H(3))
+        ladder.lowering[1] = WeylOp.zero(ladder.lowering[1].chart)
+        ladder_state(H(3), "section7", (2, 0), ladder=ladder)
+        with pytest.raises(Mismatch) as exc:
+            ladder_state(H(3), "section7", (1, 1), ladder=ladder)
+        assert "n=(0, 1)" in str(exc.value)
+
     def test_failure_names_the_state_and_residual(self, monkeypatch):
         energy = cgaosc.spectrum.ladder_energy
 

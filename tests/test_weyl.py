@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from conftest import (gaussfunc_to_sympy, random_cscalar, random_weylop,
                       weyl_apply_sympy)
 from cgaosc.errors import ChartMismatch, RelationViolation
 from cgaosc.funcspace import GaussFunc, apply_op
+from cgaosc.realizations import C_LABEL, Z_PLUS, AlgebraElement
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import (Chart, NonHomogeneous, Substitution, WeylOp,
                          conjugate, degree_of, free_to_osc_substitution,
@@ -245,6 +247,36 @@ class TestEngineProperties:
             for w in (("gauss", kappa), ("sshift", Fraction(3, 2))):
                 ca, cb = conjugate(a, w), conjugate(b, w)
                 assert conjugate(a * b, w) == ca * cb
+
+
+class TestLinearCore:
+    """The linear structure WeylOp, GaussFunc and AlgebraElement share."""
+
+    ELEMENTS = {
+        "WeylOp": WeylOp.one(FREE),
+        "GaussFunc": GaussFunc.monomial(FREE, CScalar.zero()),
+        "AlgebraElement": AlgebraElement.of(C_LABEL),
+    }
+
+    @pytest.mark.parametrize("a,b", permutations(ELEMENTS, 2))
+    def test_classes_do_not_combine(self, a, b):
+        x, y = self.ELEMENTS[a], self.ELEMENTS[b]
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+
+    @pytest.mark.parametrize("name", ELEMENTS)
+    def test_immutable(self, name):
+        x = self.ELEMENTS[name]
+        with pytest.raises(AttributeError):
+            x.terms = {}
+        with pytest.raises(AttributeError):
+            x.anything = 1
+
+    def test_algebra_terms_sort_by_label(self):
+        elem = AlgebraElement.of(C_LABEL) + AlgebraElement.of(Z_PLUS)
+        assert [lb for lb, _ in elem.sorted_terms()] == [Z_PLUS, C_LABEL]
 
 
 class TestSubstitution:
