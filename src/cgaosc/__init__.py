@@ -4,8 +4,8 @@ spectrum of the associated oscillator Hamiltonians.
 """
 
 from .scalars import CScalar, HalfInt, Rational, check_half_odd
-from .weyl import (Chart, NonHomogeneous, Substitution, WeylOp, conjugate,
-                   degree_of, free_to_osc_substitution)
+from .weyl import (Chart, Substitution, WeylOp, conjugate, degree_of,
+                   free_to_osc_substitution)
 from .funcspace import GaussFunc, apply_op
 from .realizations import (AlgebraElement, StructureTable, extract_structure,
                            free_generators, osc_generators)
@@ -23,7 +23,7 @@ from .spectrum import (ExactMatrix, SpectrumRecord, hamiltonian,
 
 __all__ = [
     "AlgebraElement", "CScalar", "Chart", "EnlargedBasis", "ExactMatrix",
-    "GaussFunc", "HalfInt", "NonHomogeneous", "OnShellCertificate", "Rational",
+    "GaussFunc", "HalfInt", "OnShellCertificate", "Rational",
     "SpectrumRecord", "StructureTable", "Substitution", "TransformSpec",
     "WeylOp", "apply_op", "build_enlarged", "certify_onshell",
     "certify_transform", "check_half_odd", "check_jacobi", "closure_tables",

@@ -61,27 +61,6 @@ class GaussFunc(LinComb):
         # zero functions are equal whatever their kappa
         return (self.chart, self.kappa if self.terms else None)
 
-    def proportionality(self, other: "GaussFunc") -> CScalar | None:
-        """Return r with self = r * other, or None."""
-        if self.chart != other.chart:
-            return None
-        if other.is_zero():
-            return CScalar.zero() if self.is_zero() else None
-        if self.is_zero():
-            return CScalar.zero()
-        if self.kappa != other.kappa:
-            return None
-        key = max(other.terms)
-        mine = self.terms.get(key)
-        if mine is None:
-            return None
-        r = mine.try_div(other.terms[key])
-        if r is None:
-            return None
-        if self == other.scaled(r):
-            return r
-        return None
-
     def __repr__(self):
         names = self.chart.var_names()
         parts = []

@@ -17,42 +17,20 @@ def frac_latex(q: Fraction) -> str:
     return rf"{sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
-def scalar_plain(cs, sym: str = "c") -> str:
+def scalar_body(cs, latex: bool, sym: str = "c") -> str:
     """Render a Laurent polynomial in the central-charge symbol."""
-    items = list(cs.items_sorted())
-    if not items:
-        return "0"
     parts = []
-    for k, q in items:
+    for k, q in cs.items_sorted():
+        num = frac_latex(q) if latex else str(q)
         if k == 0:
-            parts.append(str(q))
-        else:
-            head = "" if q == 1 else ("-" if q == -1 else f"{q}*")
-            pw = sym if k == 1 else f"{sym}^{k}"
-            parts.append(f"{head}{pw}")
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
-
-
-def scalar_latex(cs, sym: str = "c") -> str:
-    items = list(cs.items_sorted())
-    if not items:
-        return "0"
-    parts = []
-    for k, q in items:
-        if k == 0:
-            parts.append(frac_latex(q))
+            parts.append(num)
             continue
-        pw = sym if k == 1 else (rf"{sym}^{{{k}}}" if k > 0
-                                 else rf"{sym}^{{{k}}}")
-        if q == 1:
-            parts.append(pw)
-        elif q == -1:
-            parts.append(f"-{pw}")
+        if q == 1 or q == -1:
+            head = "" if q == 1 else "-"
         else:
-            parts.append(f"{frac_latex(q)}{pw}")
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+            head = num if latex else num + "*"
+        parts.append(head + _pow_factor(sym, k, latex))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def _is_unit(cs) -> bool:
@@ -62,7 +40,7 @@ def _is_unit(cs) -> bool:
 def _coef_prefix(cs, sym: str, latex: bool) -> str:
     if _is_unit(cs):
         return ""
-    body = scalar_latex(cs, sym) if latex else scalar_plain(cs, sym)
+    body = scalar_body(cs, latex, sym)
     if cs.is_monomial() or cs.is_rational():
         if body == "-1":
             return "-"
@@ -107,7 +85,7 @@ def op_body(op, latex: bool, sym: str = "c") -> str:
                 bits.append(_pow_factor(dnames[i], p, latex))
         pre = _coef_prefix(cs, sym, latex)
         if not bits:
-            body = scalar_latex(cs, sym) if latex else scalar_plain(cs, sym)
+            body = scalar_body(cs, latex, sym)
             if not (cs.is_monomial() or cs.is_rational()):
                 body = f"({body})"
             parts.append(body)
@@ -147,12 +125,12 @@ def func_latex(f, sym: str = "c") -> str:
                 bits.append(_pow_factor(name, p, True))
         pre = _coef_prefix(cs, sym, True)
         if not bits:
-            parts.append(scalar_latex(cs, sym))
+            parts.append(scalar_body(cs, True, sym))
         else:
             parts.append(pre + " ".join(bits))
     body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
     g = names[f.chart.gauss_var]
     if not f.kappa.is_zero():
-        kap = scalar_latex(f.kappa, sym)
+        kap = scalar_body(f.kappa, True, sym)
         body = rf"\left({body}\right) e^{{({kap}) {g}^2}}"
     return body

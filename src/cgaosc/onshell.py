@@ -188,16 +188,18 @@ class OnShellCertificate:
 
 
 def _multiplier_candidate(comm: WeylOp, omega: WeylOp,
+                          d_omega: Optional[HalfInt],
                           z0: WeylOp) -> Optional[WeylOp]:
-    """Find f in the chart's multiplier class with comm = f * omega.
+    """Find f in the chart's multiplier class with comm = f * omega, for
+    omega of degree d_omega.
 
     Free chart: f = alpha * t^k (k may be negative); osc chart:
     f = alpha * exp(mu*s).  The exponent is fixed by the grading gap and
-    alpha by a leading-term ratio; the result is then verified exactly."""
+    alpha by the exact ratio of comm to the unit multiplier times
+    omega."""
     chart = omega.chart
-    d_omega = degree_of(omega, z0)
     d_comm = degree_of(comm, z0)
-    if not isinstance(d_omega, HalfInt) or not isinstance(d_comm, HalfInt):
+    if d_omega is None or d_comm is None:
         return None
     gap = d_omega - d_comm  # multiplier degree is -k (free) / -mu (osc)
     if chart.kind == "free":
@@ -206,15 +208,8 @@ def _multiplier_candidate(comm: WeylOp, omega: WeylOp,
         unit = WeylOp.var(chart, 0, power=int(gap.as_fraction()))
     else:
         unit = WeylOp.exp_s(chart, gap)
-    base = unit * omega
-    key, cb = base.leading()
-    ca = comm.terms.get(key)
-    if ca is None:
-        return None
-    alpha = ca.try_div(cb)
-    if alpha is None or comm != base.scaled(alpha):
-        return None
-    return unit.scaled(alpha)
+    alpha = comm.proportionality(unit * omega)
+    return None if alpha is None else unit.scaled(alpha)
 
 
 def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
@@ -223,13 +218,14 @@ def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
     f^g * omega with f^g in the chart's multiplier class, verified
     exactly.  Raises NotProportional when neither holds."""
     z0 = gens[Z_ZERO]
+    d_omega = degree_of(omega, z0)
     table: Dict[GenLabel, Optional[WeylOp]] = {}
     for lb in sorted(gens, key=label_sort_key):
         comm = gens[lb].commutator(omega)
         if comm.is_zero():
             table[lb] = None
             continue
-        f = _multiplier_candidate(comm, omega, z0)
+        f = _multiplier_candidate(comm, omega, d_omega, z0)
         if f is None:
             raise NotProportional(label_str(lb), comm)
         table[lb] = f

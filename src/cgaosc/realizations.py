@@ -329,7 +329,7 @@ class SpanBasis:
         groups: Dict[int, list] = {}
         for label, op in gens.items():
             r = degree_of(op, z0)
-            if not isinstance(r, HalfInt):
+            if r is None:
                 raise NotClosed((label, Z_ZERO), op)
             self.degrees[label] = r
             groups.setdefault(r.twice, []).append(label)

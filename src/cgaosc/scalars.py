@@ -282,7 +282,9 @@ class CScalar:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self.terms.items())))
+            # a pure rational hashes as its Fraction, which it equals
+            h = (hash(self.as_rational()) if self.is_rational()
+                 else hash(tuple(sorted(self.terms.items()))))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -468,6 +470,17 @@ class LinComb:
     def head(self, k: int) -> "LinComb":
         """The first k terms, in sorted order."""
         return self._like(dict(self.sorted_terms()[:k]))
+
+    def proportionality(self, other: "LinComb") -> "CScalar | None":
+        """The r with self == r * other, or None.  The ratio is read at
+        other's largest key and confirmed exactly, space included."""
+        if not other.terms:
+            return _ZERO if self == other else None
+        key = max(other.terms, key=other._order)
+        r = self.terms.get(key, _ZERO).try_div(other.terms[key])
+        if r is not None and self == other.scaled(r):
+            return r
+        return None
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -370,14 +370,6 @@ class ReductionReport:
     constant: Fraction
     restricted: WeylOp
 
-    def to_json(self) -> dict:
-        from .jsonio import weylop_json
-        return {"ell": {"twice": self.ell.twice},
-                "consistent": self.consistent,
-                "constant": {"n": str(self.constant.numerator),
-                             "d": str(self.constant.denominator)},
-                "restricted": weylop_json(self.restricted)}
-
 
 def harmonic_reduction(ell: HalfInt) -> ReductionReport:
     """Restrict H to functions of u_1 alone.

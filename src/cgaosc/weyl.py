@@ -220,9 +220,6 @@ class WeylOp(LinComb):
         if self.chart != other.chart:
             raise ChartMismatch(f"{self.chart} vs {other.chart}")
 
-    def leading(self) -> Tuple[Key, CScalar]:
-        return max(self.terms.items(), key=lambda kv: kv[0])
-
     def __repr__(self):
         from .latexout import op_plain
         return f"WeylOp({op_plain(self)})"
@@ -287,37 +284,14 @@ def _product_terms(res: Dict[Key, dict], a: WeylOp, b: WeylOp,
 
 # -- grading ---------------------------------------------------------------
 
-class _NonHomogeneous:
-    def __repr__(self):
-        return "NonHomogeneous"
-
-    def __bool__(self):
-        return False
-
-
-NonHomogeneous = _NonHomogeneous()
-
-
-def degree_of(a: WeylOp, z0: WeylOp):
-    """Return r (HalfInt) with [z0, a] = r*a, or NonHomogeneous."""
-    if a.is_zero():
-        return HalfInt(0)
-    b = z0.commutator(a)
-    if b.is_zero():
-        return HalfInt(0)
-    key, ca = a.leading()
-    cb = b.terms.get(key)
-    if cb is None:
-        return NonHomogeneous
-    ratio = cb.try_div(ca)
-    if ratio is None or not ratio.is_rational():
-        return NonHomogeneous
-    r = ratio.as_rational()
-    if r.denominator not in (1, 2):
-        return NonHomogeneous
-    if b != a.scaled(ratio):
-        return NonHomogeneous
-    return HalfInt.from_fraction(r)
+def degree_of(a: WeylOp, z0: WeylOp) -> HalfInt | None:
+    """Return r (HalfInt) with [z0, a] = r*a, or None when a is not
+    homogeneous."""
+    r = z0.commutator(a).proportionality(a)
+    if r is None or not r.is_rational():
+        return None
+    twice = 2 * r.as_rational()
+    return HalfInt(int(twice)) if twice.denominator == 1 else None
 
 
 # -- conjugation automorphisms ---------------------------------------------

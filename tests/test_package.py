@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import pickle
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -97,6 +98,24 @@ def test_no_dead_helpers():
                        for name, line in found):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead
+
+
+def test_runtime_is_stdlib_only():
+    # every absolute import of the package names the package itself or
+    # a module of the standard library
+    allowed = set(sys.stdlib_module_names) | {"cgaosc"}
+    outside = []
+    for path in sorted((ROOT / "src" / "cgaosc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert not outside
 
 
 @dataclasses.dataclass

@@ -93,6 +93,13 @@ class TestCScalarBasics:
         assert CScalar.c() == CScalar.c_power(1)
         assert (CScalar.c() * CScalar.c_power(-1)) == CScalar.one()
 
+    @pytest.mark.parametrize("q", [0, 1, Fraction(1, 2), -3])
+    def test_rational_hashes_as_its_value(self, q):
+        cs = CScalar.from_rational(q)
+        assert cs == q and hash(cs) == hash(q)
+        assert {q: "x"}.get(cs) == "x"
+        assert len({cs, q}) == 1
+
     def test_div_monomial_rejects_polynomials(self):
         poly = CScalar.one() + CScalar.c()
         with pytest.raises(NotMonomial):

@@ -11,9 +11,8 @@ from cgaosc.errors import ChartMismatch, RelationViolation
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.realizations import C_LABEL, Z_PLUS, AlgebraElement
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.weyl import (Chart, NonHomogeneous, Substitution, WeylOp,
-                         conjugate, degree_of, free_to_osc_substitution,
-                         identity_substitution)
+from cgaosc.weyl import (Chart, Substitution, WeylOp, conjugate, degree_of,
+                         free_to_osc_substitution, identity_substitution)
 
 FREE = Chart("free", HalfInt(3))
 OSC = Chart("osc", HalfInt(3))
@@ -279,6 +278,40 @@ class TestLinearCore:
         assert [lb for lb, _ in elem.sorted_terms()] == [Z_PLUS, C_LABEL]
 
 
+class TestProportionality:
+    """LinComb.proportionality: the r with x == r * y, or None."""
+
+    def test_polynomial_ratio(self):
+        # y's largest-key coefficient 2 + 1/c is no monomial, so the
+        # ratio takes try_div's polynomial path
+        c = CScalar.c()
+        y = (WeylOp.var(FREE, 1, coef=2 + CScalar.c_power(-1))
+             + WeylOp.der(FREE, 0, coef=c))
+        assert not y.terms[max(y.terms)].is_monomial()
+        assert y.scaled(1 + c).proportionality(y) == 1 + c
+
+    def test_not_proportional(self):
+        x, dt = WeylOp.var(FREE, 1), WeylOp.der(FREE, 0)
+        assert (x + dt).proportionality(x - dt) is None
+        assert WeylOp.one(FREE).proportionality(WeylOp.one(OSC)) is None
+
+    def test_zero(self):
+        a = WeylOp.var(FREE, 1)
+        assert WeylOp.zero(FREE).proportionality(a) == 0
+        assert a.proportionality(WeylOp.zero(FREE)) is None
+
+    def test_gaussfunc_kappa(self):
+        f = GaussFunc.monomial(FREE, CScalar.c(), coef=3)
+        assert f.proportionality(GaussFunc.monomial(FREE, CScalar.c())) == 3
+        assert f.proportionality(
+            GaussFunc.monomial(FREE, CScalar.zero(), coef=3)) is None
+
+    def test_algebra_element(self):
+        elem = AlgebraElement.of(Z_PLUS) + AlgebraElement.of(C_LABEL, 5)
+        inv2c = CScalar.c_power(-1, Fraction(1, 2))
+        assert elem.scaled(inv2c).proportionality(elem) == inv2c
+
+
 class TestSubstitution:
     def test_identity(self):
         rng = random.Random(43)
@@ -339,4 +372,4 @@ class TestGrading:
         assert degree_of(gens[w_label(HalfInt(3))], z0) == HalfInt(3)
         assert degree_of(gens[w_label(HalfInt(-1))], z0) == HalfInt(-1)
         mixed = gens[w_label(HalfInt(3))] + gens[w_label(HalfInt(-1))]
-        assert degree_of(mixed, z0) is NonHomogeneous
+        assert degree_of(mixed, z0) is None
