@@ -7,14 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import JacobiFailure
+from .errors import GradingViolation, JacobiFailure
 from .realizations import (AlgebraElement, C_LABEL, GenLabel, StructureTable,
                            Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
                            free_generators, label_sort_key, w_indices,
                            w_label, ww_label)
-from .scalars import HalfInt, check_half_odd, from_raw, raw_acc, raw_mul
+from .scalars import (CScalar, HalfInt, check_half_odd, from_raw, numerators,
+                      raw_acc, raw_mul)
 from .weyl import WeylOp
 
 
@@ -81,46 +83,71 @@ def closure_tables(basis: EnlargedBasis
 
 # -- Jacobi verification on extracted tables --------------------------------
 
-def _add_scaled(res: Dict[GenLabel, dict], row: Dict[GenLabel, dict],
-                coef: dict, factor: int) -> None:
-    """res += factor * coef * row, on raw label -> {c-power: Fraction}
-    maps."""
-    for lb, v in row.items():
-        raw_acc(res, lb, raw_mul(v, coef), factor)
-
-
 def check_jacobi(table: StructureTable, graded: bool) -> int:
     """Verify the (graded) Jacobi identity on every ordered triple.
 
-    With the table's adjoint maps ad[x][d] = [x, d}, each pair a <= b
-    and each d is checked in derivation form
+    With the table's adjoint maps ad[x][d] = [x, d}, a triple (a, b, d)
+    is checked in derivation form
         [[a,b},d} = [a,[b,d}} - (-1)^{|a||b|} [b,[a,d}},
     all parities even for the plain table.  The form is (-1)^{|a||d|}
-    times the cyclic Jacobi sum, and it is graded-antisymmetric in
-    (a, b), so the pairs a <= b cover all n^3 ordered triples.
+    times the graded-cyclic Jacobi sum, and it is graded-antisymmetric in
+    (a, b), so for a graded-antisymmetric bracket that keeps parity its
+    residual at any ordered triple is +- its residual at the sorted
+    triple: the n(n+1)(n+2)/6 triples a <= b <= d in label order cover
+    all n^3.  StructureTable.bracket is antisymmetric by construction
+    when each entry's kind fits its pair's parities; both that and the
+    parity of every entry are checked first (GradingViolation).
 
-    Returns n^3; raises JacobiFailure with the residual lhs - rhs."""
+    The sums run on integer numerators over the table-wide denominator
+    D, so a residual is numerators over D^2.  Returns n^3; raises
+    JacobiFailure with the residual lhs - rhs."""
     labels = table.labels
-    ad = {x: {d: {lb: v.terms for lb, v in table.bracket(x, d).terms.items()}
-              for d in labels}
-          for x in labels}
     odd = {x: graded and is_odd_label(x) for x in labels}
+    for (a, b), elem in table.entries.items():
+        kind = table.kinds.get((a, b), "commutator")
+        want = "anticommutator" if odd[a] and odd[b] else "commutator"
+        if kind != want or (a == b and kind == "commutator"):
+            raise GradingViolation(
+                f"{kind} entry ({a}, {b}) is not graded-antisymmetric")
+        if any(odd[lb] != (odd[a] != odd[b]) for lb in elem.terms):
+            raise GradingViolation(
+                f"bracket ({a}, {b}) leaves its parity sector: {elem}")
+    den = lcm(*(q.denominator for elem in table.entries.values()
+                for cs in elem.terms.values() for q in cs.terms.values()))
+    # equal coefficients share one numerator map, so the adjoint maps
+    # hold no more than the table's distinct coefficients
+    shared: Dict[CScalar, dict] = {}
+    ad = {x: {} for x in labels}
+    for x in labels:
+        for d in labels:
+            elem = table.bracket(x, d)
+            if elem.terms:
+                raw, _ = numerators(elem.terms, den)
+                ad[x][d] = {lb: shared.setdefault(elem.terms[lb], q)
+                            for lb, q in raw.items()}
+    empty: dict = {}
     for i, a in enumerate(labels):
         ad_a = ad[a]
-        for b in labels[i:]:
-            ad_b, ab = ad[b], ad_a[b]
+        for j in range(i, len(labels)):
+            b = labels[j]
+            ad_b = ad[b]
+            ab = ad_a.get(b, empty)
             sign = -1 if odd[a] and odd[b] else 1
-            for d in labels:
+            for d in labels[j:]:
                 res: Dict[GenLabel, dict] = {}
                 for e, k in ab.items():
-                    _add_scaled(res, ad[e][d], k, 1)
-                for e, k in ad_b[d].items():
-                    _add_scaled(res, ad_a[e], k, -1)
-                for e, k in ad_a[d].items():
-                    _add_scaled(res, ad_b[e], k, sign)
+                    for lb, v in ad[e].get(d, empty).items():
+                        raw_acc(res, lb, raw_mul(v, k), 1)
+                for e, k in ad_b.get(d, empty).items():
+                    for lb, v in ad_a.get(e, empty).items():
+                        raw_acc(res, lb, raw_mul(v, k), -1)
+                for e, k in ad_a.get(d, empty).items():
+                    for lb, v in ad_b.get(e, empty).items():
+                        raw_acc(res, lb, raw_mul(v, k), sign)
                 if any(q for acc in res.values() for q in acc.values()):
                     raise JacobiFailure((a, b, d),
-                                        AlgebraElement(from_raw(res)),
+                                        AlgebraElement(from_raw(res,
+                                                                den * den)),
                                         "graded" if graded else "plain")
     return len(labels) ** 3
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .errors import ChartMismatch
-from .scalars import CScalar, LinComb, from_raw, raw_acc, raw_mul
+from .scalars import (CScalar, LinComb, from_raw, numerators, raw_acc,
+                      raw_mul)
 from .weyl import Chart, WeylOp, conjugate, falling
 
 FKey = Tuple[int, Tuple[int, ...]]  # (2*mu, variable exponents)
@@ -82,18 +83,20 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
     """Exact image of f = P e^{kappa x1^2} under op, computed as
     e^{kappa x1^2} (conjugate(op, ("gauss", 2 kappa)) P): each term of the
     conjugated operator meets each term of P in closed form,
-    d^n x^p = falling(p, n) x^{p-n} and d_s^n e^{mu s} = mu^n e^{mu s}."""
+    d^n x^p = falling(p, n) x^{p-n} and d_s^n e^{mu s} = mu^n e^{mu s},
+    summed on integer numerators over one denominator."""
     if op.chart != f.chart:
         raise ChartMismatch("operator and function live in different charts")
     chart = op.chart
     osc = chart.kind == "osc"
     if not f.kappa.is_zero():
         op = conjugate(op, ("gauss", f.kappa + f.kappa))
+    t_op, d_op = numerators(op.terms)
+    t_f, d_f = numerators(f.terms)
     res: Dict[FKey, dict] = {}
-    for (e, v, d), c_op in op.terms.items():
-        t_op = c_op.terms
+    for (e, v, d), c_op in t_op.items():
         space_ders = d[1:] if osc else d
-        for (mu2, m), c_f in f.terms.items():
+        for (mu2, m), c_f in t_f.items():
             factor = Fraction(mu2, 2) ** d[0] if osc and d[0] else 1
             for p, n in zip(m, space_ders):
                 if n:
@@ -101,6 +104,5 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
             if factor:
                 key = (mu2 + e, tuple(p - n + q for p, n, q
                                       in zip(m, space_ders, v)))
-                raw_acc(res, key, raw_mul(t_op, c_f.terms), factor)
-    return f._like(from_raw(res))
-
+                raw_acc(res, key, raw_mul(c_op, c_f), factor)
+    return f._like(from_raw(res, d_op * d_f))

@@ -11,6 +11,7 @@ operation in this module is exact and every value is immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Tuple
 
 from .errors import BadEll, NotMonomial, ZeroDivisor
@@ -329,13 +330,29 @@ _C = CScalar({1: Fraction(1)})
 
 
 # -- the raw accumulator -----------------------------------------------------
-# A sum of many products is accumulated as {key: {c-power: Fraction}} and
-# made into CScalars once, by from_raw, instead of one CScalar per product.
+# A sum of many products is accumulated as {key: {c-power: numerator}} over
+# one denominator and made into CScalars once, by from_raw, instead of one
+# CScalar per product.  The numerators are ints wherever the operands came
+# from numerators(); a rational factor (an e^{mu s} derivative) makes them
+# Fractions, which the same sums accept.
+
+def numerators(terms: Mapping, den: int | None = None) -> Tuple[dict, int]:
+    """The raw {key: {c-power: int}} numerators of a {key: CScalar} map
+    over den, and den; den defaults to the LCM of the coefficients'
+    denominators and must otherwise be a multiple of it."""
+    if den is None:
+        den = lcm(*(q.denominator for c in terms.values()
+                    for q in c.terms.values()))
+    return ({key: {k: q.numerator * (den // q.denominator)
+                   for k, q in c.terms.items()}
+             for key, c in terms.items()}, den)
+
 
 def raw_mul(t1: dict, t2: dict) -> dict:
-    """Product of two raw {c-power: Fraction} maps; no zero is stored."""
+    """Product of two raw {c-power: int or Fraction} maps; no zero is
+    stored."""
     if len(t1) == 1 and len(t2) == 1:
-        # monomial times monomial: a product of nonzero Fractions is
+        # monomial times monomial: a product of nonzero values is
         # nonzero, so no zero coefficient can appear
         (k1, q1), = t1.items()
         (k2, q2), = t2.items()
@@ -344,7 +361,7 @@ def raw_mul(t1: dict, t2: dict) -> dict:
     for k1, q1 in t1.items():
         for k2, q2 in t2.items():
             k = k1 + k2
-            s = res.get(k, _F0) + q1 * q2
+            s = res.get(k, 0) + q1 * q2
             if s:
                 res[k] = s
             else:
@@ -353,26 +370,26 @@ def raw_mul(t1: dict, t2: dict) -> dict:
 
 
 def raw_acc(res: dict, key, base: dict, factor) -> None:
-    """res[key] += factor * base, for a raw map base and a rational
-    factor."""
+    """res[key] += factor * base, for a raw map base and an int or
+    Fraction factor."""
     acc = res.get(key)
     if acc is None:
         acc = {}
         res[key] = acc
-    if factor == 1:  # the common case: skip the Fraction products
+    if factor == 1:  # the common case: skip the products
         for k, q in base.items():
-            acc[k] = acc.get(k, _F0) + q
+            acc[k] = acc.get(k, 0) + q
     else:
         for k, q in base.items():
-            acc[k] = acc.get(k, _F0) + q * factor
+            acc[k] = acc.get(k, 0) + q * factor
 
 
-def from_raw(res: dict) -> dict:
-    """The {key: CScalar} terms of an accumulator, without the keys whose
-    sums cancelled."""
+def from_raw(res: dict, den: int = 1) -> dict:
+    """The {key: CScalar} terms of an accumulator over den, without the
+    keys whose sums cancelled; every coefficient is a Fraction."""
     out = {}
     for key, raw in res.items():
-        terms = {k: q for k, q in raw.items() if q}
+        terms = {k: Fraction(q, den) for k, q in raw.items() if q}
         if terms:
             out[key] = _wrap(terms)
     return out

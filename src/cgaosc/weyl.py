@@ -21,13 +21,9 @@ from typing import Dict, Tuple
 
 from .errors import ChartMismatch, RelationViolation, UnsupportedWeight
 from .scalars import (CScalar, HalfInt, LinComb, check_half_odd, from_raw,
-                      raw_acc, raw_mul)
+                      numerators, raw_acc, raw_mul)
 
 Key = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # (2*mu, var, der)
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_F2 = Fraction(2)
 
 
 class Chart:
@@ -103,7 +99,7 @@ def falling(m: int, k: int) -> int:
 def _poly_cross(n: int, m: int):
     """Expansion of d^n x^m for any integer m: the nonzero
     (k, C(n,k) falling(m,k)), the coefficient of x^{m-k} d^{n-k}."""
-    return tuple((k, Fraction(comb(n, k) * falling(m, k)))
+    return tuple((k, comb(n, k) * falling(m, k))
                  for k in range(n + 1) if falling(m, k))
 
 
@@ -183,29 +179,30 @@ class WeylOp(LinComb):
             return self.scaled(other)
         if not isinstance(other, WeylOp):
             return NotImplemented
-        self._check(other)
-        res: Dict[Key, dict] = {}
-        _product_terms(res, self, other, _F1, _F1)
-        return self._like(from_raw(res))
+        return self._bracket(other, 1, 1, 0)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         """[a, b] = a*b - b*a.  The plain monomial product of each term
         pair is the same in a*b and b*a and cancels, so only the
         contraction terms of the two orders are formed."""
-        self._check(other)
-        res: Dict[Key, dict] = {}
-        _product_terms(res, self, other, _F1, _F0)
-        _product_terms(res, other, self, -_F1, _F0)
-        return self._like(from_raw(res))
+        return self._bracket(other, 0, 1, -1)
 
     def anticommutator(self, other: "WeylOp") -> "WeylOp":
         """{a, b} = a*b + b*a: twice the plain products, which the two
         orders share, plus the contraction terms of both orders."""
+        return self._bracket(other, 2, 1, 1)
+
+    def _bracket(self, other: "WeylOp", plain: int, s_ab: int,
+                 s_ba: int) -> "WeylOp":
+        """plain * (the plain products) + s_ab * (the contraction terms
+        of self*other) + s_ba * (those of other*self), summed on integer
+        numerators over the product of the operands' denominators."""
         self._check(other)
+        ta, da = numerators(self.terms)
+        tb, db = numerators(other.terms)
         res: Dict[Key, dict] = {}
-        _product_terms(res, self, other, _F1, _F2)
-        _product_terms(res, other, self, _F1, _F0)
-        return self._like(from_raw(res))
+        _product_terms(res, self.chart, ta, tb, plain, s_ab, s_ba)
+        return self._like(from_raw(res, da * db))
 
     def power(self, n: int) -> "WeylOp":
         if n < 0:
@@ -225,61 +222,67 @@ class WeylOp(LinComb):
         return f"WeylOp({op_plain(self)})"
 
 
-def _product_terms(res: Dict[Key, dict], a: WeylOp, b: WeylOp,
-                   sign: Fraction, plain: Fraction) -> None:
-    """The one product loop: add the terms of a*b into res, a raw
-    {key: {c-power: Fraction}} map.  Moving a derivative of a term of a
-    past a variable or exp(mu s) of a term of b contracts k of them; the
-    k >= 0 choices of each such slot make the terms of the pair.  The
-    plain monomial product (k = 0 in every slot) enters times `plain`,
-    every contraction term (some k >= 1) times `sign`."""
-    osc = a.chart.kind == "osc"
-    L = a.chart.L
-    for (e1, v1, d1), c1 in a.terms.items():
-        t1 = c1.terms
-        for (e2, v2, d2), c2 in b.terms.items():
-            # options[i]: choices (der index, var index or -1, k, factor)
-            options = []
-            if osc:
-                if d1[0] and e2:
-                    options.append(tuple(
-                        (0, -1, i, f) for i, f in _s_cross(d1[0], e2)))
-                for i in range(L):
-                    n, m = d1[1 + i], v2[i]
-                    if n and m:
-                        options.append(tuple(
-                            (1 + i, i, k, f) for k, f in _poly_cross(n, m)))
-            else:
-                for i in range(L + 1):
-                    n, m = d1[i], v2[i]
-                    if n and m:
-                        options.append(tuple(
-                            (i, i, k, f) for k, f in _poly_cross(n, m)))
-            if not (options or plain):
+def _contractions(osc: bool, L: int, d, v, e) -> list:
+    """The choices of moving the derivatives d of a left term past the
+    variables v and the weight exp(e s) of a right term: one tuple per
+    slot with something to contract, of (der index, var index or -1, k,
+    factor) for each k >= 0, k = 0 (factor 1) first."""
+    options = []
+    if osc:
+        if d[0] and e:
+            options.append(tuple((0, -1, i, f) for i, f in _s_cross(d[0], e)))
+        for i in range(L):
+            n, m = d[1 + i], v[i]
+            if n and m:
+                options.append(tuple(
+                    (1 + i, i, k, f) for k, f in _poly_cross(n, m)))
+    else:
+        for i in range(L + 1):
+            n, m = d[i], v[i]
+            if n and m:
+                options.append(tuple(
+                    (i, i, k, f) for k, f in _poly_cross(n, m)))
+    return options
+
+
+def _product_terms(res: Dict[Key, dict], chart: Chart, ta: dict, tb: dict,
+                   plain: int, s_ab: int, s_ba: int) -> None:
+    """The one product loop, over the raw numerator maps ta and tb of two
+    operators a and b: add into res, a raw {key: {c-power: numerator}}
+    map, plain times the plain monomial product of each term pair (no
+    derivative moved past a variable or exp(mu s)), s_ab times the
+    contraction terms of a*b and s_ba times those of b*a (some k >= 1
+    derivatives hit).  The two orders share the plain product's key and
+    coefficient, so each term pair is visited and multiplied once."""
+    osc = chart.kind == "osc"
+    L = chart.L
+    for (e1, v1, d1), t1 in ta.items():
+        for (e2, v2, d2), t2 in tb.items():
+            ab = _contractions(osc, L, d1, v2, e2) if s_ab else ()
+            ba = _contractions(osc, L, d2, v1, e1) if s_ba else ()
+            if not (ab or ba or plain):
                 continue
-            base = raw_mul(t1, c2.terms)
+            base = raw_mul(t1, t2)
             e = e1 + e2
             vsum = [x + y for x, y in zip(v1, v2)]
+            dsum = [x + y for x, y in zip(d1, d2)]
             if plain:
-                key = (e, tuple(vsum), tuple(x + y for x, y in zip(d1, d2)))
-                raw_acc(res, key, base, plain)
-            if not options:
-                continue
-            combos = product(*options)
-            # _poly_cross and _s_cross list k = 0 (factor 1) first, so the
-            # first combination is the plain product, added above
-            next(combos)
-            for combo in combos:
-                factor = sign
-                dd = list(d1)
-                vv = list(vsum)
-                for di, vi, k, f in combo:
-                    dd[di] -= k
-                    if vi >= 0:
-                        vv[vi] -= k
-                    factor *= f
-                key = (e, tuple(vv), tuple(x + y for x, y in zip(dd, d2)))
-                raw_acc(res, key, base, factor)
+                raw_acc(res, (e, tuple(vsum), tuple(dsum)), base, plain)
+            for options, sign in ((ab, s_ab), (ba, s_ba)):
+                if not options:
+                    continue
+                combos = product(*options)
+                next(combos)  # all k = 0: the plain product, added above
+                for combo in combos:
+                    factor = sign
+                    dd = list(dsum)
+                    vv = list(vsum)
+                    for di, vi, k, f in combo:
+                        dd[di] -= k
+                        if vi >= 0:
+                            vv[vi] -= k
+                        factor *= f
+                    raw_acc(res, (e, tuple(vv), tuple(dd)), base, factor)
 
 
 # -- grading ---------------------------------------------------------------

@@ -1,12 +1,17 @@
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
                              duality_report, expected_dims, free_enlarged,
                              is_odd_label)
-from cgaosc.errors import BadEll, JacobiFailure, NotClosed
+from cgaosc.errors import BadEll, GradingViolation, JacobiFailure, NotClosed
 from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
                                  Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
-                                 osc_generators, w_label, ww_label)
+                                 label_sort_key, osc_generators, w_label,
+                                 ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import degree_of
 
@@ -127,6 +132,153 @@ class TestJacobi:
         assert set(pair) <= set(exc.value.triple)
         assert not exc.value.residual.is_zero()
         assert str(exc.value).startswith("graded" if graded else "plain")
+
+
+def _random_table(rng, labels, graded):
+    """A random table over labels that is graded-antisymmetric (through
+    StructureTable.bracket) and keeps parity, with small rational
+    entries: a bracket in general, not a Lie (super)algebra."""
+    odd = {x: graded and is_odd_label(x) for x in labels}
+    entries, kinds = {}, {}
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            anti = odd[a] and odd[b]
+            if a == b and not anti:
+                continue
+            sector = [x for x in labels if odd[x] == (odd[a] != odd[b])]
+            terms = {x: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for x in sector if rng.random() < 0.5}
+            elem = AlgebraElement(terms)
+            if elem.terms:
+                entries[(a, b)] = elem
+                kinds[(a, b)] = "anticommutator" if anti else "commutator"
+    return StructureTable(labels, entries, kinds)
+
+
+def _residual(table, graded, a, b, d):
+    """[[a,b},d} - [a,[b,d}} + (-1)^{|a||b|} [b,[a,d}} with
+    AlgebraElement arithmetic on StructureTable.bracket, independent of
+    check_jacobi's numerator sums."""
+    def br(x, y):
+        if isinstance(x, AlgebraElement):
+            return sum((table.bracket(e, y).scaled(k)
+                        for e, k in x.terms.items()), AlgebraElement())
+        return sum((table.bracket(x, e).scaled(k)
+                    for e, k in y.terms.items()), AlgebraElement())
+
+    sign = -1 if graded and is_odd_label(a) and is_odd_label(b) else 1
+    return (br(table.bracket(a, b), d) - br(a, table.bracket(b, d))
+            + br(b, table.bracket(a, d)).scaled(sign))
+
+
+class TestJacobiReduction:
+    """check_jacobi checks the sorted triples a <= b <= d only."""
+
+    LABELS = sorted([Z_PLUS, Z_ZERO, C_LABEL, w_label(H(1)),
+                     w_label(H(-1))], key=label_sort_key)
+
+    @pytest.mark.parametrize("graded", [False, True],
+                             ids=["plain", "graded"])
+    def test_permuted_triples_agree_up_to_sign(self, graded):
+        rng = random.Random(71)
+        order = {x: i for i, x in enumerate(self.LABELS)}
+        for _ in range(12):
+            table = _random_table(rng, self.LABELS, graded)
+            for triple in product(self.LABELS, repeat=3):
+                got = _residual(table, graded, *triple)
+                ref = _residual(table, graded,
+                                *sorted(triple, key=order.get))
+                assert got in (ref, -ref), triple
+
+    # with the odd labels first, the first sorted triples repeat a label
+    @pytest.mark.parametrize("labels", [LABELS, [
+        w_label(H(1)), w_label(H(-1)), C_LABEL, ww_label(H(1), H(1)),
+        ww_label(H(1), H(-1))]], ids=["z-first", "w-first"])
+    def test_failure_names_the_first_failing_sorted_triple(self, labels):
+        # the check visits a <= b <= d in label order and stops at the
+        # first nonzero residual, which it reports exactly
+        rng = random.Random(73)
+        for graded in (False, True) * 6:
+            table = _random_table(rng, labels, graded)
+            failing = [t for t in combinations_with_replacement(labels, 3)
+                       if not _residual(table, graded, *t).is_zero()]
+            if not failing:
+                assert check_jacobi(table, graded=graded) == len(labels) ** 3
+                continue
+            with pytest.raises(JacobiFailure) as exc:
+                check_jacobi(table, graded=graded)
+            assert exc.value.triple == failing[0]
+            assert exc.value.residual == _residual(table, graded,
+                                                   *failing[0])
+
+    def test_every_doubled_entry_fails_threehalf(self):
+        tables = closure_tables(free_enlarged(H(3)))
+        swept = 0
+        for graded, table in enumerate(tables):
+            for pair, elem in table.entries.items():
+                entries = dict(table.entries)
+                entries[pair] = elem.scaled(CScalar.from_rational(2))
+                bad = StructureTable(table.labels, entries, table.kinds)
+                with pytest.raises(JacobiFailure):
+                    check_jacobi(bad, graded=bool(graded))
+                swept += 1
+        assert swept == 178
+
+    @pytest.mark.parametrize("graded,pair", [
+        (False, (w_label(H(1)), ww_label(H(1), H(-1)))),
+        (True, (w_label(H(1)), w_label(H(-1)))),
+    ], ids=["plain", "graded"])
+    def test_residual_is_exact(self, graded, pair):
+        # scaling by 3/2 gives the table a denominator, so the residual's
+        # numerators are divided by its square
+        table = closure_tables(free_enlarged(H(3)))[int(graded)]
+        entries = dict(table.entries)
+        entries[pair] = entries[pair].scaled(CScalar.from_rational(
+            Fraction(3, 2)))
+        bad = StructureTable(table.labels, entries, table.kinds)
+        with pytest.raises(JacobiFailure) as exc:
+            check_jacobi(bad, graded=graded)
+        want = _residual(bad, graded, *exc.value.triple)
+        assert exc.value.residual == want
+        assert not want.is_zero()
+
+
+class TestJacobiGuards:
+    """The triple reduction needs parity-preserving, antisymmetric
+    tables; check_jacobi refuses any other."""
+
+    def test_entry_leaving_its_sector(self):
+        table = closure_tables(free_enlarged(H(3)))[1]
+        pair = (Z_PLUS, Z_MINUS)
+        entries = dict(table.entries)
+        entries[pair] = entries[pair] + AlgebraElement.of(w_label(H(1)))
+        bad = StructureTable(table.labels, entries, table.kinds)
+        with pytest.raises(GradingViolation) as exc:
+            check_jacobi(bad, graded=True)
+        assert str(pair) in str(exc.value)
+
+    @pytest.mark.parametrize("graded,pair,kind", [
+        (True, (w_label(H(1)), w_label(H(-1))), "commutator"),
+        (True, (Z_PLUS, Z_MINUS), "anticommutator"),
+        (False, (w_label(H(1)), w_label(H(-1))), "anticommutator"),
+    ], ids=["odd-odd-commutator", "even-anticommutator",
+            "plain-anticommutator"])
+    def test_kind_that_breaks_antisymmetry(self, graded, pair, kind):
+        table = closure_tables(free_enlarged(H(3)))[int(graded)]
+        kinds = dict(table.kinds)
+        kinds[pair] = kind
+        bad = StructureTable(table.labels, table.entries, kinds)
+        with pytest.raises(GradingViolation) as exc:
+            check_jacobi(bad, graded=graded)
+        assert str(pair) in str(exc.value)
+
+    def test_diagonal_commutator_entry(self):
+        table = closure_tables(free_enlarged(H(3)))[0]
+        entries = dict(table.entries)
+        entries[(Z_PLUS, Z_PLUS)] = AlgebraElement.of(Z_PLUS)
+        bad = StructureTable(table.labels, entries, table.kinds)
+        with pytest.raises(GradingViolation):
+            check_jacobi(bad, graded=False)
 
 
 class TestDuality:

@@ -6,6 +6,7 @@ import importlib.util
 import pickle
 import sys
 import types
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +99,36 @@ def test_no_dead_helpers():
                        for name, line in found):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead
+
+
+# The methods that several package classes define, with those classes.
+# test_no_dead_helpers matches a definition by its bare name, so a call of
+# one of these on any class keeps all of them alive; each must be checked
+# by hand for a caller, and a new shared name is listed here only after
+# that check.
+SHARED_METHODS = {
+    "_check": {"GaussFunc", "LinComb", "WeylOp"},
+    "_space": {"GaussFunc", "LinComb"},
+    "is_zero": {"CScalar", "LinComb"},
+    "one": {"CScalar", "WeylOp"},
+    "to_json": {"DualityReport", "ExactMatrix", "LadderReport",
+                "OnShellCertificate", "SpectrumRecord", "TransformReport"},
+    "zero": {"CScalar", "GaussFunc", "WeylOp"},
+}
+
+
+def test_shared_method_names_are_pinned():
+    owners = defaultdict(set)
+    for path in sorted((ROOT / "src" / "cgaosc").rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")):
+                        owners[item.name].add(node.name)
+    shared = {name: classes for name, classes in owners.items()
+              if len(classes) > 1}
+    assert shared == SHARED_METHODS
 
 
 def test_runtime_is_stdlib_only():

@@ -142,6 +142,36 @@ class TestBracketKernel:
                     bracket(x, y)
 
 
+class TestExactCoefficients:
+    """The kernels sum int numerators; every coefficient they return must
+    still be a Fraction, or div_monomial's / would divide floats."""
+
+    @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
+    @pytest.mark.parametrize("integral", [True, False],
+                             ids=["integers", "rationals"])
+    def test_kernels_return_fractions(self, chart, integral):
+        rng = random.Random(61)
+
+        def coef():
+            q = rng.choice([-2, -1, 1, 3]) if integral else (
+                Fraction(rng.randint(1, 6), rng.randint(1, 5)))
+            return CScalar.c_power(rng.randint(-1, 1), q)
+
+        out = []
+        for _ in range(20):
+            a, b = (WeylOp(chart, {k: coef() for k in
+                                   random_weylop(chart, rng).terms})
+                    for _ in range(2))
+            kappa = rng.choice([CScalar.zero(), coef()])
+            f = GaussFunc(chart, kappa, {k: coef() for k in
+                                         random_gaussfunc(chart, rng).terms})
+            out += [a * b, a.commutator(b), a.anticommutator(b),
+                    apply_op(a, f)]
+        kinds = {type(q) for x in out for cs in x.terms.values()
+                 for q in cs.terms.values()}
+        assert kinds == {Fraction}
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
     def test_apply_matches_sympy(self, chart):
