@@ -20,8 +20,8 @@ from .latexout import func_latex, op_latex, op_plain
 from .onshell import (certify_onshell, cross_relations, offshell_centralizer,
                       omega0_free, omega0_osc, omega1_free, omega1_osc,
                       solve_omega1)
-from .realizations import (free_generators, label_sort_key, label_str,
-                           osc_generators)
+from .realizations import (convention, free_generators, label_sort_key,
+                           label_str, osc_generators)
 from .scalars import HalfInt
 from .spectrum import (harmonic_reduction, hamiltonian,
                        hamiltonian_m_form_expected, ladder_relations,
@@ -30,6 +30,9 @@ from .spectrum import (harmonic_reduction, hamiltonian,
 from .transform import certify_transform
 
 NORMS = {"s5": "section5", "s6": "section6", "s7": "section7"}
+# s5 names the ell=3/2 realization, which has no spectrum convention of
+# its own: verify spectrum runs the general section7 family for it
+SPECTRUM_NORMS = dict(NORMS, s5="section7")
 
 
 def parse_ell(text: str) -> HalfInt:
@@ -98,14 +101,9 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _gens(ell: HalfInt, chart: str, normalization: str):
-    if chart == "free":
-        return free_generators(ell)
-    return osc_generators(ell, normalization)
-
-
 def cmd_gens(args) -> int:
-    gens = _gens(args.ell, args.chart, NORMS[args.normalization])
+    gens = (free_generators(args.ell) if args.chart == "free"
+            else osc_generators(args.ell, NORMS[args.normalization]))
     if args.format == "json":
         _emit(gens_json(gens))
         return 0
@@ -180,16 +178,12 @@ def verify_duality(args) -> dict:
 def verify_onshell(args) -> dict:
     ell = args.ell
     if args.chart == "free":
+        basis = free_enlarged(ell)
         om1, om0 = omega1_free(ell), omega0_free(ell)
     else:
-        norm = NORMS[args.normalization]
-        if norm == "section6":
-            norm = "section5"
-        gens = osc_generators(ell, norm)
-        om0 = omega0_osc(ell, norm)
-        om1 = omega1_osc(ell, norm)
-    basis = (free_enlarged(ell) if args.chart == "free"
-             else build_enlarged(gens, ell))
+        norm = convention(ell, NORMS[args.normalization]).realization
+        basis = build_enlarged(osc_generators(ell, norm), ell)
+        om1, om0 = omega1_osc(ell, norm), omega0_osc(ell, norm)
     cert1 = certify_onshell(om1, basis.realized)
     cert0 = certify_onshell(om0, basis.realized)
     cross_relations(om0, om1)
@@ -208,17 +202,13 @@ def verify_onshell(args) -> dict:
 
 
 def verify_transform(args) -> dict:
-    norm = NORMS[args.normalization]
-    if norm == "section6":
-        norm = "section5"
+    norm = convention(args.ell, NORMS[args.normalization]).realization
     return certify_transform(args.ell, norm).to_json()
 
 
 def verify_spectrum(args) -> dict:
     ell = args.ell
-    norm = NORMS[args.normalization]
-    if norm == "section5":
-        norm = "section7"
+    norm = SPECTRUM_NORMS[args.normalization]
     if min(args.max_total, args.max_degree) < 0:
         raise ValueError("--max-total and --max-degree must be "
                          "non-negative")

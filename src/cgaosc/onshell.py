@@ -11,11 +11,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .enlarged import build_enlarged
 from .errors import (Mismatch, NonUniqueSolution, NoSolution,
-                     NormalizationUnavailable, NotProportional)
+                     NotProportional)
 from .linsolve import SpanSolver
 from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
-                           free_generators, label_sort_key, label_str,
-                           positive_w_indices, w_label, ww_label)
+                           convention, free_generators, label_sort_key,
+                           label_str, positive_w_indices, w_label, ww_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
 
@@ -63,7 +63,7 @@ def omega0_abstract_threehalf() -> AlgebraElement:
 
 def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """Degree-0 invariant operator in the oscillator chart."""
-    check_half_odd(ell)
+    convention(ell, normalization, "realization")
     chart = Chart("osc", ell)
     L = chart.L
     lf = ell.as_fraction()
@@ -72,9 +72,6 @@ def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
         # the l=3/2 fixture with the +c/2 Gaussian weight:
         # -d_s - u d_v - (3/2) u d_u + (3/2) v d_v + (1/c) d_u^2
         # + (1/2) c u^2
-        if ell.twice != 3:
-            raise NormalizationUnavailable(
-                "section5 normalization exists only at ell=3/2")
         u = WeylOp.var(chart, 0)
         v = WeylOp.var(chart, 1)
         du = WeylOp.der(chart, 1)
@@ -84,8 +81,6 @@ def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
                 + WeylOp.der(chart, 1, power=2, coef=CScalar.c_power(-1))
                 + WeylOp.var(chart, 0, power=2,
                              coef=CScalar.c().scale(half)))
-    if normalization != "section7":
-        raise ValueError(f"unknown normalization {normalization!r}")
     op = -WeylOp.der(chart, 0)
     for j in range(2, L + 1):
         op = op + (j - half) * (WeylOp.var(chart, j - 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import GradingViolation, NormalizationUnavailable, NotClosed
 from .linsolve import SpanSolver
@@ -79,6 +79,48 @@ def positive_w_indices(ell: HalfInt):
     return [HalfInt(t) for t in range(1, ell.twice + 1, 2)]
 
 
+# -- normalizations ------------------------------------------------------
+
+class Convention(NamedTuple):
+    """One printed normalization of the oscillator chart."""
+    realization: str            # its generator set: section7 or section5
+    twice_ell: Optional[int]    # the one ell it exists at; None: every ell
+    h: Optional[Fraction]       # H = h (Omega0 - z0); None: no spectrum
+
+
+# section7 is the general-ell family; the ell=3/2 fixture prints its
+# realization as section5 and its spectrum convention as section6
+CONVENTIONS = {
+    "section7": Convention("section7", None, Fraction(2)),
+    "section5": Convention("section5", 3, None),
+    "section6": Convention("section5", 3, Fraction(1)),
+}
+
+
+def convention(ell: HalfInt, name: str,
+               use: Optional[str] = None) -> Convention:
+    """The entry of name, the one place that refuses a normalization:
+    ValueError for a name outside the use ("realization": a generator
+    set, "spectrum": one with an h, None: any), NormalizationUnavailable
+    at an ell where it does not exist."""
+    check_half_odd(ell)
+    conv = CONVENTIONS.get(name)
+    if (conv is None or (use == "realization" and conv.realization != name)
+            or (use == "spectrum" and conv.h is None)):
+        raise ValueError(f"unknown normalization {name!r}")
+    if conv.twice_ell not in (None, ell.twice):
+        raise NormalizationUnavailable(
+            f"the {name} normalization exists only at "
+            f"ell={HalfInt(conv.twice_ell)}")
+    return conv
+
+
+def delta(ell: HalfInt) -> Fraction:
+    """delta = (ell + 1/2)^2 / 4: the weight of the t^delta dressing,
+    and the vacuum energy per unit of h."""
+    return (ell.as_fraction() + Fraction(1, 2)) ** 2 / 4
+
+
 def free_generators(ell: HalfInt) -> Dict[GenLabel, WeylOp]:
     """Realized generators of the centrally extended CGA in the free
     chart (t, y_1..y_L), with delta = (ell + 1/2)^2 / 4."""
@@ -86,7 +128,6 @@ def free_generators(ell: HalfInt) -> Dict[GenLabel, WeylOp]:
     chart = Chart("free", ell)
     L = chart.L
     lf = ell.as_fraction()
-    delta = (lf + Fraction(1, 2)) ** 2 / 4
     c = CScalar.c()
 
     t = WeylOp.var(chart, 0)
@@ -101,7 +142,7 @@ def free_generators(ell: HalfInt) -> Dict[GenLabel, WeylOp]:
     gens: Dict[GenLabel, WeylOp] = {}
     gens[Z_PLUS] = dt
 
-    z0 = -(t * dt) - WeylOp.const(chart, delta)
+    z0 = -(t * dt) - WeylOp.const(chart, delta(ell))
     for a in range(1, L + 1):
         z0 = z0 - Fraction(2 * a - 1, 2) * (y(a) * dy(a))
     gens[Z_ZERO] = z0
@@ -148,19 +189,13 @@ def osc_generators(ell: HalfInt,
     lambda = -c/(2l+1), delta = (l+1/2)^2/4).
     normalization="section5": the l=3/2 fixture (weight +c/2, delta=1).
     """
-    check_half_odd(ell)
+    convention(ell, normalization, "realization")
     if normalization == "section5":
-        if ell.twice != 3:
-            raise NormalizationUnavailable(
-                "section5 normalization exists only at ell=3/2")
         return _osc_generators_s5()
-    if normalization != "section7":
-        raise ValueError(f"unknown normalization {normalization!r}")
     chart = Chart("osc", ell)
     L = chart.L
     lf = ell.as_fraction()
     half = Fraction(1, 2)
-    delta = (lf + half) ** 2 / 4
     c = CScalar.c()
     inv21 = Fraction(1, int(2 * lf + 1))
 
@@ -177,7 +212,7 @@ def osc_generators(ell: HalfInt,
 
     gens: Dict[GenLabel, WeylOp] = {}
 
-    core = ds - WeylOp.const(chart, delta)
+    core = ds - WeylOp.const(chart, delta(ell))
     for a in range(1, L + 1):
         core = core - Fraction(2 * a - 1, 2) * (u(a) * du(a))
     core = core + WeylOp.var(chart, 0, power=2,
@@ -186,7 +221,7 @@ def osc_generators(ell: HalfInt,
 
     gens[Z_ZERO] = -ds
 
-    core = -ds - WeylOp.const(chart, delta)
+    core = -ds - WeylOp.const(chart, delta(ell))
     for a in range(1, L + 1):
         core = core - Fraction(2 * a - 1, 2) * (u(a) * du(a))
     for a in range(1, L):

@@ -2,9 +2,9 @@
 eigenfunctions, the exact spectrum, and an independent triangular-matrix
 oracle for the eigenvalues.
 
-Two conventions are supported: "section7" (any half-odd ell; H = 2
-(Omega0 - z0), canonical m-form after c = -(2l+1)m) and "section6"
-(ell=3/2 fixture on the section5 realization; H = Omega0 - z0).
+The spectrum conventions are section7 and section6; their realization,
+h in H = h (Omega0 - z0) and the ell where they exist come from
+realizations.CONVENTIONS, tabulated in README.md.
 """
 
 from __future__ import annotations
@@ -14,38 +14,23 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (DiagonalDependsOnC, Inconsistent, Mismatch,
-                     NormalizationUnavailable, NotTriangular)
+from .errors import DiagonalDependsOnC, Inconsistent, Mismatch, NotTriangular
 from .funcspace import GaussFunc, apply_op
 from .onshell import omega0_osc
-from .realizations import (Z_ZERO, osc_generators, positive_w_indices,
-                           w_label)
+from .realizations import (Z_ZERO, convention, delta, osc_generators,
+                           positive_w_indices, w_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, conjugate
 
 
-def _gens_for(ell: HalfInt, normalization: str):
-    if normalization == "section7":
-        return osc_generators(ell, "section7")
-    if normalization == "section6":
-        if ell.twice != 3:
-            raise NormalizationUnavailable(
-                "the section6 fixture exists only at ell=3/2")
-        return osc_generators(ell, "section5")
-    raise ValueError(f"unknown normalization {normalization!r}")
-
-
 def hamiltonian(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """The effective Hamiltonian extracted from the degree-0 invariant
-    operator: H = 2(Omega0 - z0) in the section7 convention, or
-    H = Omega0 - z0 in the section6 fixture."""
-    check_half_odd(ell)
-    gens = _gens_for(ell, normalization)
-    z0 = gens[Z_ZERO]
-    if normalization == "section7":
-        h = 2 * (omega0_osc(ell, "section7") - z0)
-    else:
-        h = omega0_osc(ell, "section5") - z0
+    operator: H = h (Omega0 - z0), with h = 2 in the section7 convention
+    and h = 1 in the section6 fixture."""
+    conv = convention(ell, normalization, "spectrum")
+    gens = osc_generators(ell, conv.realization)
+    h = conv.h * (omega0_osc(ell, conv.realization) - gens[Z_ZERO])
+    if normalization == "section6":
         # operator identity (1/2c)(w_{-1/2} w_{+1/2} - w_{-3/2} w_{+3/2}) + 1
         half_inv_c = CScalar.c_power(-1, Fraction(1, 2))
         prod = (gens[w_label(HalfInt(-1))] * gens[w_label(HalfInt(1))]
@@ -89,9 +74,8 @@ def hamiltonian_m_form_expected(ell: HalfInt) -> WeylOp:
 
 
 def vacuum_energy(ell: HalfInt, normalization: str = "section7") -> Fraction:
-    if normalization == "section6":
-        return Fraction(1)
-    return Fraction((ell.twice + 1) ** 2, 8)
+    """E0 = h delta."""
+    return convention(ell, normalization, "spectrum").h * delta(ell)
 
 
 def vacuum(ell: HalfInt, normalization: str = "section7") -> GaussFunc:
@@ -99,7 +83,7 @@ def vacuum(ell: HalfInt, normalization: str = "section7") -> GaussFunc:
 
     section7: exp(-(m/2) u1^2), i.e. kappa = c/(2(2l+1)), no s-weight;
     section6: e^s exp((c/2) u^2)."""
-    check_half_odd(ell)
+    conv = convention(ell, normalization, "spectrum")
     chart = Chart("osc", ell)
     if normalization == "section6":
         kappa = CScalar.c_power(1, Fraction(1, 2))
@@ -107,7 +91,7 @@ def vacuum(ell: HalfInt, normalization: str = "section7") -> GaussFunc:
     else:
         kappa = CScalar.c_power(1, Fraction(1, 2 * (ell.twice + 1)))
         f = GaussFunc.monomial(chart, kappa)
-    gens = _gens_for(ell, normalization)
+    gens = osc_generators(ell, conv.realization)
     for j in positive_w_indices(ell):
         img = apply_op(gens[w_label(j)], f)
         if not img.is_zero():
@@ -123,18 +107,33 @@ class SpectrumRecord:
     normalization: str
 
     def to_json(self) -> dict:
-        return {"n": list(self.n),
-                "energy": {"n": str(self.energy.numerator),
-                           "d": str(self.energy.denominator)}}
+        from .jsonio import rational_json
+        return {"n": list(self.n), "energy": rational_json(self.energy)}
+
+
+def _lowering_order(ell: HalfInt, normalization: str) -> List[HalfInt]:
+    """j_a of each multi-index position, n_a counting w_{-j_a}: a - 1/2
+    in section7; section6 prints n = (m, k) over w_{-3/2}, w_{-1/2}."""
+    if normalization == "section6":
+        return [HalfInt(3), HalfInt(1)]
+    return positive_w_indices(ell)
+
+
+def _check_multi_index(n: Sequence[int], size: int) -> None:
+    if len(n) != size or any(x < 0 for x in n):
+        raise ValueError(f"multi-index must have {size} non-negative "
+                         "entries")
 
 
 def ladder_energy(ell: HalfInt, normalization: str,
                   n: Sequence[int]) -> Fraction:
-    if normalization == "section6":
-        m, k = n
-        return Fraction(3, 2) * m + Fraction(1, 2) * k + 1
-    return sum(Fraction(2 * a - 1) * na
-               for a, na in enumerate(n, start=1)) + vacuum_energy(ell)
+    """E(n) = h (delta + sum_a j_a n_a): lowering by w_{-j} shifts the
+    energy by h j."""
+    h = convention(ell, normalization, "spectrum").h
+    js = _lowering_order(ell, normalization)
+    _check_multi_index(n, len(js))
+    return h * (delta(ell) + sum(j.as_fraction() * na
+                                 for j, na in zip(js, n)))
 
 
 class Ladder:
@@ -148,24 +147,20 @@ class Ladder:
     from the vacuum.  The lowering operators need not commute."""
 
     def __init__(self, ell: HalfInt, normalization: str = "section7"):
-        gens = _gens_for(ell, normalization)
-        if normalization == "section6":
-            js = [-3, -1]
-        else:
-            js = [-(2 * a - 1) for a in range(1, Chart("osc", ell).L + 1)]
+        conv = convention(ell, normalization, "spectrum")
+        gens = osc_generators(ell, conv.realization)
         self.ell = ell
         self.normalization = normalization
-        self.lowering = [gens[w_label(HalfInt(j))] for j in js]
+        self.lowering = [gens[w_label(-j)]
+                         for j in _lowering_order(ell, normalization)]
         self.h = hamiltonian(ell, normalization)
         self.states: Dict[Tuple[int, ...], GaussFunc] = {
-            (0,) * len(js): vacuum(ell, normalization)}
+            (0,) * len(self.lowering): vacuum(ell, normalization)}
 
     def state(self, n: Tuple[int, ...]) -> GaussFunc:
         """The state of the multi-index n (a tuple of ints), built down
         the tree from its nearest ancestor built so far."""
-        if len(n) != len(self.lowering) or any(x < 0 for x in n):
-            raise ValueError(f"multi-index must have {len(self.lowering)} "
-                             "non-negative entries")
+        _check_multi_index(n, len(self.lowering))
         path = []
         while n not in self.states:
             i = next(i for i, x in enumerate(n) if x)
@@ -188,10 +183,8 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     """Eigenstate built by lowering operators acting on the vacuum, with
     its eigen-relation checked exactly.
 
-    section7: n = (n_1 .. n_L) with n_a counting w_{-(a-1/2)}; the
-    highest lowering operator acts innermost.  section6: n = (m, k) with
-    m counting w_{-3/2} and k counting w_{-1/2}, w_{-1/2} innermost.
-    ladder, when given, is the Ladder of (ell, normalization) to build
+    n_a counts w_{-j_a} in the order of _lowering_order; the last
+    position acts innermost.  ladder, when given, is the Ladder of (ell, normalization) to build
     on; otherwise one is made for this state."""
     n = tuple(int(x) for x in n)
     if ladder is None:
@@ -256,12 +249,12 @@ class LadderReport:
 def ladder_relations(ell: HalfInt,
                      normalization: str = "section7") -> LadderReport:
     """Exact verification of the spectrum-generating relations:
-    [Omega0, w_{+-j}] = 0, [H, w_{+-j}] = -+2j w_{+-j}, [z0, H] = 0;
+    [Omega0, w_{+-j}] = 0, [H, w_{+-j}] = -+h j w_{+-j}, [z0, H] = 0;
     in the section6 fixture also Omega0 = z0 + H.  The commutators of
     the lowering operators among themselves are measured, not assumed."""
-    gens = _gens_for(ell, normalization)
-    pnorm = "section5" if normalization == "section6" else normalization
-    om0 = omega0_osc(ell, pnorm)
+    conv = convention(ell, normalization, "spectrum")
+    gens = osc_generators(ell, conv.realization)
+    om0 = omega0_osc(ell, conv.realization)
     h = hamiltonian(ell, normalization)
     for j in positive_w_indices(ell):
         for sign in (1, -1):
@@ -269,8 +262,7 @@ def ladder_relations(ell: HalfInt,
             if not om0.commutator(w).is_zero():
                 raise Mismatch(f"[Omega0, w_{sign*j.as_fraction()}]",
                                om0.commutator(w))
-            shift = Fraction(-sign) * 2 * j.as_fraction() * _h_scale(
-                normalization)
+            shift = -sign * conv.h * j.as_fraction()
             resid = h.commutator(w) - w.scaled(CScalar.from_rational(shift))
             if not resid.is_zero():
                 raise Mismatch(f"[H, w_{sign*j.as_fraction()}] shift", resid)
@@ -293,12 +285,6 @@ def ladder_relations(ell: HalfInt,
                         split_ok=split_ok, lowering_commutators_zero=lows)
 
 
-def _h_scale(normalization: str) -> Fraction:
-    # section7 uses H = 2(Omega0 - z0): ladder shift 2j per unit.
-    # section6 uses H = Omega0 - z0: shift j per unit.
-    return Fraction(1) if normalization == "section7" else Fraction(1, 2)
-
-
 # -- independent matrix oracle ------------------------------------------------
 
 @dataclass
@@ -309,14 +295,13 @@ class ExactMatrix:
     eigenvalues: List[Fraction]
 
     def to_json(self) -> dict:
-        from .jsonio import cscalar_json
+        from .jsonio import cscalar_json, rational_json
         return {
             "ell": {"twice": self.ell.twice},
             "basis": [list(b) for b in self.basis],
             "entries": [{"row": i, "col": j, "value": cscalar_json(v)}
                         for (i, j), v in sorted(self.entries.items())],
-            "eigenvalues": [{"n": str(e.numerator), "d": str(e.denominator)}
-                            for e in self.eigenvalues],
+            "eigenvalues": [rational_json(e) for e in self.eigenvalues],
         }
 
 
@@ -366,7 +351,6 @@ def matrix_oracle(ell: HalfInt, max_degree: int) -> ExactMatrix:
 @dataclass
 class ReductionReport:
     ell: HalfInt
-    consistent: bool
     constant: Fraction
     restricted: WeylOp
 
@@ -401,5 +385,4 @@ def harmonic_reduction(ell: HalfInt) -> ReductionReport:
                 + WeylOp.const(chart, const))
     if rop != expected:
         raise Inconsistent(f"restricted operator differs: {rop - expected!r}")
-    return ReductionReport(ell=ell, consistent=True, constant=const,
-                           restricted=rop)
+    return ReductionReport(ell=ell, constant=const, restricted=rop)

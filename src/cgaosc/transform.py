@@ -3,6 +3,8 @@ realization: change of variables t = e^s, y_a = e^{(a-1/2)s} u_a, the
 t^delta similarity dressing (performed as an exp(delta*s) conjugation
 after the change of variables, which is the same operation without ever
 needing fractional powers of t), and a Gaussian similarity dressing.
+The realizations it maps onto are section7 and section5; the
+normalizations table in README.md says which names exist where.
 """
 
 from __future__ import annotations
@@ -11,39 +13,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
-from .errors import Mismatch, NormalizationUnavailable
-from .realizations import (GenLabel, extract_structure, free_generators,
-                           label_sort_key, label_str, osc_generators)
+from .errors import Mismatch
+from .realizations import (GenLabel, convention, delta, extract_structure,
+                           free_generators, label_sort_key, label_str,
+                           osc_generators)
 from .onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
-from .scalars import CScalar, HalfInt, check_half_odd
+from .scalars import CScalar, HalfInt
 from .weyl import Substitution, WeylOp, conjugate, free_to_osc_substitution
 
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Parameters of the three-step map.
-
-    normalization="section7": delta = (l+1/2)^2/4 and Gaussian weight
-    lambda = -c/(2l+1), i.e. g -> exp(-lambda u_1^2/2) g exp(lambda u_1^2/2).
-    normalization="section5" (l=3/2 only): delta = 1 and weight
-    g -> exp(c u^2/2) g exp(-c u^2/2).
+    """Parameters of the three-step map: delta = (l+1/2)^2/4 and the
+    Gaussian weight of the realization, lambda = -c/(2l+1) for section7,
+    i.e. g -> exp(-lambda u_1^2/2) g exp(lambda u_1^2/2), and
+    g -> exp(c u^2/2) g exp(-c u^2/2) for section5.
     """
     ell: HalfInt
     normalization: str = "section7"
 
     def __post_init__(self):
-        check_half_odd(self.ell)
-        if self.normalization == "section5":
-            if self.ell.twice != 3:
-                raise NormalizationUnavailable(
-                    "section5 normalization exists only at ell=3/2")
-        elif self.normalization != "section7":
-            raise ValueError(
-                f"unknown normalization {self.normalization!r}")
+        convention(self.ell, self.normalization, "realization")
 
     @property
     def delta(self) -> Fraction:
-        return (self.ell.as_fraction() + Fraction(1, 2)) ** 2 / 4
+        return delta(self.ell)
 
     @property
     def gauss_weight(self) -> CScalar:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -44,8 +47,20 @@ class TestParsing:
         ["verify", "jacobi", "--ell", "1/2", "--seed", "3"],
         ["verify", "spectrum", "--ell", "1/2", "--max-total", "-1"],
         ["verify", "spectrum", "--ell", "1/2", "--max-degree", "-1"],
+        ["verify", "onshell", "--ell", "5/2", "--chart", "osc",
+         "--normalization", "s5"],
+        ["verify", "onshell", "--ell", "5/2", "--chart", "osc",
+         "--normalization", "s6"],
+        ["verify", "transform", "--ell", "5/2", "--normalization", "s5"],
+        ["verify", "transform", "--ell", "5/2", "--normalization", "s6"],
+        ["gens", "--ell", "5/2", "--chart", "osc", "--normalization", "s5"],
+        ["hamiltonian", "--ell", "5/2", "--normalization", "s6"],
+        ["eigenstate", "--ell", "5/2", "--normalization", "s6",
+         "--n", "1,0"],
     ], ids=["bad-ell", "normalization", "max-total", "seed",
-            "verify-max-total", "verify-max-degree"])
+            "verify-max-total", "verify-max-degree", "onshell-s5",
+            "onshell-s6", "transform-s5", "transform-s6", "gens-s5",
+            "hamiltonian-s6", "eigenstate-s6"])
     def test_bad_input_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -181,6 +196,29 @@ class TestVerify:
         rep = payload["suites"]["duality"]
         assert rep["spDim"] == 10 and rep["ospDim"] == 14
 
+    # each flag names a table entry; verify spectrum runs section7 for s5,
+    # and onshell and transform take the realization, section5 for s6
+    @pytest.mark.parametrize("suite,flag,want", [
+        ("spectrum", "s5", {"normalization": "section7",
+                            "matrixAgrees": True}),
+        ("spectrum", "s6", {"normalization": "section6", "splitOk": True,
+                            "matrixAgrees": None}),
+        ("transform", "s6", {"normalization": "section5"}),
+        ("onshell", "s6", None),
+    ], ids=["spectrum-s5", "spectrum-s6", "transform-s6", "onshell-s6"])
+    def test_flag_to_convention(self, capsys, suite, flag, want):
+        argv = ["verify", suite, "--ell", "3/2", "--chart", "osc",
+                "--normalization"]
+        code, out = run(capsys, *argv, flag)
+        assert code == 0
+        if want is None:
+            assert out == run(capsys, *argv, "s5")[1]
+            return
+        rep = json.loads(out)["suites"][suite]
+        fields = dict(rep, **rep.get("relations", {}))
+        for key, value in want.items():
+            assert fields.get(key) == value, key
+
     def test_onshell_osc_chart(self, capsys):
         code, out = run(capsys, "verify", "onshell", "--ell", "3/2",
                         "--chart", "osc")
@@ -192,3 +230,41 @@ class TestVerify:
         assert "z+1" in cen and "c" in cen
         assert "z0" not in cen and "z-1" not in cen
         assert len(cen) == 16
+
+
+# sha256 of stdout for commands whose output must not change; a change
+# that alters one on purpose updates its digest and says why
+DIGESTS = [
+    ("verify all --ell 1/2",
+     "79414904d7c7c49ea56e1c35d8e75705e71f7b3debb11eb0dfb82c7335b32e1b"),
+    ("verify all --ell 3/2",
+     "cc41eb978ddccba95b24216d261c904f3b18d2c8098787e7c42b193cf3c1b5c8"),
+    ("verify all --ell 5/2",
+     "0b80a9f8c1fc433c3734bda37f662a4b7d4ff57d809f6c3a7e6f2bc8aa53d02b"),
+    ("verify all --ell 3/2 --chart osc --normalization s5",
+     "f189a871f74de7e92184ea672704513000a80ef28e0978e395116afbf1e17e90"),
+    ("verify all --ell 3/2 --chart osc --normalization s6",
+     "6b430957bb34554b585b09427bf9b041f5e8405dc68c5f6566f2a58ec2c23ccc"),
+    ("gens --ell 3/2 --chart free",
+     "88e1e9dd75482beab2f00a682ac2674e7f10fbd991a2e3d1db40eaa766b25bd5"),
+    ("gens --ell 3/2 --chart osc --normalization s5",
+     "a5ab61c8c7dea770b0c584b513615869958b209c2271d7bfbb3eea6af4c5d129"),
+    ("gens --ell 5/2 --chart osc",
+     "3998d46c296fb0b8469582d9a6c8d394fd7bb6a51f08ee8c5883af00bd8407c7"),
+    ("hamiltonian --ell 3/2 --normalization s6 --m-form --format text",
+     "c338e0c40df34b59ad3497e4d3e0e33096d4f23e8a514890b01da13bf77090d7"),
+    ("spectrum --ell 3/2 --normalization s6 --max-total 3",
+     "6bb1df52deffe76776685b57d67b4216d7ed823299061c2d1beba746bf628613"),
+    ("eigenstate --ell 3/2 --normalization s6 --n 2,1",
+     "f1dc8aa08fbde0d0fb554edddd67540737e7b809006732210cf91e14d48cd06a"),
+]
+
+
+@pytest.mark.parametrize("command,digest", DIGESTS,
+                         ids=[c.replace(" ", "_") for c, _ in DIGESTS])
+def test_output_digest(command, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

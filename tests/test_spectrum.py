@@ -5,14 +5,16 @@ from math import comb
 import pytest
 
 import cgaosc.spectrum
-from cgaosc.errors import Mismatch, NormalizationUnavailable
+from cgaosc.errors import (BadEll, Inconsistent, Mismatch,
+                           NormalizationUnavailable)
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.realizations import osc_generators, positive_w_indices, w_label
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import (ExactMatrix, Ladder, harmonic_reduction,
                              hamiltonian, hamiltonian_m_form_expected,
-                             ladder_relations, ladder_state, matrix_oracle,
-                             spectrum, to_m_form, vacuum, vacuum_energy)
+                             ladder_energy, ladder_relations, ladder_state,
+                             matrix_oracle, spectrum, to_m_form, vacuum,
+                             vacuum_energy)
 from cgaosc.weyl import Chart, WeylOp
 
 H = HalfInt
@@ -61,9 +63,40 @@ class TestVacuum:
         assert v == want
         assert vacuum_energy(H(3), "section6") == 1
 
-    def test_section6_only_threehalf(self):
-        with pytest.raises(NormalizationUnavailable):
-            vacuum(H(1), "section6")
+
+def _refusals():
+    entry_points = {
+        "hamiltonian": hamiltonian,
+        "vacuum": vacuum,
+        "vacuum_energy": vacuum_energy,
+        "ladder_energy": lambda ell, name: ladder_energy(ell, name, (0, 0)),
+        "Ladder": Ladder,
+        "ladder_relations": ladder_relations,
+        "spectrum": lambda ell, name: spectrum(ell, 1, name),
+    }
+    bad = [(H(5), "section6", NormalizationUnavailable),
+           (H(3), "section5", ValueError),
+           (H(3), "bogus", ValueError),
+           (H(4), "section7", BadEll)]
+    for entry, call in entry_points.items():
+        for ell, name, error in bad:
+            yield pytest.param(call, ell, name, error,
+                               id=f"{entry}-{name}@{ell}")
+    # one lowering operator too many: the multi-index does not fit
+    yield pytest.param(
+        lambda ell, name: ladder_energy(ell, name, (1, 0, 0)),
+        H(3), "section7", ValueError, id="ladder_energy-long-index")
+
+
+class TestConventionGuard:
+    # vacuum_energy and ladder_energy once returned a value for every
+    # input here, e.g. vacuum_energy(5/2, "section6") = 1 and
+    # ladder_energy(3/2, "section7", (1, 0, 0)) = 3
+    @pytest.mark.parametrize("call,ell,name,error", _refusals())
+    def test_refused(self, call, ell, name, error):
+        with pytest.raises(ValueError) as exc:
+            call(ell, name)
+        assert type(exc.value) is error
 
 
 class TestLadder:
@@ -247,7 +280,6 @@ class TestHarmonicReduction:
     ], ids=lambda x: str(x))
     def test_all_ell(self, ell, const):
         rep = harmonic_reduction(ell)
-        assert rep.consistent
         assert rep.constant == const
         # restriction of a u1-only eigenfunction stays u1-only
         chart = Chart("osc", ell)
@@ -256,3 +288,15 @@ class TestHarmonicReduction:
         img = apply_op(rep.restricted, f)
         for (_, vp), _coef in img.terms.items():
             assert all(p == 0 for p in vp[1:])
+
+    @pytest.mark.parametrize("extra,message", [
+        (lambda chart: WeylOp.var(chart, 1), "maps u_1-only functions"),
+        (lambda chart: WeylOp.const(chart, F(1)), "restricted operator"),
+    ], ids=["u2-without-d_u2", "extra-constant"])
+    def test_inconsistent(self, monkeypatch, extra, message):
+        h = hamiltonian(H(3))
+        bad = h + extra(h.chart)
+        monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                            lambda ell, normalization="section7": bad)
+        with pytest.raises(Inconsistent, match=message):
+            harmonic_reduction(H(3))
