@@ -2,13 +2,15 @@
 
 Exit codes: 0 all checks pass / query succeeded, 1 a verification
 failed (failure report as JSON on stdout), 2 usage error (bad arguments,
-or an InputError such as an invalid ell or an unavailable normalization).
+or an InputError such as an invalid ell or an unavailable normalization),
+141 the reader closed stdout (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -241,6 +243,8 @@ def cmd_verify(args) -> int:
         "transform": verify_transform,
         "spectrum": verify_spectrum,
     }
+    # refuse the flag before any suite runs, whichever suites read it
+    convention(args.ell, NORMS[args.normalization])
     names = list(suites) if args.suite == "all" else [args.suite]
     report = {"ell": str(args.ell), "status": "pass", "suites": {}}
     for name in names:
@@ -270,13 +274,21 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
-    except ValueError as exc:  # InputError is a ValueError too
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except CgaError as exc:
-        _emit({"status": "fail", "error": type(exc).__name__,
-               "detail": str(exc)})
-        return 1
+        try:
+            code = handlers[args.command](args)
+        except ValueError as exc:  # InputError is a ValueError too
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        except CgaError as exc:
+            _emit({"status": "fail", "error": type(exc).__name__,
+                   "detail": str(exc)})
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: exit quietly with 128 + SIGPIPE, and point
+        # stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

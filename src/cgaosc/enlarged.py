@@ -13,8 +13,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import GradingViolation, JacobiFailure
 from .realizations import (AlgebraElement, C_LABEL, GenLabel, StructureTable,
                            Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
-                           free_generators, label_sort_key, w_indices,
-                           w_label, ww_label)
+                           free_generators, label_sort_key, label_str,
+                           w_indices, w_label, ww_label)
 from .scalars import (CScalar, HalfInt, check_half_odd, from_raw, numerators,
                       raw_acc, raw_mul)
 from .weyl import WeylOp
@@ -160,8 +160,9 @@ class DualityReport:
     ecga_dim: int
     sp_dim: int
     osp_dim: int
-    sp_closed: bool
-    osp_closed: bool
+    # true in every report: duality_report raises when a sector is open
+    sp_closed: bool = True
+    osp_closed: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -176,29 +177,33 @@ class DualityReport:
         }
 
 
+def _check_sector(table: StructureTable, sector: List[GenLabel],
+                  name: str) -> None:
+    """Raise GradingViolation at the first pair of the sector, in label
+    order, whose bracket in table leaves it, showing the part outside."""
+    sector = sorted(sector, key=label_sort_key)
+    inside = set(sector)
+    for i, a in enumerate(sector):
+        for b in sector[i:]:
+            outside = {lb: v for lb, v in table.bracket(a, b).terms.items()
+                       if lb not in inside}
+            if outside:
+                raise GradingViolation(
+                    f"bracket ({label_str(a)}, {label_str(b)}) leaves the "
+                    f"{name} sector: {AlgebraElement(outside)!r}")
+
+
 def duality_report(basis: EnlargedBasis) -> DualityReport:
     """Both compatible structures on the same realized operators: the
-    dimension table and the closure of the sp and osp sectors.  The
-    Jacobi identities of the two tables are check_jacobi's, not this
-    report's."""
+    dimension table, once the sp sector (the w_{i,j}) closes in the plain
+    table and the osp sector (the w_{i,j} and the w_j) in the graded one;
+    GradingViolation names a pair that leaves its sector.  The Jacobi
+    identities of the two tables are check_jacobi's, not this report's."""
     ecga_table, scga_table = closure_tables(basis)
-
     ww = [lb for lb in basis.even if lb[0] == "ww"]
-    ww_set = set(ww)
-    sp_closed = True
-    for i, a in enumerate(ww):
-        for b in ww[i + 1:]:
-            if any(lb not in ww_set
-                   for lb in ecga_table.bracket(a, b).terms):
-                sp_closed = False
-    osp = ww + [lb for lb in basis.odd]
-    osp_set = set(osp)
-    osp_closed = True
-    for i, a in enumerate(osp):
-        for b in osp[i:]:
-            if any(lb not in osp_set
-                   for lb in scga_table.bracket(a, b).terms):
-                osp_closed = False
+    osp = ww + basis.odd
+    _check_sector(ecga_table, ww, "sp")
+    _check_sector(scga_table, osp, "osp")
     return DualityReport(
         ell=basis.ell,
         even_dim=len(basis.even),
@@ -206,6 +211,4 @@ def duality_report(basis: EnlargedBasis) -> DualityReport:
         ecga_dim=len(basis.even) + len(basis.odd),
         sp_dim=len(ww),
         osp_dim=len(osp),
-        sp_closed=sp_closed,
-        osp_closed=osp_closed,
     )

@@ -33,11 +33,9 @@ class GaussFunc(LinComb):
         object.__setattr__(self, "kappa", kappa)
         super().__init__(terms)
         for (mu2, vp) in self.terms:
-            if len(vp) != chart.nvars:
-                raise ChartMismatch(
-                    f"term key {(mu2, vp)} does not fit the {chart.kind} chart")
-            if mu2 and chart.kind == "free":
-                raise ChartMismatch("free-chart functions carry no s-weight")
+            if len(vp) != chart.nvars or (mu2 and chart.kind == "free"):
+                raise ChartMismatch(f"term key {(mu2, vp)} does not fit "
+                                    f"the {chart.kind} chart")
 
     @classmethod
     def monomial(cls, chart: Chart, kappa: CScalar, mu2: int = 0,

@@ -19,13 +19,26 @@ from .errors import BadEll, NotMonomial, ZeroDivisor
 Rational = Fraction
 
 
+def rational(q) -> Fraction:
+    """The one way a number from outside becomes a coefficient: an int
+    (not a bool) or a Fraction; anything else, a float included, raises
+    TypeError."""
+    if isinstance(q, Fraction):
+        return q
+    if isinstance(q, int) and not isinstance(q, bool):
+        return Fraction(q)
+    raise TypeError(f"an exact coefficient is an int or a Fraction, "
+                    f"not {type(q).__name__}")
+
+
 class HalfInt:
-    """A half-integer q, stored as the integer 2q."""
+    """A half-integer q, stored as the integer 2q.  Its arithmetic and
+    comparisons take HalfInt operands only."""
 
     __slots__ = ("twice",)
 
     def __init__(self, twice: int):
-        if not isinstance(twice, int):
+        if not isinstance(twice, int) or isinstance(twice, bool):
             raise TypeError("twice must be an int")
         object.__setattr__(self, "twice", twice)
 
@@ -37,7 +50,7 @@ class HalfInt:
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "HalfInt":
-        q = Fraction(q)
+        q = rational(q)
         if q.denominator not in (1, 2):
             raise ValueError(f"{q} is not a half-integer")
         return cls(int(q * 2))
@@ -50,56 +63,27 @@ class HalfInt:
         return self.twice % 2 == 0
 
     def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
+        if not isinstance(other, HalfInt):
+            return NotImplemented
+        return HalfInt(self.twice + other.twice)
 
     def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice - 2 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return HalfInt(2 * other - self.twice)
-        return NotImplemented
+        if not isinstance(other, HalfInt):
+            return NotImplemented
+        return HalfInt(self.twice - other.twice)
 
     def __neg__(self):
         return HalfInt(-self.twice)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if isinstance(other, int):
-            return self.twice == 2 * other
-        if isinstance(other, Fraction):
-            return self.as_fraction() == other
-        return NotImplemented
+        if not isinstance(other, HalfInt):
+            return NotImplemented
+        return self.twice == other.twice
 
     def __lt__(self, other):
-        return self.twice < _twice_of(other)
-
-    def __le__(self, other):
-        return self.twice <= _twice_of(other)
-
-    def __gt__(self, other):
-        return self.twice > _twice_of(other)
-
-    def __ge__(self, other):
-        return self.twice >= _twice_of(other)
+        if not isinstance(other, HalfInt):
+            return NotImplemented
+        return self.twice < other.twice
 
     def __hash__(self):
         return hash(self.as_fraction())
@@ -108,14 +92,6 @@ class HalfInt:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-
-def _twice_of(other) -> int:
-    if isinstance(other, HalfInt):
-        return other.twice
-    if isinstance(other, int):
-        return 2 * other
-    raise TypeError(f"cannot compare HalfInt with {type(other)}")
 
 
 def check_half_odd(ell: HalfInt) -> HalfInt:
@@ -137,7 +113,7 @@ class CScalar:
         clean = {}
         if terms:
             for k, v in terms.items():
-                v = Fraction(v)
+                v = rational(v)
                 if v:
                     clean[k] = v
         object.__setattr__(self, "terms", clean)
@@ -160,11 +136,11 @@ class CScalar:
 
     @classmethod
     def from_rational(cls, q) -> "CScalar":
-        return cls({0: Fraction(q)})
+        return cls({0: q})
 
     @classmethod
     def c_power(cls, k: int, coef=1) -> "CScalar":
-        return cls({k: Fraction(coef)})
+        return cls({k: coef})
 
     @classmethod
     def c(cls) -> "CScalar":
@@ -204,26 +180,14 @@ class CScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __neg__(self):
         return _wrap({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            f = Fraction(other)
-            return _wrap({k: v * f for k, v in self.terms.items()})
+            return self.scale(other)
         if not isinstance(other, CScalar):
             return NotImplemented
         return _wrap(raw_mul(self.terms, other.terms))
@@ -231,6 +195,7 @@ class CScalar:
     __rmul__ = __mul__
 
     def scale(self, f: int | Fraction) -> "CScalar":
+        f = rational(f)
         if f == 1:
             return self
         if not f:
@@ -239,7 +204,6 @@ class CScalar:
 
     def div_monomial(self, other: "CScalar") -> "CScalar":
         """Exact quotient by a monomial a*c^k."""
-        other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisor("division by zero CScalar")
         if not other.is_monomial():
@@ -249,7 +213,6 @@ class CScalar:
 
     def try_div(self, other: "CScalar") -> "CScalar | None":
         """Exact Laurent quotient self/other, or None when not divisible."""
-        other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisor("division by zero CScalar")
         if self.is_zero():
@@ -267,7 +230,7 @@ class CScalar:
         """Substitute c -> factor * c', reinterpreting the symbol.
 
         Used for the display-time substitution c = -(2l+1) m."""
-        factor = Fraction(factor)
+        factor = rational(factor)
         return _wrap({k: v * factor ** k for k, v in self.terms.items()})
 
     # -- misc -----------------------------------------------------------
@@ -320,7 +283,7 @@ def _coerce(x):
     if isinstance(x, CScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return CScalar({0: Fraction(x)})
+        return CScalar.from_rational(x)
     return NotImplemented
 
 
@@ -512,9 +475,7 @@ class LinComb:
 
 def _to_poly(s: CScalar):
     """CScalar -> (dense coefficient list, shift) with poly[i] = coeff of
-    c^(i+shift)."""
-    if not s.terms:
-        return [Fraction(0)], 0
+    c^(i+shift), for a nonzero s."""
     lo = min(s.terms)
     hi = max(s.terms)
     poly = [s.terms.get(k, _F0) for k in range(lo, hi + 1)]

@@ -194,8 +194,7 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
                          "normalization")
     state = ladder.state(n)
     energy = ladder_energy(ell, normalization, n)
-    resid = apply_op(ladder.h, state) - state.scaled(
-        CScalar.from_rational(energy))
+    resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy), state)
     if not resid.is_zero():
         raise Mismatch(f"eigen-relation for n={n}", resid)
     return SpectrumRecord(n=n, energy=energy, state=state,

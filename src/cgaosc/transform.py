@@ -48,11 +48,9 @@ class TransformSpec:
         return CScalar.c().scale(Fraction(-1) / (2 * lf + 1))
 
 
-def transform(g: WeylOp, spec: TransformSpec,
-              sub: Substitution | None = None) -> WeylOp:
-    """Apply the three-step map to a free-chart operator."""
-    if sub is None:
-        sub = free_to_osc_substitution(spec.ell)
+def transform(g: WeylOp, spec: TransformSpec, sub: Substitution) -> WeylOp:
+    """Apply the three-step map to a free-chart operator; sub is
+    free_to_osc_substitution(spec.ell)."""
     out = sub(g)
     out = conjugate(out, ("sshift", -spec.delta))
     return conjugate(out, ("gauss", spec.gauss_weight))

@@ -21,7 +21,7 @@ from typing import Dict, Tuple
 
 from .errors import ChartMismatch, RelationViolation, UnsupportedWeight
 from .scalars import (CScalar, HalfInt, LinComb, check_half_odd, from_raw,
-                      numerators, raw_acc, raw_mul)
+                      numerators, rational, raw_acc, raw_mul)
 
 Key = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # (2*mu, var, der)
 
@@ -118,18 +118,13 @@ class WeylOp(LinComb):
     def __init__(self, chart: Chart, terms: Dict[Key, CScalar] | None = None):
         object.__setattr__(self, "chart", chart)
         super().__init__(terms)
-        if chart.kind == "osc":
-            # polynomial powers of s are never allowed in the osc chart;
-            # the var tuple only holds u's so check lengths instead
-            for (e, v, d) in self.terms:
-                if len(v) != chart.nvars or len(d) != chart.nders:
-                    raise ChartMismatch(
-                        f"term key {(e, v, d)} does not fit the osc chart")
-        else:
-            for (e, v, d) in self.terms:
-                if e != 0:
-                    raise ChartMismatch(
-                        "free chart carries no exponential s-weight")
+        # the osc chart's var tuple holds only the u's (s enters through
+        # exp(mu s) alone), and the free chart carries no s-weight
+        for (e, v, d) in self.terms:
+            if (len(v) != chart.nvars or len(d) != chart.nders
+                    or (e and chart.kind == "free")):
+                raise ChartMismatch(f"term key {(e, v, d)} does not fit "
+                                    f"the {chart.kind} chart")
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -175,8 +170,6 @@ class WeylOp(LinComb):
 
     # -- product and brackets --------------------------------------------
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CScalar)):
-            return self.scaled(other)
         if not isinstance(other, WeylOp):
             return NotImplemented
         return self._bracket(other, 1, 1, 0)
@@ -317,7 +310,7 @@ def conjugate(a: WeylOp, weight) -> WeylOp:
                  + WeylOp.var(chart, gvar, coef=kappa))
         return _conjugate_by_der_image(a, gder, image)
     if kind == "sshift":
-        delta = Fraction(weight[1])
+        delta = rational(weight[1])
         if chart.kind != "osc":
             raise UnsupportedWeight("s-shift weights live in the osc chart")
         image = WeylOp.der(chart, 0) + WeylOp.const(chart, delta)

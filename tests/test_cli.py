@@ -12,8 +12,9 @@ import pytest
 import cgaosc.cli
 import cgaosc.enlarged
 from cgaosc.cli import main, parse_ell
+from cgaosc.errors import Mismatch, NotTriangular
 from cgaosc.jsonio import weylop_from_json
-from cgaosc.realizations import free_generators, parse_label
+from cgaosc.realizations import AlgebraElement, free_generators, parse_label
 from cgaosc.scalars import HalfInt
 
 H = HalfInt
@@ -57,15 +58,46 @@ class TestParsing:
         ["hamiltonian", "--ell", "5/2", "--normalization", "s6"],
         ["eigenstate", "--ell", "5/2", "--normalization", "s6",
          "--n", "1,0"],
+        ["verify", "all", "--ell", "7/2", "--normalization", "s6"],
+        ["verify", "closure", "--ell", "5/2", "--normalization", "s6"],
     ], ids=["bad-ell", "normalization", "max-total", "seed",
             "verify-max-total", "verify-max-degree", "onshell-s5",
             "onshell-s6", "transform-s5", "transform-s6", "gens-s5",
-            "hamiltonian-s6", "eigenstate-s6"])
+            "hamiltonian-s6", "eigenstate-s6", "all-s6", "closure-s6"])
     def test_bad_input_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_normalization_refused_before_any_suite(self, capsys,
+                                                    monkeypatch):
+        def never(args):
+            raise AssertionError("a suite ran before the flag was checked")
+
+        monkeypatch.setattr(cgaosc.cli, "verify_closure", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--ell", "7/2", "--normalization", "s6"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_closed_stdout_ends_quietly(self):
+        # 141 = 128 + SIGPIPE, what a shell reports for a filter whose
+        # reader left
+        src = str(Path(cgaosc.cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cgaosc", "verify", "spectrum",
+             "--ell", "1/2"], env=env, stdout=write_end,
+            stderr=subprocess.PIPE)
+        os.close(write_end)
+        os.close(read_end)  # the reader leaves before reading anything
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
 
     @pytest.mark.parametrize("ell,code", [("1/2", 0), ("-1/2", 2)])
     def test_python_m_cgaosc(self, ell, code):
@@ -219,6 +251,31 @@ class TestVerify:
         for key, value in want.items():
             assert fields.get(key) == value, key
 
+    def test_failed_suite_ends_the_report(self, capsys, monkeypatch):
+        def fail(args):
+            raise Mismatch("w_3/2", AlgebraElement.of(("w", 3)))
+
+        monkeypatch.setattr(cgaosc.cli, "verify_duality", fail)
+        code, out = run(capsys, "verify", "all", "--ell", "1/2")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "fail"
+        assert list(payload["suites"]) == ["closure", "jacobi", "duality"]
+        rep = payload["suites"]["duality"]
+        assert rep["error"] == "Mismatch"
+        assert "mismatch at w_3/2" in rep["detail"]
+
+    def test_failed_query_reports_the_error(self, capsys, monkeypatch):
+        def fail(ell, max_degree):
+            raise NotTriangular("entry below the diagonal")
+
+        monkeypatch.setattr(cgaosc.cli, "matrix_oracle", fail)
+        code, out = run(capsys, "matrix", "--ell", "1/2")
+        assert code == 1
+        assert json.loads(out) == {"status": "fail",
+                                   "error": "NotTriangular",
+                                   "detail": "entry below the diagonal"}
+
     def test_onshell_osc_chart(self, capsys):
         code, out = run(capsys, "verify", "onshell", "--ell", "3/2",
                         "--chart", "osc")
@@ -257,6 +314,18 @@ DIGESTS = [
      "6bb1df52deffe76776685b57d67b4216d7ed823299061c2d1beba746bf628613"),
     ("eigenstate --ell 3/2 --normalization s6 --n 2,1",
      "f1dc8aa08fbde0d0fb554edddd67540737e7b809006732210cf91e14d48cd06a"),
+    ("matrix --ell 3/2 --max-degree 2",
+     "5acfd2fb1dfe67b74da1da3bfe045d7545a11d297681d4ab6351e4acd25b45f0"),
+    ("spectrum --ell 5/2",
+     "26d7d12c096d16df89980cf7c51ea108c07147765fe5dab6ced437cb3b5b2723"),
+    ("eigenstate --ell 5/2 --n 1,0,1",
+     "7519e5019a78f69fc9b22d803179e954b7dd0b4a348ffa8c82b8eb67fbd55c2e"),
+    ("hamiltonian --ell 5/2 --format latex",
+     "965156943d3fa81c4fdf5c868197f984af39dda6dc3a8cd9fc8da4b4ddae8d6a"),
+    ("gens --ell 5/2 --chart free --format text",
+     "49b818ff1824492f193a9eee5d15d00400fce7192ca807d5bbb174b0003b5d7b"),
+    ("verify onshell --ell 5/2 --chart osc",
+     "85d65be66923f6df01b5500e8f7b327dfeafb11feea8ac695996f8ece350360c"),
 ]
 
 

@@ -4,14 +4,15 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from cgaosc import cli
 from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
                              duality_report, expected_dims, free_enlarged,
                              is_odd_label)
 from cgaosc.errors import BadEll, GradingViolation, JacobiFailure, NotClosed
 from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
                                  Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
-                                 label_sort_key, osc_generators, w_label,
-                                 ww_label)
+                                 free_generators, label_sort_key, label_str,
+                                 osc_generators, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import degree_of
 
@@ -292,6 +293,26 @@ class TestDuality:
         assert rep.sp_closed and rep.osp_closed
         js = rep.to_json()
         assert js["spClosed"] and js["ospClosed"]
+
+    # a z0 term added to one entry takes the pair's bracket out of its
+    # sector, which fails the suite
+    @pytest.mark.parametrize("table,pair,sector", [
+        (0, (ww_label(H(3), H(3)), ww_label(H(3), H(-3))), "sp"),
+        (1, (w_label(H(3)), w_label(H(-3))), "osp"),
+    ], ids=["plain-ww-ww", "graded-w-w"])
+    def test_open_sector_raises(self, monkeypatch, capsys, table, pair,
+                                sector):
+        basis = build_enlarged(free_generators(H(3)), H(3))
+        entries = closure_tables(basis)[table].entries
+        entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
+        with pytest.raises(GradingViolation) as exc:
+            duality_report(basis)
+        msg = str(exc.value)
+        assert f"({label_str(pair[0])}, {label_str(pair[1])})" in msg
+        assert f"{sector} sector: (1)*z0" in msg
+        monkeypatch.setattr(cli, "free_enlarged", lambda ell: basis)
+        assert cli.main(["verify", "duality", "--ell", "3/2"]) == 1
+        assert '"error": "GradingViolation"' in capsys.readouterr().out
 
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_grading_additivity(self, ell):

@@ -56,6 +56,41 @@ class TestHalfInt:
             check_half_odd(HalfInt(-1))
 
 
+class TestExactInputs:
+    # a coefficient is an int or a Fraction; HalfInt arithmetic is
+    # between HalfInts
+    @pytest.mark.parametrize("make", [
+        lambda: CScalar.from_rational(0.1),
+        lambda: CScalar({0: 0.1}),
+        lambda: CScalar.c_power(1, 0.25),
+        lambda: CScalar.c().scale(0.5),
+        lambda: CScalar.c() * 0.5,
+        lambda: CScalar.c().subs_c_scale(2.0),
+        lambda: CScalar.from_rational(True),
+        lambda: HalfInt(True),
+        lambda: HalfInt(3) + 1,
+        lambda: 1 - HalfInt(3),
+        lambda: HalfInt(3) < 2,
+    ], ids=["from_rational-float", "init-float", "c_power-float",
+            "scale-float", "mul-float", "subs_c_scale-float",
+            "from_rational-bool", "halfint-bool", "halfint-plus-int",
+            "int-minus-halfint", "halfint-lt-int"])
+    def test_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_halfint_equals_only_halfints(self):
+        assert HalfInt(2) != 1
+        assert HalfInt(3) != Fraction(3, 2)
+        assert HalfInt(3) == HalfInt.from_fraction(Fraction(3, 2))
+
+    def test_every_coefficient_is_a_fraction(self):
+        for s in (CScalar.c().scale(3), CScalar.c() * 2,
+                  CScalar.from_rational(5), CScalar.c_power(-1, 7),
+                  CScalar.c().subs_c_scale(-4)):
+            assert all(type(q) is Fraction for q in s.terms.values()), s
+
+
 class TestCScalarRing:
     @settings(max_examples=200, deadline=None)
     @given(scalars, scalars, scalars)

@@ -90,6 +90,28 @@ class TestNormalForm:
         with pytest.raises(ChartMismatch):
             GaussFunc(FREE, CScalar.zero(), {(2, (0,) * FREE.nvars): one})
 
+    # one slot too many or too few, in the var or the der tuple: in the
+    # product kernel such a key would lose a slot or index past its end
+    @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
+    @pytest.mark.parametrize("dv,dd", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    def test_key_lengths_fit_both_charts(self, chart, dv, dd):
+        key = (0, (1,) * (chart.nvars + dv), (1,) * (chart.nders + dd))
+        with pytest.raises(ChartMismatch):
+            WeylOp(chart, {key: CScalar.one()})
+
+    @pytest.mark.parametrize("make", [
+        lambda: WeylOp.const(FREE, 0.1),
+        lambda: WeylOp.var(FREE, 0, coef=0.5),
+        lambda: WeylOp.der(OSC, 1, coef=True),
+        lambda: conjugate(WeylOp.der(OSC, 0), ("sshift", 0.1)),
+        lambda: WeylOp.var(FREE, 0) * 2,
+        lambda: 0.5 * WeylOp.var(FREE, 0),
+    ], ids=["const-float", "var-float", "der-bool", "sshift-float",
+            "scalar-on-the-right", "float-on-the-left"])
+    def test_inexact_coefficients_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
     def test_zero_gaussfuncs_hash_alike(self):
         a = GaussFunc.zero(FREE, CScalar.zero())
         b = GaussFunc.zero(FREE, CScalar.c())
