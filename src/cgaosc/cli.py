@@ -48,6 +48,13 @@ def parse_ell(text: str) -> HalfInt:
     return HalfInt(q.numerator)
 
 
+def non_negative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cgaosc",
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="ladder-state energies")
     common(sp, norm=["s6", "s7"], fmt=False)
-    sp.add_argument("--max-total", type=int, default=3)
+    sp.add_argument("--max-total", type=non_negative, default=3)
 
     sp = sub.add_parser("eigenstate", help="one ladder eigenstate")
     common(sp, norm=["s6", "s7"], fmt=False)
@@ -87,15 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("matrix", help="triangular matrix oracle")
     common(sp, fmt=False)
-    sp.add_argument("--max-degree", type=int, default=2)
+    sp.add_argument("--max-degree", type=non_negative, default=2)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("suite", choices=["closure", "jacobi", "duality",
                                       "onshell", "transform", "spectrum",
                                       "all"])
     common(sp, chart=True, norm=["s5", "s6", "s7"], fmt=False)
-    sp.add_argument("--max-total", type=int, default=3)
-    sp.add_argument("--max-degree", type=int, default=3)
+    sp.add_argument("--max-total", type=non_negative, default=3)
+    sp.add_argument("--max-degree", type=non_negative, default=3)
     return p
 
 
@@ -211,9 +218,6 @@ def verify_transform(args) -> dict:
 def verify_spectrum(args) -> dict:
     ell = args.ell
     norm = SPECTRUM_NORMS[args.normalization]
-    if min(args.max_total, args.max_degree) < 0:
-        raise ValueError("--max-total and --max-degree must be "
-                         "non-negative")
     rel = ladder_relations(ell, norm)
     # one ladder up to the larger bound serves both counts below
     recs = spectrum(ell, max(args.max_total, args.max_degree), norm)

@@ -20,10 +20,6 @@ from .scalars import (CScalar, HalfInt, check_half_odd, from_raw, numerators,
 from .weyl import WeylOp
 
 
-def is_odd_label(label: GenLabel) -> bool:
-    return label[0] == "w"
-
-
 @dataclass
 class EnlargedBasis:
     ell: HalfInt
@@ -94,24 +90,17 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
     (a, b), so for a graded-antisymmetric bracket that keeps parity its
     residual at any ordered triple is +- its residual at the sorted
     triple: the n(n+1)(n+2)/6 triples a <= b <= d in label order cover
-    all n^3.  StructureTable.bracket is antisymmetric by construction
-    when each entry's kind fits its pair's parities; both that and the
-    parity of every entry are checked first (GradingViolation).
+    all n^3.  A StructureTable is both by construction, with the parities
+    of table.odd; graded says which table the caller means, and a table
+    whose grading disagrees raises GradingViolation.
 
     The sums run on integer numerators over the table-wide denominator
     D, so a residual is numerators over D^2.  Returns n^3; raises
     JacobiFailure with the residual lhs - rhs."""
-    labels = table.labels
-    odd = {x: graded and is_odd_label(x) for x in labels}
-    for (a, b), elem in table.entries.items():
-        kind = table.kinds.get((a, b), "commutator")
-        want = "anticommutator" if odd[a] and odd[b] else "commutator"
-        if kind != want or (a == b and kind == "commutator"):
-            raise GradingViolation(
-                f"{kind} entry ({a}, {b}) is not graded-antisymmetric")
-        if any(odd[lb] != (odd[a] != odd[b]) for lb in elem.terms):
-            raise GradingViolation(
-                f"bracket ({a}, {b}) leaves its parity sector: {elem}")
+    labels, odd = table.labels, table.odd
+    if graded != bool(odd):
+        raise GradingViolation(f"graded={graded} but the table's odd labels "
+                               f"are {sorted(odd, key=label_sort_key)}")
     den = lcm(*(q.denominator for elem in table.entries.values()
                 for cs in elem.terms.values() for q in cs.terms.values()))
     # equal coefficients share one numerator map, so the adjoint maps
@@ -132,7 +121,7 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
             b = labels[j]
             ad_b = ad[b]
             ab = ad_a.get(b, empty)
-            sign = -1 if odd[a] and odd[b] else 1
+            sign = -1 if a in odd and b in odd else 1
             for d in labels[j:]:
                 res: Dict[GenLabel, dict] = {}
                 for e, k in ab.items():

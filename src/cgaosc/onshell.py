@@ -166,7 +166,6 @@ def solve_omega1(ell: HalfInt) -> Tuple[WeylOp, AlgebraElement]:
 
 @dataclass
 class OnShellCertificate:
-    omega: WeylOp
     table: Dict[GenLabel, Optional[WeylOp]]  # None means strict zero
 
     def multipliers(self) -> Dict[GenLabel, WeylOp]:
@@ -224,7 +223,7 @@ def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
         if f is None:
             raise NotProportional(label_str(lb), comm)
         table[lb] = f
-    return OnShellCertificate(omega=omega, table=table)
+    return OnShellCertificate(table=table)
 
 
 def cross_relations(omega0: WeylOp, omega1: WeylOp) -> None:

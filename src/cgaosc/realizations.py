@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import GradingViolation, NormalizationUnavailable, NotClosed
@@ -325,22 +326,36 @@ class AlgebraElement(LinComb):
 
 
 class StructureTable:
-    """Brackets of a generator set re-expanded in the generator basis.
+    """Brackets of a generator set re-expanded in the generator basis,
+    graded by its odd labels (none for a Lie algebra).
 
-    Entries are stored for canonically ordered pairs (a <= b in label
-    order); lookups apply the bracket symmetry."""
+    Entries are stored read-only for pairs a <= b in label order;
+    lookups apply the symmetry of an anticommutator iff both labels are
+    odd.  GradingViolation refuses an entry outside its pair's parity
+    sector (odd iff exactly one label is odd) or on an even diagonal."""
 
-    def __init__(self, labels, entries, kinds):
+    def __init__(self, labels, entries, odd=frozenset()):
         self.labels = sorted(labels, key=label_sort_key)
-        self.entries: Dict[Tuple[GenLabel, GenLabel], AlgebraElement] = entries
-        self.kinds: Dict[Tuple[GenLabel, GenLabel], str] = kinds
+        self.odd = frozenset(odd)
+        for (a, b), elem in entries.items():
+            if a == b and a not in self.odd:
+                raise GradingViolation(f"diagonal entry ({a}, {b}) of an "
+                                       "even label breaks antisymmetry")
+            sector = (a in self.odd) != (b in self.odd)
+            if any((lb in self.odd) != sector for lb in elem.terms):
+                raise GradingViolation(
+                    f"bracket ({a}, {b}) leaves its parity sector: {elem}")
+        self.entries = MappingProxyType(dict(entries))
+        self.kinds = MappingProxyType(
+            {(a, b): "anticommutator" if {a, b} <= self.odd else "commutator"
+             for a, b in self.entries})
 
     def bracket(self, a: GenLabel, b: GenLabel) -> AlgebraElement:
         key = tuple(sorted((a, b), key=label_sort_key))
         entry = self.entries.get(key)
         if entry is None:
             return AlgebraElement()
-        if (a, b) != key and self.kinds.get(key, "commutator") == "commutator":
+        if (a, b) != key and not {a, b} <= self.odd:
             return -entry
         return entry
 
@@ -349,7 +364,7 @@ class StructureTable:
             return NotImplemented
         return (self.labels == other.labels
                 and self.entries == other.entries
-                and self.kinds == other.kinds)
+                and self.odd == other.odd)
 
 
 class SpanBasis:
@@ -397,17 +412,13 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
                    ) -> Tuple[StructureTable, StructureTable]:
     """The plain and the graded structure table of a closed realized set.
 
-    The plain table holds every commutator; the graded one holds the
-    commutators of the pairs that are not both odd and the
-    anticommutators of odd-odd pairs (the diagonal included), each of
-    which must stay in its parity sector.  Raises NotClosed naming the
-    pair whose bracket leaves the span, GradingViolation for one that
-    leaves its sector."""
+    The plain table holds every commutator; the graded one shares its
+    entries of the pairs that are not both odd and holds the
+    anticommutators of the odd-odd pairs (the diagonal included).
+    Raises NotClosed naming the pair whose bracket leaves the span."""
     span = SpanBasis(realized)
     labels = sorted(realized, key=label_sort_key)
-    even = frozenset(labels) - odd
-    c_entries, c_kinds = {}, {}
-    g_entries, g_kinds = {}, {}
+    plain, graded = {}, {}
 
     def expand(op, a, b):
         try:
@@ -419,34 +430,18 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
     for i, a in enumerate(labels):
         for b in labels[i:]:
             odd_odd = a in odd and b in odd
-            if a == b and not odd_odd:
-                continue
             if a != b:
                 comm = realized[a].commutator(realized[b])
                 if not comm.is_zero():
-                    elem = expand(comm, a, b)
-                    c_entries[(a, b)] = elem
-                    c_kinds[(a, b)] = "commutator"
+                    plain[(a, b)] = expand(comm, a, b)
                     if not odd_odd:
-                        target = even if (a in odd) == (b in odd) else odd
-                        if any(lb not in target for lb in elem.terms):
-                            raise GradingViolation(
-                                f"bracket ({a}, {b}) leaves the graded "
-                                f"sector: {elem}")
-                        g_entries[(a, b)] = elem
-                        g_kinds[(a, b)] = "commutator"
+                        graded[(a, b)] = plain[(a, b)]
             if odd_odd:
                 anti = realized[a].anticommutator(realized[b])
                 if not anti.is_zero():
-                    elem = expand(anti, a, b)
-                    if any(lb not in even for lb in elem.terms):
-                        raise GradingViolation(
-                            f"bracket {{{a}, {b}}} leaves the even "
-                            f"sector: {elem}")
-                    g_entries[(a, b)] = elem
-                    g_kinds[(a, b)] = "anticommutator"
-    return (StructureTable(labels, c_entries, c_kinds),
-            StructureTable(labels, g_entries, g_kinds))
+                    graded[(a, b)] = expand(anti, a, b)
+    return (StructureTable(labels, plain),
+            StructureTable(labels, graded, odd))
 
 
 def extract_structure(gens: Dict[GenLabel, WeylOp]) -> StructureTable:

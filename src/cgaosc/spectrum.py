@@ -104,7 +104,6 @@ class SpectrumRecord:
     n: Tuple[int, ...]
     energy: Fraction
     state: GaussFunc
-    normalization: str
 
     def to_json(self) -> dict:
         from .jsonio import rational_json
@@ -120,9 +119,10 @@ def _lowering_order(ell: HalfInt, normalization: str) -> List[HalfInt]:
 
 
 def _check_multi_index(n: Sequence[int], size: int) -> None:
-    if len(n) != size or any(x < 0 for x in n):
+    if len(n) != size or any(not isinstance(x, int) or isinstance(x, bool)
+                             or x < 0 for x in n):
         raise ValueError(f"multi-index must have {size} non-negative "
-                         "entries")
+                         "int entries")
 
 
 def ladder_energy(ell: HalfInt, normalization: str,
@@ -186,7 +186,7 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     n_a counts w_{-j_a} in the order of _lowering_order; the last
     position acts innermost.  ladder, when given, is the Ladder of (ell, normalization) to build
     on; otherwise one is made for this state."""
-    n = tuple(int(x) for x in n)
+    n = tuple(n)
     if ladder is None:
         ladder = Ladder(ell, normalization)
     elif (ladder.ell, ladder.normalization) != (ell, normalization):
@@ -197,8 +197,7 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy), state)
     if not resid.is_zero():
         raise Mismatch(f"eigen-relation for n={n}", resid)
-    return SpectrumRecord(n=n, energy=energy, state=state,
-                          normalization=normalization)
+    return SpectrumRecord(n=n, energy=energy, state=state)
 
 
 def spectrum(ell: HalfInt, max_total: int,

@@ -60,10 +60,14 @@ class TestParsing:
          "--n", "1,0"],
         ["verify", "all", "--ell", "7/2", "--normalization", "s6"],
         ["verify", "closure", "--ell", "5/2", "--normalization", "s6"],
+        ["verify", "all", "--ell", "7/2", "--max-degree", "-1"],
+        ["verify", "closure", "--ell", "1/2", "--max-total", "-1"],
+        ["matrix", "--ell", "3/2", "--max-degree", "-1"],
     ], ids=["bad-ell", "normalization", "max-total", "seed",
             "verify-max-total", "verify-max-degree", "onshell-s5",
             "onshell-s6", "transform-s5", "transform-s6", "gens-s5",
-            "hamiltonian-s6", "eigenstate-s6", "all-s6", "closure-s6"])
+            "hamiltonian-s6", "eigenstate-s6", "all-s6", "closure-s6",
+            "all-max-degree", "closure-max-total", "matrix-max-degree"])
     def test_bad_input_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -80,6 +84,19 @@ class TestParsing:
             main(["verify", "all", "--ell", "7/2", "--normalization", "s6"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_negative_bound_refused_before_any_suite(self, capsys,
+                                                     monkeypatch):
+        def never(args):
+            raise AssertionError("a suite ran before the bound was checked")
+
+        monkeypatch.setattr(cgaosc.cli, "verify_closure", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--ell", "7/2", "--max-degree", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-degree: must be non-negative" in captured.err
 
     def test_closed_stdout_ends_quietly(self):
         # 141 = 128 + SIGPIPE, what a shell reports for a filter whose

@@ -6,8 +6,7 @@ import pytest
 
 from cgaosc import cli
 from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
-                             duality_report, expected_dims, free_enlarged,
-                             is_odd_label)
+                             duality_report, expected_dims, free_enlarged)
 from cgaosc.errors import BadEll, GradingViolation, JacobiFailure, NotClosed
 from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
                                  Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
@@ -127,7 +126,7 @@ class TestJacobi:
         table = closure_tables(free_enlarged(ell))[int(graded)]
         entries = dict(table.entries)
         entries[pair] = entries[pair].scaled(CScalar.from_rational(2))
-        bad = StructureTable(table.labels, entries, table.kinds)
+        bad = StructureTable(table.labels, entries, table.odd)
         with pytest.raises(JacobiFailure) as exc:
             check_jacobi(bad, graded=graded)
         assert set(pair) <= set(exc.value.triple)
@@ -139,24 +138,23 @@ def _random_table(rng, labels, graded):
     """A random table over labels that is graded-antisymmetric (through
     StructureTable.bracket) and keeps parity, with small rational
     entries: a bracket in general, not a Lie (super)algebra."""
-    odd = {x: graded and is_odd_label(x) for x in labels}
-    entries, kinds = {}, {}
+    odd = {x for x in labels if graded and x[0] == "w"}
+    entries = {}
     for i, a in enumerate(labels):
         for b in labels[i:]:
-            anti = odd[a] and odd[b]
-            if a == b and not anti:
+            if a == b and a not in odd:
                 continue
-            sector = [x for x in labels if odd[x] == (odd[a] != odd[b])]
+            sector = [x for x in labels
+                      if (x in odd) == ((a in odd) != (b in odd))]
             terms = {x: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                      for x in sector if rng.random() < 0.5}
             elem = AlgebraElement(terms)
             if elem.terms:
                 entries[(a, b)] = elem
-                kinds[(a, b)] = "anticommutator" if anti else "commutator"
-    return StructureTable(labels, entries, kinds)
+    return StructureTable(labels, entries, odd)
 
 
-def _residual(table, graded, a, b, d):
+def _residual(table, a, b, d):
     """[[a,b},d} - [a,[b,d}} + (-1)^{|a||b|} [b,[a,d}} with
     AlgebraElement arithmetic on StructureTable.bracket, independent of
     check_jacobi's numerator sums."""
@@ -167,7 +165,7 @@ def _residual(table, graded, a, b, d):
         return sum((table.bracket(x, e).scaled(k)
                     for e, k in y.terms.items()), AlgebraElement())
 
-    sign = -1 if graded and is_odd_label(a) and is_odd_label(b) else 1
+    sign = -1 if a in table.odd and b in table.odd else 1
     return (br(table.bracket(a, b), d) - br(a, table.bracket(b, d))
             + br(b, table.bracket(a, d)).scaled(sign))
 
@@ -186,9 +184,8 @@ class TestJacobiReduction:
         for _ in range(12):
             table = _random_table(rng, self.LABELS, graded)
             for triple in product(self.LABELS, repeat=3):
-                got = _residual(table, graded, *triple)
-                ref = _residual(table, graded,
-                                *sorted(triple, key=order.get))
+                got = _residual(table, *triple)
+                ref = _residual(table, *sorted(triple, key=order.get))
                 assert got in (ref, -ref), triple
 
     # with the odd labels first, the first sorted triples repeat a label
@@ -202,15 +199,14 @@ class TestJacobiReduction:
         for graded in (False, True) * 6:
             table = _random_table(rng, labels, graded)
             failing = [t for t in combinations_with_replacement(labels, 3)
-                       if not _residual(table, graded, *t).is_zero()]
+                       if not _residual(table, *t).is_zero()]
             if not failing:
                 assert check_jacobi(table, graded=graded) == len(labels) ** 3
                 continue
             with pytest.raises(JacobiFailure) as exc:
                 check_jacobi(table, graded=graded)
             assert exc.value.triple == failing[0]
-            assert exc.value.residual == _residual(table, graded,
-                                                   *failing[0])
+            assert exc.value.residual == _residual(table, *failing[0])
 
     def test_every_doubled_entry_fails_threehalf(self):
         tables = closure_tables(free_enlarged(H(3)))
@@ -219,7 +215,7 @@ class TestJacobiReduction:
             for pair, elem in table.entries.items():
                 entries = dict(table.entries)
                 entries[pair] = elem.scaled(CScalar.from_rational(2))
-                bad = StructureTable(table.labels, entries, table.kinds)
+                bad = StructureTable(table.labels, entries, table.odd)
                 with pytest.raises(JacobiFailure):
                     check_jacobi(bad, graded=bool(graded))
                 swept += 1
@@ -236,50 +232,65 @@ class TestJacobiReduction:
         entries = dict(table.entries)
         entries[pair] = entries[pair].scaled(CScalar.from_rational(
             Fraction(3, 2)))
-        bad = StructureTable(table.labels, entries, table.kinds)
+        bad = StructureTable(table.labels, entries, table.odd)
         with pytest.raises(JacobiFailure) as exc:
             check_jacobi(bad, graded=graded)
-        want = _residual(bad, graded, *exc.value.triple)
+        want = _residual(bad, *exc.value.triple)
         assert exc.value.residual == want
         assert not want.is_zero()
 
 
 class TestJacobiGuards:
     """The triple reduction needs parity-preserving, antisymmetric
-    tables; check_jacobi refuses any other."""
+    tables; StructureTable refuses any other, and check_jacobi a graded
+    flag that disagrees with the table."""
 
     def test_entry_leaving_its_sector(self):
         table = closure_tables(free_enlarged(H(3)))[1]
         pair = (Z_PLUS, Z_MINUS)
         entries = dict(table.entries)
         entries[pair] = entries[pair] + AlgebraElement.of(w_label(H(1)))
-        bad = StructureTable(table.labels, entries, table.kinds)
         with pytest.raises(GradingViolation) as exc:
-            check_jacobi(bad, graded=True)
+            StructureTable(table.labels, entries, table.odd)
         assert str(pair) in str(exc.value)
 
-    @pytest.mark.parametrize("graded,pair,kind", [
-        (True, (w_label(H(1)), w_label(H(-1))), "commutator"),
-        (True, (Z_PLUS, Z_MINUS), "anticommutator"),
-        (False, (w_label(H(1)), w_label(H(-1))), "anticommutator"),
-    ], ids=["odd-odd-commutator", "even-anticommutator",
-            "plain-anticommutator"])
-    def test_kind_that_breaks_antisymmetry(self, graded, pair, kind):
-        table = closure_tables(free_enlarged(H(3)))[int(graded)]
-        kinds = dict(table.kinds)
-        kinds[pair] = kind
-        bad = StructureTable(table.labels, table.entries, kinds)
-        with pytest.raises(GradingViolation) as exc:
-            check_jacobi(bad, graded=graded)
-        assert str(pair) in str(exc.value)
+    def test_graded_flag_must_match_the_table(self):
+        plain, graded = closure_tables(free_enlarged(H(3)))
+        for table, flag in ((plain, True), (graded, False)):
+            with pytest.raises(GradingViolation) as exc:
+                check_jacobi(table, graded=flag)
+            assert f"graded={flag}" in str(exc.value)
 
     def test_diagonal_commutator_entry(self):
         table = closure_tables(free_enlarged(H(3)))[0]
         entries = dict(table.entries)
         entries[(Z_PLUS, Z_PLUS)] = AlgebraElement.of(Z_PLUS)
-        bad = StructureTable(table.labels, entries, table.kinds)
         with pytest.raises(GradingViolation):
-            check_jacobi(bad, graded=False)
+            StructureTable(table.labels, entries, table.odd)
+
+
+class TestStructureTable:
+    def test_entries_are_read_only(self):
+        table = closure_tables(free_enlarged(H(1)))[1]
+        with pytest.raises(TypeError):
+            table.entries[(Z_PLUS, Z_MINUS)] = AlgebraElement()
+        # a table does not share the dict it was built from
+        entries = dict(table.entries)
+        copy = StructureTable(table.labels, entries, table.odd)
+        entries[(Z_PLUS, Z_MINUS)] = AlgebraElement.of(Z_ZERO, 5)
+        assert copy == table
+
+    def test_symmetry_follows_parity(self):
+        plain, graded = closure_tables(free_enlarged(H(3)))
+        w, v = w_label(H(1)), w_label(H(-1))
+        assert graded.bracket(v, w) == graded.bracket(w, v)
+        assert plain.bracket(v, w) == -plain.bracket(w, v)
+        assert graded.bracket(Z_MINUS, Z_PLUS) == -graded.bracket(Z_PLUS,
+                                                                  Z_MINUS)
+        # the pairs that are not both odd share the plain entry
+        assert all(graded.entries[pair] is plain.entries[pair]
+                   for pair in graded.entries
+                   if not set(pair) <= graded.odd)
 
 
 class TestDuality:
@@ -303,8 +314,12 @@ class TestDuality:
     def test_open_sector_raises(self, monkeypatch, capsys, table, pair,
                                 sector):
         basis = build_enlarged(free_generators(H(3)), H(3))
-        entries = closure_tables(basis)[table].entries
+        tables = list(closure_tables(basis))
+        entries = dict(tables[table].entries)
         entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
+        tables[table] = StructureTable(basis.labels, entries,
+                                       tables[table].odd)
+        basis.tables = tuple(tables)
         with pytest.raises(GradingViolation) as exc:
             duality_report(basis)
         msg = str(exc.value)
@@ -325,6 +340,7 @@ class TestDuality:
 
     def test_parity_partition(self):
         basis = free_enlarged(H(3))
-        assert all(is_odd_label(lb) for lb in basis.odd)
-        assert not any(is_odd_label(lb) for lb in basis.even)
         assert all(lb[0] == "w" and len(lb) == 2 for lb in basis.odd)
+        assert not any(lb[0] == "w" for lb in basis.even)
+        plain, graded = closure_tables(basis)
+        assert graded.odd == set(basis.odd) and not plain.odd

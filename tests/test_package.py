@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import importlib
 import importlib.util
+import json
 import pickle
 import sys
 import types
@@ -50,6 +51,20 @@ def test_benchmark_entry_points_exist():
     for modname, cls_name, attr, _ in tracing.METHODS + tracing.COUNTED:
         cls = getattr(importlib.import_module(modname), cls_name)
         assert attr in vars(cls), f"{modname}.{cls_name}.{attr}"
+
+
+def test_structure_tables_match_the_benchmark_reference():
+    # every entry and every kind of both tables at ell 1/2, 3/2, 5/2,
+    # through the digests the structure workload checks
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ells = ["1/2", "3/2", "5/2"]
+    reference = json.loads((ROOT / "perfbench" / "reference.json")
+                           .read_text())["structure"]
+    facts = workloads._facts_structure(workloads._run_structure(ells))
+    assert facts == {text: reference[text] for text in ells}
 
 
 def _definitions(tree):

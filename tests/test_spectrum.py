@@ -134,6 +134,16 @@ class TestLadder:
         with pytest.raises(ValueError):
             ladder_state(H(3), "section7", [1, 0], Ladder(H(3), "section6"))
 
+    # ladder_energy once returned the float 3.5 for (1.5, 0) and 3 for
+    # (True, 0), and ladder_state truncated both to (1, 0)
+    @pytest.mark.parametrize("n", [(1.5, 0), (F(1), 0), (True, 0)],
+                             ids=["float", "Fraction", "bool"])
+    def test_multi_index_entries_are_ints(self, n):
+        with pytest.raises(ValueError):
+            ladder_energy(H(3), "section7", n)
+        with pytest.raises(ValueError):
+            ladder_state(H(3), "section7", n)
+
     def test_shared_parts_built_once(self, monkeypatch):
         counts = Counter()
         for name in ("hamiltonian", "vacuum", "apply_op"):

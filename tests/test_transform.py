@@ -54,7 +54,7 @@ class TestCertification:
                 entries = dict(table.entries)
                 pair = (Z_PLUS, Z_MINUS)
                 entries[pair] = entries[pair].scaled(CScalar.from_rational(2))
-                table = StructureTable(table.labels, entries, table.kinds)
+                table = StructureTable(table.labels, entries, table.odd)
             return table
 
         monkeypatch.setattr(cgaosc.transform, "extract_structure", corrupted)
