@@ -254,6 +254,28 @@ class TestJacobiGuards:
             StructureTable(table.labels, entries, table.odd)
         assert str(pair) in str(exc.value)
 
+    # a kind is derived from the table's odd labels, never given: the
+    # pair carries the other kind, its kinds are read-only, and the
+    # parity that would give the pair this kind is refused
+    @pytest.mark.parametrize("graded,pair,kind", [
+        (True, (w_label(H(1)), w_label(H(-1))), "commutator"),
+        (True, (Z_PLUS, Z_MINUS), "anticommutator"),
+        (False, (w_label(H(1)), w_label(H(-1))), "anticommutator"),
+    ], ids=["odd-odd-commutator", "even-anticommutator",
+            "plain-anticommutator"])
+    def test_kind_that_breaks_antisymmetry(self, graded, pair, kind):
+        table = closure_tables(free_enlarged(H(3)))[int(graded)]
+        assert table.kinds[pair] != kind
+        with pytest.raises(TypeError):
+            table.kinds[pair] = kind
+        if kind == "anticommutator":
+            odd = table.odd | set(pair)
+        else:
+            odd = table.odd - {pair[1]}
+        with pytest.raises(GradingViolation):
+            check_jacobi(StructureTable(table.labels, table.entries, odd),
+                         graded=graded)
+
     def test_graded_flag_must_match_the_table(self):
         plain, graded = closure_tables(free_enlarged(H(3)))
         for table, flag in ((plain, True), (graded, False)):
