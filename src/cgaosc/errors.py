@@ -49,6 +49,10 @@ class GradingViolation(CgaError):
     pass
 
 
+class BadTableEntry(CgaError):
+    """A structure-table entry out of label order or off the table."""
+
+
 class JacobiFailure(CgaError):
     def __init__(self, triple, residual, structure):
         self.triple = triple

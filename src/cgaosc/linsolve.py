@@ -64,31 +64,27 @@ def _potentials(cols: Sequence[Dict[Hashable, CScalar]]) -> List[int]:
 class SpanSolver:
     """Solve  sum_i x_i * col_i = b  exactly for CScalar unknowns.
 
-    Columns are dicts key->CScalar.  Rows (one per key) are fed at c = 1
-    into an incremental Gauss-Jordan elimination over Q; each solved
-    coefficient gets its power of c back from the potentials.  The caller
-    is expected to verify the reconstruction at operator level.
+    Columns are dicts key->CScalar.  When the solver is built, its rows
+    (one per key) are fed at c = 1 into one incremental Gauss-Jordan
+    elimination over Q, which records the pivot keys K, the pivot
+    columns P and inv(A[K, P]); each solved coefficient gets its power
+    of c back from the potentials.  The caller is expected to verify
+    the reconstruction at operator level.
     """
 
     def __init__(self, cols: Sequence[Dict[Hashable, CScalar]]):
         self.cols = list(cols)
-        self.n = len(self.cols)
-        keys = set()
-        for c in self.cols:
-            keys.update(c.keys())
-        self.keys = sorted(keys)
-
-    def _echelon(self, b: Dict[Hashable, CScalar]) -> Dict[int, List[Fraction]]:
-        """Reduced echelon form at c = 1 of the rows of [cols | b], one
-        row per key, as pivot column -> row with pivot entry 1."""
-        n = self.n
+        self.n = n = len(self.cols)
+        _potentials(self.cols)
+        # after its n entries, a row carries the combination of the rows
+        # of K it came from: the i-th row tried starts as e_i
         echelon: Dict[int, List[Fraction]] = {}
-        extra = sorted(set(b).difference(self.keys))
-        for key in self.keys + extra:
+        self.pivot_keys = []
+        for key in sorted({key for c in self.cols for key in c}):
             if len(echelon) == n:
                 break
-            row = [_at_one(c.get(key)) for c in self.cols]
-            row.append(_at_one(b.get(key)))
+            row = [_at_one(c.get(key)) for c in self.cols] + [_F0] * n
+            row[n + len(self.pivot_keys)] = Fraction(1)
             for p, erow in echelon.items():
                 f = row[p]
                 if f:
@@ -98,28 +94,31 @@ class SpanSolver:
                 continue
             piv = row[pcol]
             row = [x / piv for x in row]
-            # keep the form reduced, so each pivot row's last entry is x
+            # keep the form reduced, so the combinations are inv(A[K, P])
             for p, erow in echelon.items():
                 f = erow[pcol]
                 if f:
                     echelon[p] = [x - f * y for x, y in zip(erow, row)]
             echelon[pcol] = row
-        return echelon
+            self.pivot_keys.append(key)
+        self.inv = {j: row[n:n + len(self.pivot_keys)]
+                    for j, row in echelon.items()}
 
     def solve(self, b: Dict[Hashable, CScalar]) -> List[CScalar]:
         n = self.n
         if n == 0:
             return []
         g = _potentials(self.cols + [b])
-        echelon = self._echelon(b)
-        # missing pivots get x = 0 (caller verifies residual)
-        return [CScalar.c_power(g[j] - g[n], echelon[j][n])
-                if j in echelon else CScalar.zero() for j in range(n)]
+        beta = [_at_one(b.get(key)) for key in self.pivot_keys]
+        # x_P = inv(A[K, P]) b|_K and x = 0 off P (caller checks residual)
+        xi = {j: sum((f * q for f, q in zip(row, beta) if f and q), _F0)
+              for j, row in self.inv.items()}
+        return [CScalar.c_power(g[j] - g[n], xi[j]) if j in xi
+                else CScalar.zero() for j in range(n)]
 
     def rank(self) -> int:
         """Rank of the column set (no right-hand side)."""
-        _potentials(self.cols)
-        return len(self._echelon({}))
+        return len(self.inv)
 
     def nullity(self) -> int:
         return self.n - self.rank()

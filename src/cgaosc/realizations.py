@@ -16,10 +16,12 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .errors import GradingViolation, NormalizationUnavailable, NotClosed
+from .errors import (BadTableEntry, GradingViolation, NormalizationUnavailable,
+                     NotClosed)
 from .linsolve import SpanSolver
 from .scalars import CScalar, HalfInt, LinComb, check_half_odd
-from .weyl import Chart, WeylOp, degree_of
+from .weyl import (ANTICOMMUTATOR, COMMUTATOR, Chart, WeylOp, bracket,
+                   degree_of, prepare)
 
 GenLabel = Tuple
 
@@ -331,13 +333,21 @@ class StructureTable:
 
     Entries are stored read-only for pairs a <= b in label order;
     lookups apply the symmetry of an anticommutator iff both labels are
-    odd.  GradingViolation refuses an entry outside its pair's parity
-    sector (odd iff exactly one label is odd) or on an even diagonal."""
+    odd.  BadTableEntry refuses an entry out of label order or off the
+    table, GradingViolation one outside its pair's parity sector (odd
+    iff exactly one label is odd) or on an even diagonal."""
 
     def __init__(self, labels, entries, odd=frozenset()):
         self.labels = sorted(labels, key=label_sort_key)
         self.odd = frozenset(odd)
+        known = set(self.labels)
         for (a, b), elem in entries.items():
+            unknown = [lb for lb in (a, b, *elem.terms) if lb not in known]
+            if unknown:
+                raise BadTableEntry(f"entry ({a}, {b}) names labels "
+                                    f"outside the table: {unknown}")
+            if label_sort_key(a) > label_sort_key(b):
+                raise BadTableEntry(f"entry ({a}, {b}) is out of label order")
             if a == b and a not in self.odd:
                 raise GradingViolation(f"diagonal entry ({a}, {b}) of an "
                                        "even label breaks antisymmetry")
@@ -418,6 +428,7 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
     Raises NotClosed naming the pair whose bracket leaves the span."""
     span = SpanBasis(realized)
     labels = sorted(realized, key=label_sort_key)
+    ops = {label: prepare(op) for label, op in realized.items()}
     plain, graded = {}, {}
 
     def expand(op, a, b):
@@ -431,13 +442,13 @@ def bracket_tables(realized: Dict[GenLabel, WeylOp],
         for b in labels[i:]:
             odd_odd = a in odd and b in odd
             if a != b:
-                comm = realized[a].commutator(realized[b])
+                comm = bracket(ops[a], ops[b], COMMUTATOR)
                 if not comm.is_zero():
                     plain[(a, b)] = expand(comm, a, b)
                     if not odd_odd:
                         graded[(a, b)] = plain[(a, b)]
             if odd_odd:
-                anti = realized[a].anticommutator(realized[b])
+                anti = bracket(ops[a], ops[b], ANTICOMMUTATOR)
                 if not anti.is_zero():
                     graded[(a, b)] = expand(anti, a, b)
     return (StructureTable(labels, plain),

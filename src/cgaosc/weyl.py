@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import ChartMismatch, RelationViolation, UnsupportedWeight
 from .scalars import (CScalar, HalfInt, LinComb, check_half_odd, from_raw,
@@ -172,30 +172,19 @@ class WeylOp(LinComb):
     def __mul__(self, other):
         if not isinstance(other, WeylOp):
             return NotImplemented
-        return self._bracket(other, 1, 1, 0)
+        return bracket(prepare(self, False), prepare(other, False), PRODUCT)
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         """[a, b] = a*b - b*a.  The plain monomial product of each term
         pair is the same in a*b and b*a and cancels, so only the
         contraction terms of the two orders are formed."""
-        return self._bracket(other, 0, 1, -1)
+        return bracket(prepare(self), prepare(other), COMMUTATOR)
 
     def anticommutator(self, other: "WeylOp") -> "WeylOp":
         """{a, b} = a*b + b*a: twice the plain products, which the two
         orders share, plus the contraction terms of both orders."""
-        return self._bracket(other, 2, 1, 1)
-
-    def _bracket(self, other: "WeylOp", plain: int, s_ab: int,
-                 s_ba: int) -> "WeylOp":
-        """plain * (the plain products) + s_ab * (the contraction terms
-        of self*other) + s_ba * (those of other*self), summed on integer
-        numerators over the product of the operands' denominators."""
-        self._check(other)
-        ta, da = numerators(self.terms)
-        tb, db = numerators(other.terms)
-        res: Dict[Key, dict] = {}
-        _product_terms(res, self.chart, ta, tb, plain, s_ab, s_ba)
-        return self._like(from_raw(res, da * db))
+        return bracket(prepare(self, False), prepare(other, False),
+                       ANTICOMMUTATOR)
 
     def power(self, n: int) -> "WeylOp":
         if n < 0:
@@ -238,23 +227,69 @@ def _contractions(osc: bool, L: int, d, v, e) -> list:
     return options
 
 
-def _product_terms(res: Dict[Key, dict], chart: Chart, ta: dict, tb: dict,
-                   plain: int, s_ab: int, s_ba: int) -> None:
-    """The one product loop, over the raw numerator maps ta and tb of two
-    operators a and b: add into res, a raw {key: {c-power: numerator}}
-    map, plain times the plain monomial product of each term pair (no
-    derivative moved past a variable or exp(mu s)), s_ab times the
-    contraction terms of a*b and s_ba times those of b*a (some k >= 1
-    derivatives hit).  The two orders share the plain product's key and
-    coefficient, so each term pair is visited and multiplied once."""
-    osc = chart.kind == "osc"
-    L = chart.L
-    for (e1, v1, d1), t1 in ta.items():
-        for (e2, v2, d2), t2 in tb.items():
+PRODUCT, COMMUTATOR, ANTICOMMUTATOR = (1, 1, 0), (0, 1, -1), (2, 1, 1)
+
+
+class Operand(NamedTuple):
+    """An operator prepared for the product loop: its (key, raw
+    numerators) terms over den, and its terms by slot.  Slot i is
+    derivative i and what it meets: variable i in the free chart, and
+    in the osc chart u_i for i >= 1 and the weight exp(mu s) for d_s."""
+    op: WeylOp
+    terms: list
+    den: int
+    slots: list     # per term: (its derivative slots, its variable slots)
+    by_der: dict    # slot -> the indices of the terms with that derivative
+    by_var: dict    # slot -> the indices of the terms with that variable
+
+
+def prepare(op: WeylOp, index: bool = True) -> Operand:
+    """Only a commutator reads the slot index (a*b and {a, b} visit
+    every pair), so index=False leaves it out."""
+    raw, den = numerators(op.terms)
+    shift = 1 if op.chart.kind == "osc" else 0
+    slots, by_der, by_var = ([], {}, {}) if index else (None, None, None)
+    for n, (e, v, d) in enumerate(raw if index else ()):
+        ds = [i for i, p in enumerate(d) if p]
+        vs = ([0] if e else []) + [i + shift for i, p in enumerate(v) if p]
+        slots.append((ds, vs))
+        for table, found in ((by_der, ds), (by_var, vs)):
+            for i in found:
+                table.setdefault(i, []).append(n)
+    return Operand(op, list(raw.items()), den, slots, by_der, by_var)
+
+
+def bracket(a: Operand, b: Operand, kind) -> WeylOp:
+    """The kernel entry; kind is PRODUCT, COMMUTATOR or ANTICOMMUTATOR."""
+    a.op._check(b.op)
+    return a.op._like(from_raw(_product_terms(a, b, *kind), a.den * b.den))
+
+
+def _product_terms(a: Operand, b: Operand, plain: int, s_ab: int,
+                   s_ba: int) -> Dict[Key, dict]:
+    """The one product loop, over two prepared operators a and b: the
+    raw {key: {c-power: numerator}} map of plain times the plain
+    monomial product of each term pair (no derivative moved past a
+    variable or exp(mu s)), s_ab times the contraction terms of a*b and
+    s_ba times those of b*a (some k >= 1 derivatives hit).  The orders
+    share the plain product, so a term pair is visited and multiplied
+    once; without it, only the pairs where a derivative of one term
+    meets a variable of the other (in either order) are visited."""
+    osc = a.op.chart.kind == "osc"
+    L = a.op.chart.L
+    res: Dict[Key, dict] = {}
+    tb = b.terms
+    for n, ((e1, v1, d1), t1) in enumerate(a.terms):
+        if plain:
+            partners = range(len(tb))
+        else:
+            ds, vs = a.slots[n]
+            partners = sorted({m for i in ds for m in b.by_var.get(i, ())}
+                              | {m for i in vs for m in b.by_der.get(i, ())})
+        for m in partners:
+            (e2, v2, d2), t2 = tb[m]
             ab = _contractions(osc, L, d1, v2, e2) if s_ab else ()
             ba = _contractions(osc, L, d2, v1, e1) if s_ba else ()
-            if not (ab or ba or plain):
-                continue
             base = raw_mul(t1, t2)
             e = e1 + e2
             vsum = [x + y for x, y in zip(v1, v2)]
@@ -276,6 +311,7 @@ def _product_terms(res: Dict[Key, dict], chart: Chart, ta: dict, tb: dict,
                             vv[vi] -= k
                         factor *= f
                     raw_acc(res, (e, tuple(vv), tuple(dd)), base, factor)
+    return res
 
 
 # -- grading ---------------------------------------------------------------

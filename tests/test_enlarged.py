@@ -7,7 +7,8 @@ import pytest
 from cgaosc import cli
 from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
                              duality_report, expected_dims, free_enlarged)
-from cgaosc.errors import BadEll, GradingViolation, JacobiFailure, NotClosed
+from cgaosc.errors import (BadEll, BadTableEntry, GradingViolation,
+                           JacobiFailure, NotClosed)
 from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
                                  Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
                                  free_generators, label_sort_key, label_str,
@@ -313,6 +314,29 @@ class TestStructureTable:
         assert all(graded.entries[pair] is plain.entries[pair]
                    for pair in graded.entries
                    if not set(pair) <= graded.odd)
+
+
+    def test_entry_out_of_label_order_refused(self):
+        # (z-1, z+1) is keyed against label order, so bracket() would
+        # never read it
+        labels = [Z_PLUS, Z_ZERO, Z_MINUS]
+        with pytest.raises(BadTableEntry, match=r"out of label order") as info:
+            StructureTable(labels, {(Z_MINUS, Z_PLUS): AlgebraElement.of(
+                Z_ZERO, 7)})
+        assert str((Z_MINUS, Z_PLUS)) in str(info.value)
+        table = StructureTable(labels, {(Z_PLUS, Z_MINUS): AlgebraElement.of(
+            Z_ZERO, 7)})
+        assert table.bracket(Z_MINUS, Z_PLUS) == AlgebraElement.of(Z_ZERO, -7)
+
+    @pytest.mark.parametrize("pair,elem", [
+        ((Z_PLUS, Z_MINUS), AlgebraElement.of(ww_label(H(1), H(1)))),
+        ((Z_PLUS, C_LABEL), AlgebraElement()),
+        ((w_label(H(1)), Z_MINUS), AlgebraElement()),
+    ], ids=["expansion", "pair", "pair-first"])
+    def test_label_outside_the_table_refused(self, pair, elem):
+        with pytest.raises(BadTableEntry, match=r"outside the table") as info:
+            StructureTable([Z_PLUS, Z_ZERO, Z_MINUS], {pair: elem})
+        assert str(pair) in str(info.value)
 
 
 class TestDuality:

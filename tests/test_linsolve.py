@@ -18,6 +18,14 @@ C = sympy.Symbol("c")
 def graded_system(rng):
     """Random graded system: entry (r, j) = q * c^(p_r - g_j), with b as
     column n.  Returns (cols, b, A, bvec) with A, bvec the sympy matrices."""
+    q, p, g = graded_columns(rng)
+    b, A, bvec = graded_rhs(rng, q, p, g, rng.choice(RHS_KINDS))
+    return as_columns(q, p, g), b, A, bvec
+
+
+def graded_columns(rng):
+    """The values q at c = 1, the row potentials p and the column
+    potentials g (the last one b's) of a random graded system."""
     n, m = rng.randint(1, 5), rng.randint(1, 7)
     p = [rng.randint(-3, 3) for _ in range(m)]
     g = [rng.randint(-3, 3) for _ in range(n + 1)]
@@ -36,27 +44,41 @@ def graded_system(rng):
         lam = [random_fraction(rng) for _ in range(m)]
         q[r] = [sum(lam[i] * q[i][j] for i in range(m) if i != r)
                 for j in range(n)]
-    kind = rng.choice(["in_span", "random", "extra_rows"])
+    return q, p, g
+
+
+def as_columns(q, p, g):
+    return [{r: CScalar.c_power(p[r] - g[j], row[j])
+             for r, row in enumerate(q) if row[j]} for j in range(len(g) - 1)]
+
+
+RHS_KINDS = ["in_span", "random", "extra_rows"]
+
+
+def graded_rhs(rng, q, p, g, kind):
+    """A right-hand side of potential g[-1] for the system q * c^(p_r -
+    g_j): in the span, random, or random with rows that no column has.
+    Returns (b, A, bvec) with A, bvec the sympy matrices."""
+    n = len(g) - 1
+    q, p = list(q), list(p)
     if kind == "in_span":
         xi = [random_fraction(rng) for _ in range(n)]
         beta = [sum(a * x for a, x in zip(row, xi)) for row in q]
     else:
-        beta = [random_fraction(rng) for _ in range(m)]
+        beta = [random_fraction(rng) for _ in range(len(q))]
     if kind == "extra_rows":
         # rows present only in b
         for _ in range(rng.randint(1, 2)):
             p.append(rng.randint(-3, 3))
             q.append([0] * n)
             beta.append(random_fraction(rng) or 1)
-    cols = [{r: CScalar.c_power(p[r] - g[j], row[j])
-             for r, row in enumerate(q) if row[j]} for j in range(n)]
     b = {r: CScalar.c_power(p[r] - g[n], beta[r])
          for r in range(len(q)) if beta[r]}
     A = sympy.Matrix([[sympy.Rational(row[j]) * C ** (p[r] - g[j])
                        for j in range(n)] for r, row in enumerate(q)])
     bvec = sympy.Matrix([sympy.Rational(beta[r]) * C ** (p[r] - g[n])
                          for r in range(len(q))])
-    return cols, b, A, bvec
+    return b, A, bvec
 
 
 def combine(cols, xs):
@@ -91,6 +113,66 @@ class TestRandomGraded:
                 for x, want in zip(xs, sol):
                     assert sympy.cancel(cscalar_to_sympy(x) - want) == 0
         assert all(count >= 5 for count in seen.values()), seen
+
+
+class TestOneFactorization:
+    """One solver eliminates its columns once and then serves every
+    right-hand side; each answer must be the one a fresh solver gives."""
+
+    def test_many_right_hand_sides(self):
+        rng = random.Random(29)
+        seen = {kind: 0 for kind in RHS_KINDS}
+        seen["unique"] = 0
+        for _ in range(20):
+            q, p, g = graded_columns(rng)
+            cols = as_columns(q, p, g)
+            solver = SpanSolver(cols)
+            for _ in range(6):
+                kind = rng.choice(RHS_KINDS)
+                g[-1] = rng.randint(-3, 3)
+                b, A, bvec = graded_rhs(rng, q, p, g, kind)
+                xs = solver.solve(b)
+                assert xs == SpanSolver(cols).solve(b)
+                seen[kind] += 1
+                try:
+                    sol, params = A.gauss_jordan_solve(bvec)
+                except ValueError:
+                    assert combine(cols, xs) != b
+                    continue
+                assert combine(cols, xs) == b
+                if not params:
+                    seen["unique"] += 1
+                    for x, want in zip(xs, sol):
+                        assert sympy.cancel(cscalar_to_sympy(x) - want) == 0
+            rank = A.rank(simplify=True)
+            assert solver.rank() == SpanSolver(cols).rank() == rank
+            assert solver.nullity() == len(cols) - rank
+        assert all(count >= 5 for count in seen.values()), seen
+
+    def test_dependent_key_row_is_skipped(self):
+        # rows 0 and 1 are equal at c = 1, so the pivot keys are 0 and 2
+        # and every x reads b at those rows only
+        one = CScalar.one()
+        cols = [{0: one, 1: one, 2: one}, {0: one, 1: one, 2: one.scale(2)}]
+        solver = SpanSolver(cols)
+        for xs in ([2, 3], [-1, 4]):
+            want = [CScalar.from_rational(x) for x in xs]
+            b = combine(cols, want)
+            assert solver.solve(b) == want
+        # outside the span (row 1 disagrees): the x of rows 0 and 2
+        assert solver.solve({0: one, 1: one.scale(5), 2: one.scale(3)}) == [
+            CScalar.from_rational(-1), CScalar.from_rational(2)]
+
+    def test_not_graded_rhs_refused_after_solves(self):
+        one, c = CScalar.one(), CScalar.c()
+        solver = SpanSolver([{0: one, 1: c}, {1: one}])
+        assert solver.solve({0: one, 1: c}) == [one, CScalar.zero()]
+        assert solver.rank() == 2
+        for b in ({0: one + c}, {0: one, 1: one}):
+            with pytest.raises(NotGraded):
+                solver.solve(b)
+        assert solver.solve({1: c.scale(3)}) == [CScalar.zero(),
+                                                 c.scale(3)]
 
 
 class TestNotGraded:

@@ -11,8 +11,9 @@ from cgaosc.errors import ChartMismatch, RelationViolation
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.realizations import C_LABEL, Z_PLUS, AlgebraElement
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.weyl import (Chart, Substitution, WeylOp, conjugate, degree_of,
-                         free_to_osc_substitution, identity_substitution)
+from cgaosc.weyl import (COMMUTATOR, Chart, Substitution, WeylOp, bracket,
+                         conjugate, degree_of, free_to_osc_substitution,
+                         identity_substitution, prepare)
 
 FREE = Chart("free", HalfInt(3))
 OSC = Chart("osc", HalfInt(3))
@@ -162,6 +163,85 @@ class TestBracketKernel:
             for bracket in (WeylOp.commutator, WeylOp.anticommutator):
                 with pytest.raises(ChartMismatch):
                     bracket(x, y)
+
+
+class TestSparsePairing:
+    """A commutator visits only the term pairs that meet: a derivative
+    of the left term on a variable (for d_s, the weight) of the right
+    term, or a variable or weight of the left term under a derivative of
+    the right one.  Each case is checked in both orders against the full
+    products, which still visit every pair."""
+
+    @staticmethod
+    def check(a, b):
+        for x, y in ((a, b), (b, a)):
+            comm = x.commutator(y)
+            assert comm == x * y - y * x
+            assert bracket(prepare(x), prepare(y), COMMUTATOR) == comm
+
+    def test_only_d_s_meets_the_weight(self):
+        # d_s^2 u against c e^{-3s/2} v: no u- or v-derivative anywhere
+        a = WeylOp.der(OSC, 0, power=2) * WeylOp.var(OSC, 0)
+        b = (WeylOp.exp_s(OSC, HalfInt(-3), coef=CScalar.c())
+             * WeylOp.var(OSC, 1))
+        assert not a.commutator(b).is_zero()
+        self.check(a, b)
+
+    def test_weight_against_weight(self):
+        # e^{s/2} d_s against e^{-s} d_s: each d_s meets the other weight
+        a = WeylOp.exp_s(OSC, HalfInt(1)) * WeylOp.der(OSC, 0)
+        b = WeylOp.exp_s(OSC, HalfInt(-2)) * WeylOp.der(OSC, 0, power=2)
+        self.check(a, b)
+
+    def test_meet_through_one_slot(self):
+        # t^-2 x against y dx: only the variable x of the first meets a
+        # derivative of the second, so one order contracts and the other
+        # does not
+        a = WeylOp.var(FREE, 0, power=-2) * WeylOp.var(FREE, 1)
+        b = WeylOp.var(FREE, 2) * WeylOp.der(FREE, 1)
+        assert not a.commutator(b).is_zero()
+        self.check(a, b)
+
+    def test_meet_in_both_orders(self):
+        # x^2 dy against y^3 dx^2 t^-1: each derivative meets a variable
+        # of the other operator
+        a = WeylOp.var(FREE, 1, power=2) * WeylOp.der(FREE, 2)
+        b = (WeylOp.var(FREE, 0, power=-1) * WeylOp.var(FREE, 2, power=3)
+             * WeylOp.der(FREE, 1, power=2))
+        assert (a * b - b * a).terms
+        self.check(a, b)
+        # e^{s/2} u d_s against e^{-s/2} u du: d_s meets the weight, du
+        # meets u
+        u, du = WeylOp.var(OSC, 0), WeylOp.der(OSC, 1)
+        self.check(WeylOp.exp_s(OSC, HalfInt(1)) * u * WeylOp.der(OSC, 0),
+                   WeylOp.exp_s(OSC, HalfInt(-1)) * u * du)
+
+    @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
+    def test_many_terms_that_meet_nothing(self, chart):
+        # a lives on the first variable (and, in the osc chart, on
+        # weights), b on the last variable and its derivative: no term
+        # pair meets until a gets the derivative of b's variable
+        rng = random.Random(71)
+        osc = chart.kind == "osc"
+        nv, nd = chart.nvars, chart.nders
+        a = WeylOp(chart, {((i - 3) if osc else 0, (i,) + (0,) * (nv - 1),
+                            (0,) * nd): random_cscalar(rng)
+                           for i in range(-2, 6)})
+        b = WeylOp(chart, {(0, (0,) * (nv - 1) + (i,), (0,) * (nd - 1) + (j,)):
+                           random_cscalar(rng)
+                           for i in range(1, 4) for j in range(3)})
+        assert a.commutator(b).is_zero()
+        self.check(a, b)
+        a = a + WeylOp.der(chart, nd - 1)
+        assert not a.commutator(b).is_zero()
+        self.check(a, b)
+
+    @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
+    def test_random_many_term_operands(self, chart):
+        rng = random.Random(73)
+        for _ in range(10):
+            self.check(random_weylop(chart, rng, nterms=12, maxpow=1),
+                       random_weylop(chart, rng, nterms=12, maxpow=1))
 
 
 class TestExactCoefficients:
