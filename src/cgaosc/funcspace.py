@@ -6,12 +6,14 @@ monomial may also carry powers of t).
 Every chart operator maps this class to itself, which is what makes exact
 eigen-relation checks possible.  apply_op moves the Gaussian onto the
 operator with weyl.conjugate and then applies each derivative to the
-polynomial part in closed form.
+polynomial part in closed form, preparing each operator term (its
+nonzero derivatives and its exponent shift) once per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Tuple
 
 from .errors import ChartMismatch
@@ -82,25 +84,29 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
     e^{kappa x1^2} (conjugate(op, ("gauss", 2 kappa)) P): each term of the
     conjugated operator meets each term of P in closed form,
     d^n x^p = falling(p, n) x^{p-n} and d_s^n e^{mu s} = mu^n e^{mu s},
-    summed on integer numerators over one denominator."""
+    summed on integer numerators over one denominator.  Each operator
+    term is prepared once per call (its nonzero space derivatives and its
+    exponent shift v - d), and a term of P stops at the first zero
+    falling factorial."""
     if op.chart != f.chart:
         raise ChartMismatch("operator and function live in different charts")
-    chart = op.chart
-    osc = chart.kind == "osc"
+    osc = op.chart.kind == "osc"
     if not f.kappa.is_zero():
         op = conjugate(op, ("gauss", f.kappa + f.kappa))
     t_op, d_op = numerators(op.terms)
     t_f, d_f = numerators(f.terms)
     res: Dict[FKey, dict] = {}
     for (e, v, d), c_op in t_op.items():
-        space_ders = d[1:] if osc else d
+        s_der, space_ders = (d[0], d[1:]) if osc else (0, d)
+        ders = [(i, n) for i, n in enumerate(space_ders) if n]
+        shift = tuple(map(sub, v, space_ders))
         for (mu2, m), c_f in t_f.items():
-            factor = Fraction(mu2, 2) ** d[0] if osc and d[0] else 1
-            for p, n in zip(m, space_ders):
-                if n:
-                    factor *= falling(p, n)
+            factor = Fraction(mu2, 2) ** s_der if s_der else 1
+            for i, n in ders:
+                if not factor:
+                    break
+                factor *= falling(m[i], n)
             if factor:
-                key = (mu2 + e, tuple(p - n + q for p, n, q
-                                      in zip(m, space_ders, v)))
-                raw_acc(res, key, raw_mul(c_op, c_f), factor)
+                raw_acc(res, (mu2 + e, tuple(map(add, m, shift))),
+                        raw_mul(c_op, c_f), factor)
     return f._like(from_raw(res, d_op * d_f))

@@ -333,14 +333,19 @@ class StructureTable:
 
     Entries are stored read-only for pairs a <= b in label order;
     lookups apply the symmetry of an anticommutator iff both labels are
-    odd.  BadTableEntry refuses an entry out of label order or off the
-    table, GradingViolation one outside its pair's parity sector (odd
-    iff exactly one label is odd) or on an even diagonal."""
+    odd.  BadTableEntry refuses an odd label off the table and an entry
+    out of label order or off the table, GradingViolation an entry
+    outside its pair's parity sector (odd iff exactly one label is odd)
+    or on an even diagonal."""
 
     def __init__(self, labels, entries, odd=frozenset()):
         self.labels = sorted(labels, key=label_sort_key)
         self.odd = frozenset(odd)
         known = set(self.labels)
+        stray = self.odd - known
+        if stray:
+            raise BadTableEntry("odd labels outside the table: "
+                                f"{sorted(stray, key=str)}")
         for (a, b), elem in entries.items():
             unknown = [lb for lb in (a, b, *elem.terms) if lb not in known]
             if unknown:

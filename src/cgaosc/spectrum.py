@@ -137,51 +137,69 @@ def ladder_energy(ell: HalfInt, normalization: str,
 
 
 class Ladder:
-    """The lowering tree of one (ell, normalization) spectrum.
+    """The lowering tree of one (ell, normalization) spectrum, in the
+    vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
+    kappa, so lowering and h hold the lowering operators and H conjugated
+    once by weyl.conjugate(op, ("gauss", 2 kappa)), parts holds the
+    polynomial parts P (kappa 0) and state() re-attaches kappa.  vacuum()
+    checks the raising operators once, on the Gaussian state.
 
-    Holds the lowering operators by multi-index position, H, the vacuum
-    (checked once by vacuum()) and every state built so far.  A state is
-    one lowering step from its parent: state(n) = low_i(state(n - e_i))
-    with i the first position where n_i > 0, i.e. the outermost operator
-    of the state's word, so each state is the same product as a build
-    from the vacuum.  The lowering operators need not commute."""
+    A state is one lowering step from its parent:
+    state(n) = low_i(state(n - e_i)) with i the first position where
+    n_i > 0, i.e. the outermost operator of the state's word, so each
+    state is the same product as a build from the vacuum.  The lowering
+    operators need not commute."""
 
     def __init__(self, ell: HalfInt, normalization: str = "section7"):
         conv = convention(ell, normalization, "spectrum")
         gens = osc_generators(ell, conv.realization)
+        vac = vacuum(ell, normalization)
+        frame = ("gauss", vac.kappa + vac.kappa)
         self.ell = ell
         self.normalization = normalization
-        self.lowering = [gens[w_label(-j)]
+        self.kappa = vac.kappa
+        self.lowering = [conjugate(gens[w_label(-j)], frame)
                          for j in _lowering_order(ell, normalization)]
-        self.h = hamiltonian(ell, normalization)
-        self.states: Dict[Tuple[int, ...], GaussFunc] = {
-            (0,) * len(self.lowering): vacuum(ell, normalization)}
+        self.h = conjugate(hamiltonian(ell, normalization), frame)
+        self.parts: Dict[Tuple[int, ...], GaussFunc] = {
+            (0,) * len(self.lowering):
+                GaussFunc(vac.chart, CScalar.zero(), vac.terms)}
 
-    def state(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The state of the multi-index n (a tuple of ints), built down
-        the tree from its nearest ancestor built so far."""
+    def weighted(self, part: GaussFunc) -> GaussFunc:
+        """The state part * e^{kappa x1^2}."""
+        return GaussFunc(part.chart, self.kappa, part.terms)
+
+    def part(self, n: Tuple[int, ...]) -> GaussFunc:
+        """The polynomial part of the state of the multi-index n (a tuple
+        of ints), built down the tree from its nearest ancestor built so
+        far."""
         _check_multi_index(n, len(self.lowering))
         path = []
-        while n not in self.states:
+        while n not in self.parts:
             i = next(i for i, x in enumerate(n) if x)
             path.append((n, i))
             n = n[:i] + (n[i] - 1,) + n[i + 1:]
-        state = self.states[n]
+        part = self.parts[n]
         for m, i in reversed(path):
-            state = apply_op(self.lowering[i], state)
-            if state.is_zero():
+            part = apply_op(self.lowering[i], part)
+            if part.is_zero():
                 # a zero state satisfies every eigen-relation, so the
                 # eigen check cannot catch it
                 raise Mismatch(f"lowering step to n={m} gives the zero state",
-                               state)
-            self.states[m] = state
-        return state
+                               self.weighted(part))
+            self.parts[m] = part
+        return part
+
+    def state(self, n: Tuple[int, ...]) -> GaussFunc:
+        """The state of the multi-index n, Gaussian included."""
+        return self.weighted(self.part(n))
 
 
 def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
                  ladder: Optional[Ladder] = None) -> SpectrumRecord:
     """Eigenstate built by lowering operators acting on the vacuum, with
-    its eigen-relation checked exactly.
+    its eigen-relation checked exactly: e^{-q} (H - E) e^{q} P =
+    (ladder.h - E) P, with e^{q} the vacuum Gaussian.
 
     n_a counts w_{-j_a} in the order of _lowering_order; the last
     position acts innermost.  ladder, when given, is the Ladder of (ell, normalization) to build
@@ -192,12 +210,12 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     elif (ladder.ell, ladder.normalization) != (ell, normalization):
         raise ValueError("the ladder belongs to another ell or "
                          "normalization")
-    state = ladder.state(n)
+    part = ladder.part(n)
     energy = ladder_energy(ell, normalization, n)
-    resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy), state)
+    resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy), part)
     if not resid.is_zero():
-        raise Mismatch(f"eigen-relation for n={n}", resid)
-    return SpectrumRecord(n=n, energy=energy, state=state)
+        raise Mismatch(f"eigen-relation for n={n}", ladder.weighted(resid))
+    return SpectrumRecord(n=n, energy=energy, state=ladder.weighted(part))
 
 
 def spectrum(ell: HalfInt, max_total: int,

@@ -338,6 +338,16 @@ class TestStructureTable:
             StructureTable([Z_PLUS, Z_ZERO, Z_MINUS], {pair: elem})
         assert str(pair) in str(info.value)
 
+    def test_odd_label_outside_the_table_refused(self):
+        # check_jacobi once certified this table as graded although no
+        # label of it is odd
+        stray = w_label(H(1))
+        with pytest.raises(BadTableEntry, match=r"odd labels outside") as info:
+            StructureTable([Z_PLUS, Z_ZERO, Z_MINUS],
+                           {(Z_PLUS, Z_MINUS): AlgebraElement.of(Z_ZERO, 2)},
+                           odd={stray})
+        assert str(stray) in str(info.value)
+
 
 class TestDuality:
     @pytest.mark.parametrize("ell,sp,osp", [

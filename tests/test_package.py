@@ -67,6 +67,21 @@ def test_structure_tables_match_the_benchmark_reference():
     assert facts == {text: reference[text] for text in ells}
 
 
+def test_spectrum_matches_the_benchmark_reference():
+    # the 210 ladder states at ell 7/2, degree 6, their closed-form and
+    # oracle agreement, and the energies digest the spectrum workload
+    # checks
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((ROOT / "perfbench" / "reference.json")
+                           .read_text())["spectrum"]
+    facts = workloads._facts_spectrum(
+        workloads._run_spectrum(["ladder", "oracle"]))
+    assert facts == reference
+
+
 def _definitions(tree):
     """Every top-level function and class of a module, and every
     non-dunder method of its classes."""

@@ -4,14 +4,17 @@ from math import comb
 
 import pytest
 
+import cgaosc.funcspace
 import cgaosc.spectrum
 from cgaosc.errors import (BadEll, Inconsistent, Mismatch,
                            NormalizationUnavailable)
 from cgaosc.funcspace import GaussFunc, apply_op
-from cgaosc.realizations import osc_generators, positive_w_indices, w_label
+from cgaosc.realizations import (convention, osc_generators,
+                                 positive_w_indices, w_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.spectrum import (ExactMatrix, Ladder, harmonic_reduction,
-                             hamiltonian, hamiltonian_m_form_expected,
+from cgaosc.spectrum import (ExactMatrix, Ladder, _lowering_order,
+                             harmonic_reduction, hamiltonian,
+                             hamiltonian_m_form_expected,
                              ladder_energy, ladder_relations, ladder_state,
                              matrix_oracle, spectrum, to_m_form, vacuum,
                              vacuum_energy)
@@ -158,6 +161,41 @@ class TestLadder:
         # check per state, and the vacuum's raising-operator checks
         assert counts == {"hamiltonian": 1, "vacuum": 1,
                           "apply_op": (states - 1) + states + raising}
+
+    def test_operators_conjugated_once_per_ladder(self, monkeypatch):
+        counts = Counter()
+        for module in (cgaosc.spectrum, cgaosc.funcspace):
+            def counted(*args, _fn=module.conjugate):
+                counts["conjugate"] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, "conjugate", counted)
+        states = len(spectrum(H(5), 4))
+        raising = len(positive_w_indices(H(5)))
+        # once per lowering operator and once for H, whatever the number
+        # of states, and once per raising-operator check of the vacuum
+        assert states == 35
+        assert counts == {"conjugate": len(_lowering_order(H(5), "section7"))
+                          + 1 + raising}
+
+    @pytest.mark.parametrize("ell,norm", [
+        (H(3), "section6"), (H(3), "section7"), (H(5), "section7"),
+    ], ids=str)
+    def test_frame_path_matches_the_gaussian_path(self, ell, norm):
+        # each state equals the word of unconjugated lowering operators
+        # applied to the Gaussian vacuum, and is an eigenstate of H
+        gens = osc_generators(ell, convention(ell, norm, "spectrum")
+                              .realization)
+        lows = [gens[w_label(-j)] for j in _lowering_order(ell, norm)]
+        h = hamiltonian(ell, norm)
+        for rec in spectrum(ell, 4, norm):
+            state = vacuum(ell, norm)
+            for i in reversed(range(len(lows))):
+                for _ in range(rec.n[i]):
+                    state = apply_op(lows[i], state)
+            assert rec.state == state
+            assert rec.state.kappa == state.kappa
+            assert apply_op(h - WeylOp.const(h.chart, rec.energy),
+                            state).is_zero()
 
     @pytest.mark.parametrize("ell,norm", [
         (H(3), "section6"), (H(3), "section7"), (H(5), "section7"),
