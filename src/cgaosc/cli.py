@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -19,9 +20,8 @@ from .enlarged import (build_enlarged, check_jacobi, closure_tables,
 from .errors import CgaError, InputError
 from .jsonio import gaussfunc_json, gens_json, weylop_json
 from .latexout import func_latex, op_latex, op_plain
-from .onshell import (certify_onshell, cross_relations, offshell_centralizer,
-                      omega0_free, omega0_osc, omega1_free, omega1_osc,
-                      solve_omega1)
+from .onshell import (certify_onshell, cross_relations, omega0_free,
+                      omega0_osc, omega1_free, omega1_osc, solve_omega1)
 from .realizations import (convention, free_generators, label_sort_key,
                            label_str, osc_generators)
 from .scalars import HalfInt
@@ -164,11 +164,12 @@ def verify_closure(args) -> dict:
     ell = args.ell
     basis = free_enlarged(ell)
     closure_tables(basis)
+    even, odd = basis.dims
     ev, od, tot = expected_dims(ell)
-    if (len(basis.even), len(basis.odd)) != (ev, od):
-        raise CgaError(f"dimension mismatch: {len(basis.even)}, "
-                       f"{len(basis.odd)} expected {ev}, {od}")
-    return {"evenDim": ev, "oddDim": od, "ecgaDim": tot}
+    if (even, odd) != (ev, od):
+        raise CgaError(f"dimension mismatch: {even}, {odd} "
+                       f"expected {ev}, {od}")
+    return {"evenDim": even, "oddDim": odd, "ecgaDim": even + odd}
 
 
 def verify_jacobi(args) -> dict:
@@ -199,9 +200,8 @@ def verify_onshell(args) -> dict:
     out = {"chart": args.chart,
            "degree1": cert1.to_json(),
            "degree0": cert0.to_json(),
-           "centralizerDegree1": [
-               label_str(lb)
-               for lb in offshell_centralizer(om1, basis.realized)]}
+           "centralizerDegree1": [label_str(lb) for lb, f
+                                  in cert1.table.items() if f is None]}
     if args.chart == "free":
         solved, elem = solve_omega1(ell)
         if solved != om1:
@@ -268,6 +268,11 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--n -1,0" would read as an option: keep it the value of --n
+    i = argv.index("--n") + 1 if "--n" in argv[:-1] else 0
+    if i and re.match(r"-\d", argv[i]):
+        argv[i - 1:i + 1] = [f"--n={argv[i]}"]
     args = parser.parse_args(argv)
     handlers = {
         "gens": cmd_gens,

@@ -10,11 +10,12 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GradingViolation, JacobiFailure
-from .realizations import (AlgebraElement, C_LABEL, GenLabel, StructureTable,
-                           Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
-                           free_generators, label_sort_key, label_str,
-                           w_indices, w_label, ww_label)
+from .errors import GradingViolation, JacobiFailure, LinearlyDependent
+from .linsolve import SpanSolver
+from .realizations import (AlgebraElement, C_LABEL, GenLabel, SpanBasis,
+                           StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
+                           bracket_tables, free_generators, label_sort_key,
+                           label_str, w_indices, w_label, ww_label)
 from .scalars import (CScalar, HalfInt, check_half_odd, from_raw, numerators,
                       raw_acc, raw_mul)
 from .weyl import WeylOp
@@ -26,9 +27,11 @@ class EnlargedBasis:
     even: List[GenLabel]
     odd: List[GenLabel]
     realized: Dict[GenLabel, WeylOp]
-    # (plain, graded) structure tables, filled by closure_tables
+    # (plain, graded) structure tables and the (even, odd) ranks,
+    # filled by closure_tables
     tables: Optional[Tuple[StructureTable, StructureTable]] = field(
         default=None, compare=False, repr=False)
+    dims: Optional[Tuple[int, int]] = field(default=None, compare=False)
 
     @property
     def labels(self) -> List[GenLabel]:
@@ -71,10 +74,80 @@ def expected_dims(ell: HalfInt) -> Tuple[int, int, int]:
 def closure_tables(basis: EnlargedBasis
                    ) -> Tuple[StructureTable, StructureTable]:
     """The plain (ECGA) and the graded (SCGA) structure table over the
-    same realized operators, built once and kept in basis.tables."""
+    same realized operators, built once and kept in basis.tables.
+
+    Only the CGA table is computed from the operators; the rest follows
+    from it by the Leibniz rule.  That is their table only if they are
+    independent, which _certified_dims checks first."""
     if basis.tables is None:
-        basis.tables = bracket_tables(basis.realized, frozenset(basis.odd))
+        cga = {lb: op for lb, op in basis.realized.items() if lb[0] != "ww"}
+        span = SpanBasis(cga)
+        basis.dims = _certified_dims(basis, span.degrees)
+        basis.tables = _leibniz_tables(basis,
+                                       bracket_tables(cga, span=span)[0])
     return basis.tables
+
+
+def _certified_dims(basis: EnlargedBasis,
+                    degrees: Dict[GenLabel, HalfInt]) -> Tuple[int, int]:
+    """(even, odd) rank of the realized operators, summed over their
+    z0-degree groups, where w{i,j} has the degree of w_i plus that of
+    w_j and a half-odd degree is odd.  Raises LinearlyDependent naming
+    a group whose rank is below its size."""
+    twice = {lb: d.twice for lb, d in degrees.items()}
+    groups: Dict[int, List[GenLabel]] = {}
+    for lb in basis.labels:
+        if lb[0] == "ww":
+            twice[lb] = twice[("w", lb[1])] + twice[("w", lb[2])]
+        groups.setdefault(twice[lb], []).append(lb)
+    dims = [0, 0]
+    for deg2, labels in groups.items():
+        rank = SpanSolver([basis.realized[lb].terms for lb in labels]).rank()
+        if rank < len(labels):
+            raise LinearlyDependent(
+                f"the realized operators of degree {HalfInt(deg2)} have "
+                f"rank {rank}: {', '.join(map(label_str, labels))}")
+        dims[deg2 % 2] += rank
+    return dims[0], dims[1]
+
+
+def _leibniz_tables(basis: EnlargedBasis, cga: StructureTable
+                    ) -> Tuple[StructureTable, StructureTable]:
+    """Both enlarged tables from the CGA table, without a Weyl product.
+    In label order, [x, w{i,j}] = {[x, w_i], w_j} + {w_i, [x, w_j]},
+    with [x, w] read from the entries before it; the graded table's
+    odd-odd entries are {w_i, w_j} = w{i,j}.  GradingViolation names a
+    pair [x, w] outside span{w} + Q(c)c."""
+    labels, odd, zero = basis.labels, frozenset(basis.odd), AlgebraElement()
+    plain = dict(cga.entries)
+
+    def ww(a: GenLabel, b: GenLabel) -> GenLabel:
+        return ww_label(HalfInt(a[1]), HalfInt(b[1]))
+
+    def anti(x: GenLabel, wi: GenLabel, wj: GenLabel) -> AlgebraElement:
+        # {[x, wi], wj}, where a c in [x, wi] is realized as c*1
+        elem = (plain[(x, wi)] if (x, wi) in plain
+                else -plain.get((wi, x), zero))
+        if not set(elem.terms) <= odd | {C_LABEL}:
+            raise GradingViolation(
+                f"bracket ({label_str(x)}, {label_str(wi)}) is outside "
+                f"span{{w}} + Q(c)c: {elem!r}")
+        return AlgebraElement(dict(
+            (wj, coef * CScalar.c_power(1, 2)) if lb == C_LABEL
+            else (ww(lb, wj), coef) for lb, coef in elem.terms.items()))
+
+    for i, x in enumerate(labels):
+        for y in labels[i + 1:]:
+            if y[0] == "ww":
+                wi, wj = ("w", y[1]), ("w", y[2])
+                plain[(x, y)] = anti(x, wi, wj) + anti(x, wj, wi)
+    plain = {pair: elem for pair, elem in plain.items() if elem.terms}
+    graded = {pair: elem for pair, elem in plain.items()
+              if not set(pair) <= odd}
+    graded.update({(a, b): AlgebraElement.of(ww(a, b))
+                   for i, a in enumerate(basis.odd) for b in basis.odd[i:]})
+    return (StructureTable(labels, plain),
+            StructureTable(labels, graded, odd))
 
 
 # -- Jacobi verification on extracted tables --------------------------------

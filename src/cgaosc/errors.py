@@ -49,6 +49,10 @@ class GradingViolation(CgaError):
     pass
 
 
+class LinearlyDependent(CgaError):
+    """Realized operators whose rank is below their number."""
+
+
 class BadTableEntry(CgaError):
     """A structure-table entry out of label order or off the table."""
 

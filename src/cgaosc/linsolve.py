@@ -12,7 +12,7 @@ the system at c = 1.  The grading is checked before any rank is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .errors import NotGraded
 from .scalars import CScalar
@@ -25,10 +25,13 @@ def _at_one(s: CScalar | None) -> Fraction:
     return next(iter(s.terms.values()), _F0) if s else _F0
 
 
-def _potentials(cols: Sequence[Dict[Hashable, CScalar]]) -> List[int]:
-    """Column potentials g of a graded system, found by walking the
-    bipartite row/column graph; raises NotGraded naming an entry that is
-    not a single power of c or whose power conflicts with the others."""
+def _potentials(cols: Sequence[Dict[Hashable, CScalar]]
+                ) -> Tuple[List[Tuple[int, int]], Dict[Hashable, tuple]]:
+    """(component, potential) per column and per row key of a graded
+    system, found by walking the bipartite row/column graph; a component
+    is named by its first column and fixes its own offset.  Raises
+    NotGraded naming an entry that is not a single power of c or whose
+    power conflicts with the others."""
     powers: List[list] = [[] for _ in cols]     # column -> (row, power)
     by_row: Dict[Hashable, list] = {}           # row -> (column, power)
     for j, col in enumerate(cols):
@@ -39,26 +42,27 @@ def _potentials(cols: Sequence[Dict[Hashable, CScalar]]) -> List[int]:
                 (k, _), = s.terms.items()
                 powers[j].append((key, k))
                 by_row.setdefault(key, []).append((j, k))
-    g: List[int | None] = [None] * len(cols)
-    p: Dict[Hashable, int] = {}
+    g: List = [None] * len(cols)
+    p: Dict[Hashable, Tuple[int, int]] = {}
     for start in range(len(cols)):
         if g[start] is not None:
             continue
-        g[start] = 0
+        g[start] = (start, 0)
         stack = [start]
         while stack:
             j = stack.pop()
+            gj = g[j][1]
             for key, k in powers[j]:
                 if key in p:
-                    if p[key] - g[j] != k:
+                    if p[key][1] - gj != k:
                         raise NotGraded(key, j, cols[j][key])
                     continue
-                p[key] = g[j] + k
+                p[key] = (start, gj + k)
                 for j2, k2 in by_row[key]:
                     if g[j2] is None:
-                        g[j2] = p[key] - k2
+                        g[j2] = (start, gj + k - k2)
                         stack.append(j2)
-    return g
+    return g, p
 
 
 class SpanSolver:
@@ -75,7 +79,7 @@ class SpanSolver:
     def __init__(self, cols: Sequence[Dict[Hashable, CScalar]]):
         self.cols = list(cols)
         self.n = n = len(self.cols)
-        _potentials(self.cols)
+        self.potentials, self.row_potentials = _potentials(self.cols)
         # after its n entries, a row carries the combination of the rows
         # of K it came from: the i-th row tried starts as e_i
         echelon: Dict[int, List[Fraction]] = {}
@@ -108,13 +112,22 @@ class SpanSolver:
         n = self.n
         if n == 0:
             return []
-        g = _potentials(self.cols + [b])
+        gb: Dict[int, int] = {}     # b's potential per component it meets
+        for key, s in b.items():
+            if s and not s.is_monomial():
+                raise NotGraded(key, n, s)
+            if s and key in self.row_potentials:
+                comp, p = self.row_potentials[key]
+                g = p - min(s.terms)
+                if gb.setdefault(comp, g) != g:
+                    raise NotGraded(key, n, s)
         beta = [_at_one(b.get(key)) for key in self.pivot_keys]
         # x_P = inv(A[K, P]) b|_K and x = 0 off P (caller checks residual)
         xi = {j: sum((f * q for f, q in zip(row, beta) if f and q), _F0)
               for j, row in self.inv.items()}
-        return [CScalar.c_power(g[j] - g[n], xi[j]) if j in xi
-                else CScalar.zero() for j in range(n)]
+        return [CScalar.c_power(g - gb[comp], xi[j]) if xi.get(j)
+                else CScalar.zero()
+                for j, (comp, g) in enumerate(self.potentials)]
 
     def rank(self) -> int:
         """Rank of the column set (no right-hand side)."""

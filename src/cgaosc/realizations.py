@@ -423,15 +423,17 @@ class SpanBasis:
 
 
 def bracket_tables(realized: Dict[GenLabel, WeylOp],
-                   odd: frozenset = frozenset()
+                   odd: frozenset = frozenset(),
+                   span: Optional[SpanBasis] = None
                    ) -> Tuple[StructureTable, StructureTable]:
     """The plain and the graded structure table of a closed realized set.
 
     The plain table holds every commutator; the graded one shares its
     entries of the pairs that are not both odd and holds the
     anticommutators of the odd-odd pairs (the diagonal included).
-    Raises NotClosed naming the pair whose bracket leaves the span."""
-    span = SpanBasis(realized)
+    Raises NotClosed naming the pair whose bracket leaves the span.
+    span, if given, is the SpanBasis of realized."""
+    span = span or SpanBasis(realized)
     labels = sorted(realized, key=label_sort_key)
     ops = {label: prepare(op) for label, op in realized.items()}
     plain, graded = {}, {}

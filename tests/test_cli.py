@@ -63,16 +63,29 @@ class TestParsing:
         ["verify", "all", "--ell", "7/2", "--max-degree", "-1"],
         ["verify", "closure", "--ell", "1/2", "--max-total", "-1"],
         ["matrix", "--ell", "3/2", "--max-degree", "-1"],
+        ["eigenstate", "--ell", "3/2", "--n", "-1,0"],
     ], ids=["bad-ell", "normalization", "max-total", "seed",
             "verify-max-total", "verify-max-degree", "onshell-s5",
             "onshell-s6", "transform-s5", "transform-s6", "gens-s5",
             "hamiltonian-s6", "eigenstate-s6", "all-s6", "closure-s6",
-            "all-max-degree", "closure-max-total", "matrix-max-degree"])
+            "all-max-degree", "closure-max-total", "matrix-max-degree",
+            "eigenstate-negative-n"])
     def test_bad_input_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_negative_multi_index_is_named(self, capsys):
+        # "--n -1,0" is the value of --n, not an option
+        errs = []
+        for argv in (["--n", "-1,0"], ["--n=-1,0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["eigenstate", "--ell", "3/2", *argv])
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == ("cgaosc: error: multi-index must have "
+                                      "2 non-negative int entries\n")
 
     def test_normalization_refused_before_any_suite(self, capsys,
                                                     monkeypatch):

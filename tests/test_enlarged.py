@@ -1,14 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+import cgaosc.enlarged
+import cgaosc.realizations
+import cgaosc.weyl
 from cgaosc import cli
 from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
                              duality_report, expected_dims, free_enlarged)
 from cgaosc.errors import (BadEll, BadTableEntry, GradingViolation,
-                           JacobiFailure, NotClosed)
+                           JacobiFailure, LinearlyDependent, NotClosed)
+from cgaosc.linsolve import SpanSolver
 from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
                                  Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
                                  free_generators, label_sort_key, label_str,
@@ -98,6 +103,93 @@ class TestClosure:
             bracket_tables(realized, odd)
         assert exc.value.pair == (w_label(H(1)), w_label(H(-1)))
         assert not exc.value.residual.is_zero()
+
+
+class TestLeibnizDerivation:
+    """closure_tables derives the enlarged tables from the CGA table; the
+    brackets of the realized enlarged operators are the oracle."""
+
+    @pytest.mark.parametrize("chart,ell", [
+        ("free", H(1)), ("free", H(3)), ("free", H(5)), ("free", H(7)),
+        ("section5", H(3)), ("section7", H(5)),
+    ], ids=str)
+    def test_matches_the_realized_route(self, chart, ell):
+        gens = (free_generators(ell) if chart == "free"
+                else osc_generators(ell, chart))
+        basis = build_enlarged(gens, ell)
+        assert closure_tables(basis) == bracket_tables(
+            basis.realized, frozenset(basis.odd))
+        assert basis.dims == expected_dims(ell)[:2]
+
+    def test_brackets_only_cga_pairs(self, monkeypatch):
+        basis = build_enlarged(free_generators(H(5)), H(5))
+        cga = [op for lb, op in basis.realized.items() if lb[0] != "ww"]
+        counts = Counter()
+        for module in (cgaosc.weyl, cgaosc.realizations):
+            def counted(a, b, kind, _fn=module.bracket):
+                counts["cga" if any(a.op is op for op in cga)
+                       and any(b.op is op for op in cga) else "other"] += 1
+                return _fn(a, b, kind)
+            monkeypatch.setattr(module, "bracket", counted)
+        closure_tables(basis)
+        # one commutator per pair of CGA labels, and one [z0, g] per CGA
+        # label for its degree; none on a w{i,j}
+        n = len(cga)
+        assert counts == {"cga": n * (n - 1) // 2 + n}
+
+    def test_doubled_cga_entry_fails_verify_closure(self, monkeypatch,
+                                                    capsys):
+        # the CGA entry [z-1, w_j] comes out doubled from the solver; the
+        # residual check of the CGA table refuses it
+        gens = free_generators(H(3))
+        target = gens[Z_MINUS].commutator(gens[w_label(H(1))])
+        assert not target.is_zero()
+        solve = SpanSolver.solve
+
+        def doubled(self, b):
+            xs = solve(self, b)
+            return [x.scale(2) for x in xs] if b == target.terms else xs
+
+        monkeypatch.setattr(SpanSolver, "solve", doubled)
+        basis = build_enlarged(gens, H(3))
+        monkeypatch.setattr(cli, "free_enlarged", lambda ell: basis)
+        assert cli.main(["verify", "closure", "--ell", "3/2"]) == 1
+        out = capsys.readouterr().out
+        assert '"error": "NotClosed"' in out
+        assert f"{(Z_MINUS, w_label(H(1)))}" in out
+
+    def test_cga_entry_outside_span_w_refused(self, monkeypatch):
+        # a z0 term in [w_k, w_i] keeps the pair's parity, so only the
+        # span{w} + Q(c)c check sees it
+        pair = (w_label(H(3)), w_label(H(-3)))
+
+        def corrupted(*args, **kwargs):
+            plain, graded = bracket_tables(*args, **kwargs)
+            entries = dict(plain.entries)
+            entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
+            return StructureTable(plain.labels, entries), graded
+
+        monkeypatch.setattr(cgaosc.enlarged, "bracket_tables", corrupted)
+        basis = build_enlarged(free_generators(H(3)), H(3))
+        with pytest.raises(GradingViolation) as exc:
+            closure_tables(basis)
+        msg = str(exc.value)
+        assert "bracket (w+3/2, w-3/2) is outside span{w} + Q(c)c" in msg
+        assert "(1)*z0" in msg
+
+    def test_dependent_realized_set_refused(self, monkeypatch, capsys):
+        basis = build_enlarged(free_generators(H(5)), H(5))
+        realized = basis.realized
+        realized[ww_label(H(5), H(-5))] = (realized[ww_label(H(1), H(-1))]
+                                           + realized[ww_label(H(3), H(-3))])
+        with pytest.raises(LinearlyDependent) as exc:
+            closure_tables(basis)
+        assert str(exc.value) == (
+            "the realized operators of degree 0 have rank 4: z0, c, "
+            "w{5/2,-5/2}, w{3/2,-3/2}, w{1/2,-1/2}")
+        monkeypatch.setattr(cli, "free_enlarged", lambda ell: basis)
+        assert cli.main(["verify", "closure", "--ell", "5/2"]) == 1
+        assert '"error": "LinearlyDependent"' in capsys.readouterr().out
 
 
 class TestJacobi:

@@ -174,6 +174,19 @@ class TestOneFactorization:
         assert solver.solve({1: c.scale(3)}) == [CScalar.zero(),
                                                  c.scale(3)]
 
+    def test_rhs_power_read_against_the_column_potentials(self):
+        # the columns fix the row potentials once: a right-hand side whose
+        # c-powers disagree with them is named at its own entry, and one
+        # that joins two components fixes each component's offset
+        one, c = CScalar.one(), CScalar.c()
+        solver = SpanSolver([{0: one, 1: c}, {1: one}])
+        with pytest.raises(NotGraded) as info:
+            solver.solve({0: one, 1: one})
+        assert (info.value.key, info.value.column) == (1, 2)
+        assert info.value.entry == one
+        solver = SpanSolver([{0: one}, {1: c}])
+        assert solver.solve({0: one, 1: one}) == [one, CScalar.c_power(-1)]
+
 
 class TestNotGraded:
     def test_rank_at_c_one_differs(self):

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from cgaosc import cli
 from cgaosc.enlarged import build_enlarged, closure_tables, free_enlarged
 from cgaosc.errors import NormalizationUnavailable, NotProportional
 from cgaosc.funcspace import GaussFunc, apply_op
@@ -10,8 +12,8 @@ from cgaosc.onshell import (certify_onshell, cross_relations,
                             omega0_free, omega0_osc, omega1_abstract_threehalf,
                             omega1_free, omega1_osc, solve_omega1)
 from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
-                                 Z_ZERO, free_generators, osc_generators,
-                                 w_label, ww_label)
+                                 Z_ZERO, free_generators, label_str,
+                                 osc_generators, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import Chart, WeylOp
 
@@ -198,6 +200,23 @@ class TestCentralizer:
         assert len(cen) == 16
         assert Z_ZERO in cen and C_LABEL in cen
         assert Z_PLUS not in cen and Z_MINUS not in cen
+
+    @pytest.mark.parametrize("chart,ell", [
+        ("free", H(3)), ("free", H(7)), ("osc", H(3)), ("osc", H(7)),
+    ], ids=str)
+    def test_verify_onshell_reads_the_certificate(self, capsys, chart, ell):
+        # centralizerDegree1 comes from the certificate's zero entries
+        # and names the labels that commute with Omega1 strictly
+        if chart == "free":
+            realized, om1 = free_enlarged(ell).realized, omega1_free(ell)
+        else:
+            realized = build_enlarged(osc_generators(ell), ell).realized
+            om1 = omega1_osc(ell)
+        assert cli.main(["verify", "onshell", "--ell", str(ell),
+                         "--chart", chart]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["suites"]["onshell"]["centralizerDegree1"] == [
+            label_str(lb) for lb in offshell_centralizer(om1, realized)]
 
     def test_centralizer_graded_closed(self):
         # the off-shell invariant set closes under the graded bracket
