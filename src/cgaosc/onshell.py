@@ -9,17 +9,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .enlarged import build_enlarged
+from .enlarged import free_enlarged
 from .errors import (Mismatch, NonUniqueSolution, NoSolution,
                      NotProportional)
 from .linsolve import SpanSolver
 from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
-                           convention, free_generators, label_sort_key,
-                           label_str, positive_w_indices, w_label, ww_label)
+                           convention, label_sort_key, label_str,
+                           per_process, positive_w_indices, w_label, ww_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
 
 
+@per_process
 def omega1_free(ell: HalfInt) -> WeylOp:
     """The degree-1 invariant second-order operator in the free chart:
     d_t + sum_a (l+1/2-a) y_a d_{y_{a+1}} - (l+1/2)/(2c) d_{y_1}^2."""
@@ -37,6 +38,7 @@ def omega1_free(ell: HalfInt) -> WeylOp:
     return op
 
 
+@per_process
 def omega0_free(ell: HalfInt) -> WeylOp:
     """Degree-0 companion, defined as -t * Omega1 (operator product)."""
     chart = Chart("free", ell)
@@ -61,6 +63,7 @@ def omega0_abstract_threehalf() -> AlgebraElement:
             - AlgebraElement.of(ww_label(h(3), h(-3)), inv4c))
 
 
+@per_process
 def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """Degree-0 invariant operator in the oscillator chart."""
     convention(ell, normalization, "realization")
@@ -99,6 +102,7 @@ def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     return op
 
 
+@per_process
 def omega1_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """Degree-1 companion in the oscillator chart: -e^{-s} * Omega0."""
     chart = Chart("osc", ell)
@@ -112,9 +116,8 @@ def solve_omega1(ell: HalfInt) -> Tuple[WeylOp, AlgebraElement]:
 
     Raises NoSolution / NonUniqueSolution if the solution space after the
     normalization coefficient(z_{+1}) = 1 is not a single point."""
-    check_half_odd(ell)
-    gens = free_generators(ell)
-    basis = build_enlarged(gens, ell)
+    basis = free_enlarged(ell)
+    gens = basis.realized
     candidates = [Z_PLUS] + sorted(
         (lb for lb in basis.even if lb[0] == "ww" and lb[1] + lb[2] == 2),
         key=label_sort_key)

@@ -12,6 +12,8 @@ Generator labels are plain tuples so they sort deterministically:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
+from inspect import signature
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -118,6 +120,21 @@ def convention(ell: HalfInt, name: str,
     return conv
 
 
+def per_process(build):
+    """build, run once per process for each set of arguments with the
+    defaults filled in; a call that raises caches nothing.  Every caller
+    shares the result, so it must not be mutable."""
+    cached = lru_cache(maxsize=None)(build)
+    params = signature(build)
+
+    @wraps(build)
+    def call(*args, **kwargs):
+        bound = params.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+    return call
+
+
 def delta(ell: HalfInt) -> Fraction:
     """delta = (ell + 1/2)^2 / 4: the weight of the t^delta dressing,
     and the vacuum energy per unit of h."""
@@ -186,12 +203,19 @@ def free_generators(ell: HalfInt) -> Dict[GenLabel, WeylOp]:
 
 def osc_generators(ell: HalfInt,
                    normalization: str = "section7") -> Dict[GenLabel, WeylOp]:
-    """Printed oscillator-chart generators.
+    """Printed oscillator-chart generators, as a new dict over the
+    operators built once per process.
 
     normalization="section7": the general family (Gaussian weight
     lambda = -c/(2l+1), delta = (l+1/2)^2/4).
     normalization="section5": the l=3/2 fixture (weight +c/2, delta=1).
     """
+    return dict(_osc_generators(ell, normalization))
+
+
+@per_process
+def _osc_generators(ell: HalfInt,
+                    normalization: str) -> Dict[GenLabel, WeylOp]:
     convention(ell, normalization, "realization")
     if normalization == "section5":
         return _osc_generators_s5()

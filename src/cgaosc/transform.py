@@ -3,6 +3,9 @@ realization: change of variables t = e^s, y_a = e^{(a-1/2)s} u_a, the
 t^delta similarity dressing (performed as an exp(delta*s) conjugation
 after the change of variables, which is the same operation without ever
 needing fractional powers of t), and a Gaussian similarity dressing.
+The three steps run as one composed Substitution (three_step_map),
+which forms each power of an image once per map, so certify_transform
+shares those powers across every operator it maps.
 The realizations it maps onto are section7 and section5; the
 normalizations table in README.md says which names exist where.
 """
@@ -48,12 +51,22 @@ class TransformSpec:
         return CScalar.c().scale(Fraction(-1) / (2 * lf + 1))
 
 
+def three_step_map(spec: TransformSpec, sub: Substitution) -> Substitution:
+    """The three steps as one Substitution: each step is an algebra
+    map, so the images under sub of t, y_a, d_t and d_{y_a}, pushed
+    through the s-shift and the Gaussian conjugation, fix the
+    composite; sub is free_to_osc_substitution(spec.ell)."""
+    def push(op):
+        op = conjugate(op, ("sshift", -spec.delta))
+        return conjugate(op, ("gauss", spec.gauss_weight))
+    return Substitution(sub.src, sub.dst, [push(x) for x in sub.var_images],
+                        [push(d) for d in sub.der_images])
+
+
 def transform(g: WeylOp, spec: TransformSpec, sub: Substitution) -> WeylOp:
     """Apply the three-step map to a free-chart operator; sub is
     free_to_osc_substitution(spec.ell)."""
-    out = sub(g)
-    out = conjugate(out, ("sshift", -spec.delta))
-    return conjugate(out, ("gauss", spec.gauss_weight))
+    return three_step_map(spec, sub)(g)
 
 
 @dataclass
@@ -77,20 +90,20 @@ def certify_transform(ell: HalfInt,
     carries the invariant operators onto their printed oscillator forms,
     preserves the structure constants, and is a bracket homomorphism."""
     spec = TransformSpec(ell, normalization)
-    sub = free_to_osc_substitution(ell)
+    tmap = three_step_map(spec, free_to_osc_substitution(ell))
     free = free_generators(ell)
     osc = osc_generators(ell, normalization)
     images: Dict[GenLabel, WeylOp] = {}
     matched = []
     for lb, g in free.items():
-        img = transform(g, spec, sub)
+        img = tmap(g)
         images[lb] = img
         if img != osc[lb]:
             raise Mismatch(label_str(lb), img - osc[lb])
         matched.append(lb)
 
-    img0 = transform(omega0_free(ell), spec, sub)
-    img1 = transform(omega1_free(ell), spec, sub)
+    img0 = tmap(omega0_free(ell))
+    img1 = tmap(omega1_free(ell))
     if img0 != omega0_osc(ell, normalization):
         raise Mismatch("Omega0", img0 - omega0_osc(ell, normalization))
     if img1 != omega1_osc(ell, normalization):
@@ -110,7 +123,7 @@ def certify_transform(ell: HalfInt,
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             lhs = images[a].commutator(images[b])
-            rhs = transform(free[a].commutator(free[b]), spec, sub)
+            rhs = tmap(free[a].commutator(free[b]))
             if lhs != rhs:
                 raise Mismatch(f"[{label_str(a)}, {label_str(b)}]",
                                lhs - rhs)

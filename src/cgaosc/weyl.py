@@ -14,9 +14,10 @@ derivatives.  Equality of operators is equality of canonical term lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb
+from operator import mul
 from typing import Dict, NamedTuple, Tuple
 
 from .errors import ChartMismatch, RelationViolation, UnsupportedWeight
@@ -382,7 +383,8 @@ def _conjugate_by_der_image(a: WeylOp, der_index: int,
 class Substitution:
     """Algebra homomorphism defined by images of every variable and
     derivative of the source chart.  The defining Heisenberg relations of
-    the images are verified at construction."""
+    the images are verified at construction.  Each power of an image is
+    formed once per map."""
 
     def __init__(self, src: Chart, dst: Chart, var_images, der_images):
         if len(var_images) != src.nvars or len(der_images) != src.nders:
@@ -394,6 +396,7 @@ class Substitution:
         self.var_images = list(var_images)
         self.der_images = list(der_images)
         self._check_relations()
+        self._powers: Dict[Tuple[int, int], WeylOp] = {}
 
     def _check_relations(self):
         one = WeylOp.one(self.dst)
@@ -415,21 +418,33 @@ class Substitution:
                     raise RelationViolation(
                         "derivative images do not commute")
 
+    def _power(self, slot: int, p: int) -> WeylOp:
+        """The image of source variable or derivative slot (variables
+        first) to the nonzero power p."""
+        pw = self._powers.get((slot, p))
+        if pw is None:
+            step = 1 if p > 0 else -1
+            if p == step:
+                images = self.var_images + self.der_images
+                names = self.src.var_names() + self.src.der_names()
+                pw = (images[slot] if p > 0
+                      else _inverse(images[slot], names[slot]))
+            else:
+                pw = self._power(slot, p - step) * self._power(slot, step)
+            self._powers[(slot, p)] = pw
+        return pw
+
     def __call__(self, a: WeylOp) -> WeylOp:
         if a.chart != self.src:
             raise ChartMismatch("operator not in the substitution source")
-        images = self.var_images + self.der_images
-        names = self.src.var_names() + self.src.der_names()
-        out = WeylOp.zero(self.dst)
+        out: Dict[Key, CScalar] = {}
+        one = WeylOp.one(self.dst)
         for (e, v, d), c in a.terms.items():
-            term = WeylOp.const(self.dst, c)
-            for slot, p in enumerate(v + d):
-                if p:
-                    img = images[slot] if p > 0 else _inverse(images[slot],
-                                                              names[slot])
-                    term = term * img.power(abs(p))
-            out = out + term
-        return out
+            pows = [self._power(slot, p) for slot, p in enumerate(v + d) if p]
+            image = reduce(mul, pows) if pows else one
+            for key, x in image.terms.items():
+                out[key] = out[key] + x * c if key in out else x * c
+        return WeylOp(self.dst, out)
 
 
 def _inverse(img: WeylOp, name: str) -> WeylOp:

@@ -81,6 +81,20 @@ class TestSolver:
         _, elem = solve_omega1(H(3))
         assert elem == omega1_abstract_threehalf()
 
+    def test_reads_the_cached_enlarged_basis(self, monkeypatch):
+        free_enlarged(H(5))
+        calls = []
+        anti = WeylOp.anticommutator
+
+        def counted(a, b):
+            calls.append(1)
+            return anti(a, b)
+
+        monkeypatch.setattr(WeylOp, "anticommutator", counted)
+        op, _ = solve_omega1(H(5))
+        assert op == omega1_free(H(5))
+        assert calls == []
+
     def test_abstract_solution_half(self):
         _, elem = solve_omega1(H(1))
         want = AlgebraElement.of(Z_PLUS) + AlgebraElement.of(

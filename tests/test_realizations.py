@@ -8,7 +8,7 @@ from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis, Z_MINUS,
                                  free_generators, label_str, osc_generators,
                                  parse_label, w_indices, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.weyl import degree_of
+from cgaosc.weyl import WeylOp, degree_of
 
 H = HalfInt
 ELLS = [H(1), H(3), H(5), H(7), H(9)]
@@ -148,3 +148,33 @@ class TestErrorsAndLabels:
         b = extract_structure(free_generators(H(3)))
         assert a != b
         assert a == extract_structure(free_generators(H(1)))
+
+
+class TestPerProcessBuild:
+    """osc_generators builds once per process and resolved (ell,
+    normalization), and hands each caller its own dict."""
+
+    def test_edited_result_leaves_next_call_whole(self):
+        first = osc_generators(H(3))
+        whole = dict(first)
+        del first[Z_PLUS]
+        assert osc_generators(H(3)) == whole
+
+    def test_default_and_explicit_share_one_build(self, monkeypatch):
+        muls = []
+        mul = WeylOp.__mul__
+
+        def counted(a, b):
+            muls.append(1)
+            return mul(a, b)
+
+        # 13/2 is built by no other test
+        first = osc_generators(H(13))
+        monkeypatch.setattr(WeylOp, "__mul__", counted)
+        assert osc_generators(H(13), "section7") == first
+        assert muls == []
+
+    def test_refused_input_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="section6"):
+                osc_generators(H(3), "section6")

@@ -7,13 +7,14 @@ from conftest import random_cscalar
 import cgaosc.transform
 from cgaosc.errors import Mismatch, NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
-from cgaosc.onshell import omega0_osc
+from cgaosc.onshell import omega0_free, omega0_osc, omega1_free
 from cgaosc.realizations import (AlgebraElement, StructureTable, Z_MINUS,
-                                 Z_PLUS, Z_ZERO, free_generators,
+                                 Z_PLUS, Z_ZERO, delta, free_generators,
                                  osc_generators)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.transform import TransformSpec, certify_transform, transform
-from cgaosc.weyl import Chart, free_to_osc_substitution
+from cgaosc.transform import (TransformSpec, certify_transform,
+                              three_step_map, transform)
+from cgaosc.weyl import Chart, conjugate, free_to_osc_substitution
 
 H = HalfInt
 ELLS = [H(1), H(3), H(5), H(7), H(9)]
@@ -72,6 +73,53 @@ class TestCertification:
         assert len(free) == 8
         for lb in free:
             assert transform(free[lb], spec, sub) == osc[lb], lb
+
+
+class TestComposedMap:
+    """The one composed Substitution against the three passes it
+    replaces: the change of variables, then the s-shift, then the
+    Gaussian conjugation, each over the whole operator."""
+
+    @pytest.mark.parametrize("ell,norm", [
+        (H(1), "section7"), (H(3), "section7"), (H(5), "section7"),
+        (H(7), "section7"), (H(3), "section5")], ids=str)
+    def test_equals_three_passes(self, ell, norm):
+        spec = TransformSpec(ell, norm)
+        sub = free_to_osc_substitution(ell)
+        tmap = three_step_map(spec, sub)
+
+        def three_passes(g):
+            out = conjugate(sub(g), ("sshift", -spec.delta))
+            return conjugate(out, ("gauss", spec.gauss_weight))
+
+        gens = list(free_generators(ell).values())
+        ops = gens + [omega1_free(ell), omega0_free(ell)]
+        ops += [a.commutator(b) for i, a in enumerate(gens)
+                for b in gens[i + 1:]]
+        for g in ops:
+            assert tmap(g) == three_passes(g)
+        assert all(transform(g, spec, sub) == tmap(g) for g in gens)
+
+
+class TestFaultInjection:
+    """A wrong step parameter fails the certificate at the first
+    generator, z+1, whose image carries both delta and the weight."""
+
+    @pytest.mark.parametrize("name,wrong", [
+        ("delta", lambda spec: delta(spec.ell) + 1),
+        ("gauss_weight", lambda spec, _w=TransformSpec.gauss_weight.fget:
+         _w(spec).scale(2)),
+    ], ids=["delta-off-by-one", "gauss-weight-doubled"])
+    @pytest.mark.parametrize("ell,norm", [
+        (H(1), "section7"), (H(5), "section7"), (H(3), "section5")],
+        ids=str)
+    def test_wrong_step_names_first_generator(self, monkeypatch, name,
+                                              wrong, ell, norm):
+        monkeypatch.setattr(TransformSpec, name, property(wrong))
+        with pytest.raises(Mismatch) as exc:
+            certify_transform(ell, norm)
+        assert exc.value.label == "z+1"
+        assert not exc.value.residual.is_zero()
 
 
 class TestSpecParameters:
