@@ -14,8 +14,8 @@ from .enlarged import (EnlargedBasis, build_enlarged, check_jacobi,
 from .onshell import (OnShellCertificate, certify_onshell, cross_relations,
                       offshell_centralizer, omega0_free, omega0_osc,
                       omega1_free, omega1_osc, solve_omega1)
-# The functions spectrum() and transform() are not re-exported: their
-# names would shadow the submodules cgaosc.spectrum and cgaosc.transform.
+# The function spectrum() is not re-exported: its name would shadow
+# the submodule cgaosc.spectrum.
 from .transform import TransformSpec, certify_transform
 from .spectrum import (ExactMatrix, SpectrumRecord, hamiltonian,
                        harmonic_reduction, ladder_relations, ladder_state,

@@ -38,7 +38,8 @@ class EnlargedBasis:
         return sorted(self.even + self.odd, key=label_sort_key)
 
 
-def build_enlarged(gens: Dict[GenLabel, WeylOp], ell: HalfInt) -> EnlargedBasis:
+def build_enlarged(gens: Dict[GenLabel, WeylOp],
+                   ell: HalfInt) -> EnlargedBasis:
     """Adjoin all anticommutators {w_i, w_j} (i >= j) to the CGA set."""
     realized = dict(gens)
     ws = w_indices(ell)

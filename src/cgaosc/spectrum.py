@@ -203,8 +203,8 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     (ladder.h - E) P, with e^{q} the vacuum Gaussian.
 
     n_a counts w_{-j_a} in the order of _lowering_order; the last
-    position acts innermost.  ladder, when given, is the Ladder of (ell, normalization) to build
-    on; otherwise one is made for this state."""
+    position acts innermost.  ladder, when given, is the Ladder of (ell,
+    normalization) to build on; otherwise one is made for this state."""
     n = tuple(n)
     if ladder is None:
         ladder = Ladder(ell, normalization)

@@ -356,6 +356,10 @@ DIGESTS = [
      "49b818ff1824492f193a9eee5d15d00400fce7192ca807d5bbb174b0003b5d7b"),
     ("verify onshell --ell 5/2 --chart osc",
      "85d65be66923f6df01b5500e8f7b327dfeafb11feea8ac695996f8ece350360c"),
+    ("verify transform --ell 7/2",
+     "e7d1a59407d453afacf22cc58b800359bcfcb809ac5fa13c5676bc8acec5f58b"),
+    ("verify transform --ell 3/2 --normalization s5",
+     "bfce3e3c2a31a4980c96ebf4eafb10ed5c295e570e0506a51fbbc8c8fd923c99"),
 ]
 
 

@@ -30,7 +30,7 @@ def test_submodules_are_not_shadowed():
     assert isinstance(spectrum_module, types.ModuleType)
     assert isinstance(transform_module, types.ModuleType)
     assert callable(spectrum_module.spectrum)
-    assert callable(transform_module.transform)
+    assert callable(transform_module.certify_transform)
 
 
 def test_public_names_resolve():
@@ -177,6 +177,15 @@ def test_runtime_is_stdlib_only():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert not outside
+
+
+def test_sources_fit_79_columns():
+    long = [f"{path.relative_to(ROOT)}:{n} ({len(line)})"
+            for d in ("src", "tests")
+            for path in sorted((ROOT / d).rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert not long
 
 
 @dataclasses.dataclass

@@ -8,13 +8,13 @@ import cgaosc.transform
 from cgaosc.errors import Mismatch, NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import omega0_free, omega0_osc, omega1_free
-from cgaosc.realizations import (AlgebraElement, StructureTable, Z_MINUS,
-                                 Z_PLUS, Z_ZERO, delta, free_generators,
-                                 osc_generators)
+from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
+                                 Z_MINUS, Z_PLUS, Z_ZERO, delta,
+                                 free_generators, osc_generators, w_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.transform import (TransformSpec, certify_transform,
-                              three_step_map, transform)
-from cgaosc.weyl import Chart, conjugate, free_to_osc_substitution
+from cgaosc.transform import TransformSpec, certify_transform, three_step_map
+from cgaosc.weyl import (Chart, Substitution, conjugate,
+                         free_to_osc_substitution)
 
 H = HalfInt
 ELLS = [H(1), H(3), H(5), H(7), H(9)]
@@ -34,10 +34,28 @@ def change_of_variables(f: GaussFunc, ell: HalfInt) -> GaussFunc:
     return GaussFunc(osc, CScalar.zero(), terms)
 
 
+def corrupt_osc_table(monkeypatch, pair, entry):
+    """Make extract_structure give the oscillator table entry(table) at
+    pair, leaving the free table as it is."""
+    extract = cgaosc.transform.extract_structure
+
+    def corrupted(gens):
+        table = extract(gens)
+        if next(iter(gens.values())).chart.kind == "osc":
+            entries = dict(table.entries)
+            entries[pair] = entry(table)
+            table = StructureTable(table.labels, entries, table.odd)
+        return table
+
+    monkeypatch.setattr(cgaosc.transform, "extract_structure", corrupted)
+
+
 class TestCertification:
-    @pytest.mark.parametrize("ell", ELLS, ids=str)
-    def test_section7_all_ell(self, ell):
-        rep = certify_transform(ell, "section7")
+    @pytest.mark.parametrize("ell,norm", [
+        *(pytest.param(ell, "section7", id=str(ell)) for ell in ELLS),
+        pytest.param(H(3), "section5", id="3/2-section5")])
+    def test_section7_all_ell(self, ell, norm):
+        rep = certify_transform(ell, norm)
         assert len(rep.matched) == 2 * ((ell.twice + 1) // 2) + 4
         n = len(rep.matched)
         assert rep.homomorphism_pairs == n * (n - 1) // 2
@@ -45,34 +63,53 @@ class TestCertification:
     def test_section5_threehalf(self):
         certify_transform(H(3), "section5")
 
+    @pytest.mark.parametrize("ell,norm", [
+        (H(1), "section7"), (H(3), "section7"), (H(5), "section7"),
+        (H(3), "section5")], ids=str)
+    def test_maps_each_operator_once(self, monkeypatch, ell, norm):
+        # each generator, then Omega0 and Omega1: 2l+7 operators, and no
+        # image of a commutator
+        mapped = []
+        call = Substitution.__call__
+
+        def counted(self, a):
+            mapped.append(a)
+            return call(self, a)
+
+        monkeypatch.setattr(Substitution, "__call__", counted)
+        certify_transform(ell, norm)
+        assert mapped == [*free_generators(ell).values(), omega0_free(ell),
+                          omega1_free(ell)]
+        assert len(mapped) == ell.twice + 7
+
     def test_table_mismatch_names_the_entry(self, monkeypatch):
         # double [z+1, z-1] = 2 z0 on the oscillator side only
-        extract = cgaosc.transform.extract_structure
-
-        def corrupted(gens):
-            table = extract(gens)
-            if next(iter(gens.values())).chart.kind == "osc":
-                entries = dict(table.entries)
-                pair = (Z_PLUS, Z_MINUS)
-                entries[pair] = entries[pair].scaled(CScalar.from_rational(2))
-                table = StructureTable(table.labels, entries, table.odd)
-            return table
-
-        monkeypatch.setattr(cgaosc.transform, "extract_structure", corrupted)
+        corrupt_osc_table(monkeypatch, (Z_PLUS, Z_MINUS), lambda table:
+                          table.entries[(Z_PLUS, Z_MINUS)]
+                          .scaled(CScalar.from_rational(2)))
         with pytest.raises(Mismatch) as exc:
             certify_transform(H(3), "section7")
         assert exc.value.label.startswith("[z+1, z-1]")
         assert exc.value.residual == AlgebraElement.of(Z_ZERO, -2)
         assert str(exc.value).endswith("; residual (1 term): (-2)*z0")
 
+    def test_zero_pair_mismatch_names_the_entry(self, monkeypatch):
+        # [w+3/2, w+1/2] = 0 on the free side; give it c on the osc side
+        pair = (w_label(H(3)), w_label(H(1)))
+        corrupt_osc_table(monkeypatch, pair,
+                          lambda table: AlgebraElement.of(C_LABEL, 1))
+        with pytest.raises(Mismatch) as exc:
+            certify_transform(H(3), "section7")
+        assert exc.value.label == "[w+3/2, w+1/2] in the structure tables"
+        assert exc.value.residual == AlgebraElement.of(C_LABEL, -1)
+
     def test_each_generator_maps_threehalf_section5(self):
         spec = TransformSpec(H(3), "section5")
-        sub = free_to_osc_substitution(H(3))
         free = free_generators(H(3))
         osc = osc_generators(H(3), "section5")
         assert len(free) == 8
         for lb in free:
-            assert transform(free[lb], spec, sub) == osc[lb], lb
+            assert three_step_map(spec)(free[lb]) == osc[lb], lb
 
 
 class TestComposedMap:
@@ -86,7 +123,7 @@ class TestComposedMap:
     def test_equals_three_passes(self, ell, norm):
         spec = TransformSpec(ell, norm)
         sub = free_to_osc_substitution(ell)
-        tmap = three_step_map(spec, sub)
+        tmap = three_step_map(spec)
 
         def three_passes(g):
             out = conjugate(sub(g), ("sshift", -spec.delta))
@@ -98,7 +135,7 @@ class TestComposedMap:
                 for b in gens[i + 1:]]
         for g in ops:
             assert tmap(g) == three_passes(g)
-        assert all(transform(g, spec, sub) == tmap(g) for g in gens)
+        assert all(three_step_map(spec)(g) == tmap(g) for g in gens)
 
 
 class TestFaultInjection:
