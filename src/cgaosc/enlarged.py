@@ -16,8 +16,7 @@ from .realizations import (AlgebraElement, C_LABEL, GenLabel, SpanBasis,
                            StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
                            bracket_tables, free_generators, label_sort_key,
                            label_str, w_indices, w_label, ww_label)
-from .scalars import (CScalar, HalfInt, check_half_odd, from_raw, numerators,
-                      raw_acc, raw_mul)
+from .scalars import CScalar, HalfInt, check_half_odd, from_raw
 from .weyl import WeylOp
 
 
@@ -168,51 +167,58 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
     of table.odd; graded says which table the caller means, and a table
     whose grading disagrees raises GradingViolation.
 
-    The sums run on integer numerators over the table-wide denominator
-    D, so a residual is numerators over D^2.  Returns n^3; raises
-    JacobiFailure with the residual lhs - rhs."""
+    The sums walk only the nonzero brackets, as (label, c-power,
+    numerator) over the table-wide denominator D: for each pair a <= b,
+    one sum keyed (d, label, c-power) over every d >= b, so any Laurent
+    coefficient is checked exactly.  Returns n^3; raises JacobiFailure at
+    the first sorted triple with a nonzero residual lhs - rhs (over D^2)."""
     labels, odd = table.labels, table.odd
     if graded != bool(odd):
         raise GradingViolation(f"graded={graded} but the table's odd labels "
                                f"are {sorted(odd, key=label_sort_key)}")
     den = lcm(*(q.denominator for elem in table.entries.values()
                 for cs in elem.terms.values() for q in cs.terms.values()))
-    # equal coefficients share one numerator map, so the adjoint maps
-    # hold no more than the table's distinct coefficients
-    shared: Dict[CScalar, dict] = {}
-    ad = {x: {} for x in labels}
-    for x in labels:
-        for d in labels:
-            elem = table.bracket(x, d)
-            if elem.terms:
-                raw, _ = numerators(elem.terms, den)
-                ad[x][d] = {lb: shared.setdefault(elem.terms[lb], q)
-                            for lb, q in raw.items()}
-    empty: dict = {}
-    for i, a in enumerate(labels):
-        ad_a = ad[a]
-        for j in range(i, len(labels)):
-            b = labels[j]
-            ad_b = ad[b]
-            ab = ad_a.get(b, empty)
-            sign = -1 if a in odd and b in odd else 1
-            for d in labels[j:]:
+    pos = {x: i for i, x in enumerate(labels)}
+    ad: List[Dict[int, tuple]] = [{} for _ in labels]
+    for (a, b), elem in table.entries.items():
+        row = tuple((pos[lb], k, q.numerator * (den // q.denominator))
+                    for lb, cs in elem.terms.items()
+                    for k, q in cs.terms.items())
+        ad[pos[a]][pos[b]] = row
+        if a != b:  # the sign bracket(b, a) gives the mirrored entry
+            ad[pos[b]][pos[a]] = (row if a in odd and b in odd else
+                                  tuple((e, k, -q) for e, k, q in row))
+    n = len(labels)
+    for i in range(n):
+        for j in range(i, n):
+            sign = -1 if labels[i] in odd and labels[j] in odd else 1
+            acc: Dict[tuple, int] = {}
+            # [[a,b},d}, then -[a,[b,d}} and sign * [b,[a,d}}
+            for e, ke, qe in ad[i].get(j, ()):
+                for d, row in ad[e].items():
+                    if d >= j:
+                        for lb, k, q in row:
+                            key = (d, lb, ke + k)
+                            acc[key] = acc.get(key, 0) + qe * q
+            for outer, inner, s in ((ad[j], ad[i], -1),
+                                    (ad[i], ad[j], sign)):
+                for d, row in outer.items():
+                    if d >= j:
+                        for e, ke, qe in row:
+                            qe *= s
+                            for lb, k, q in inner.get(e, ()):
+                                key = (d, lb, ke + k)
+                                acc[key] = acc.get(key, 0) + qe * q
+            d = min((key[0] for key, v in acc.items() if v), default=None)
+            if d is not None:
                 res: Dict[GenLabel, dict] = {}
-                for e, k in ab.items():
-                    for lb, v in ad[e].get(d, empty).items():
-                        raw_acc(res, lb, raw_mul(v, k), 1)
-                for e, k in ad_b.get(d, empty).items():
-                    for lb, v in ad_a.get(e, empty).items():
-                        raw_acc(res, lb, raw_mul(v, k), -1)
-                for e, k in ad_a.get(d, empty).items():
-                    for lb, v in ad_b.get(e, empty).items():
-                        raw_acc(res, lb, raw_mul(v, k), sign)
-                if any(q for acc in res.values() for q in acc.values()):
-                    raise JacobiFailure((a, b, d),
-                                        AlgebraElement(from_raw(res,
-                                                                den * den)),
-                                        "graded" if graded else "plain")
-    return len(labels) ** 3
+                for (dd, lb, k), v in acc.items():
+                    if dd == d:
+                        res.setdefault(labels[lb], {})[k] = v
+                raise JacobiFailure((labels[i], labels[j], labels[d]),
+                                    AlgebraElement(from_raw(res, den * den)),
+                                    "graded" if graded else "plain")
+    return n ** 3
 
 
 @dataclass

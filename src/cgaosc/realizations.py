@@ -31,6 +31,7 @@ Z_PLUS = ("z", 1)
 Z_ZERO = ("z", 0)
 Z_MINUS = ("z", -1)
 C_LABEL = ("c",)
+_KIND_ORDER = {"z": 0, "w": 1, "c": 2, "ww": 3}
 
 
 def w_label(j: HalfInt) -> GenLabel:
@@ -43,8 +44,7 @@ def ww_label(i: HalfInt, j: HalfInt) -> GenLabel:
 
 
 def label_sort_key(label: GenLabel):
-    order = {"z": 0, "w": 1, "c": 2, "ww": 3}
-    return (order[label[0]],) + tuple(-x for x in label[1:])
+    return (_KIND_ORDER[label[0]],) + tuple(-x for x in label[1:])
 
 
 def label_str(label: GenLabel) -> str:

@@ -227,10 +227,21 @@ class TestJacobi:
         assert str(exc.value).startswith("graded" if graded else "plain")
 
 
+def _random_coef(rng):
+    """A small rational, or half the time a Laurent polynomial in c with
+    two terms, such as c^-1 + 2c, so that the sums must keep c-powers
+    apart."""
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if rng.random() < 0.5:
+        return CScalar.from_rational(q())
+    return CScalar({k: q() for k in rng.sample(range(-2, 3), 2)})
+
+
 def _random_table(rng, labels, graded):
     """A random table over labels that is graded-antisymmetric (through
-    StructureTable.bracket) and keeps parity, with small rational
-    entries: a bracket in general, not a Lie (super)algebra."""
+    StructureTable.bracket) and keeps parity, with small rational and
+    Laurent entries: a bracket in general, not a Lie (super)algebra."""
     odd = {x for x in labels if graded and x[0] == "w"}
     entries = {}
     for i, a in enumerate(labels):
@@ -239,7 +250,7 @@ def _random_table(rng, labels, graded):
                 continue
             sector = [x for x in labels
                       if (x in odd) == ((a in odd) != (b in odd))]
-            terms = {x: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            terms = {x: _random_coef(rng)
                      for x in sector if rng.random() < 0.5}
             elem = AlgebraElement(terms)
             if elem.terms:
@@ -301,18 +312,41 @@ class TestJacobiReduction:
             assert exc.value.triple == failing[0]
             assert exc.value.residual == _residual(table, *failing[0])
 
-    def test_every_doubled_entry_fails_threehalf(self):
-        tables = closure_tables(free_enlarged(H(3)))
+    def test_residual_that_vanishes_at_c_one_fails(self):
+        # [z+1, z0] = c z+1, [z+1, z-1] = z0, [z0, z-1] = z-1 is a Lie
+        # bracket only at c = 1: the residual (c - 1) z0 keeps c-powers
+        table = StructureTable([Z_PLUS, Z_ZERO, Z_MINUS], {
+            (Z_PLUS, Z_ZERO): AlgebraElement({Z_PLUS: CScalar.c()}),
+            (Z_PLUS, Z_MINUS): AlgebraElement.of(Z_ZERO),
+            (Z_ZERO, Z_MINUS): AlgebraElement.of(Z_MINUS)})
+        with pytest.raises(JacobiFailure) as exc:
+            check_jacobi(table, graded=False)
+        assert exc.value.triple == (Z_PLUS, Z_ZERO, Z_MINUS)
+        assert exc.value.residual == _residual(table, *exc.value.triple)
+        assert exc.value.residual.terms[Z_ZERO] == CScalar({0: -1, 1: 1})
+
+    @staticmethod
+    def _sweep(ell, scale):
+        """Scale each entry of both tables at ell in turn; every such
+        table must fail, with the oracle's residual.  Returns the count."""
         swept = 0
-        for graded, table in enumerate(tables):
+        for graded, table in enumerate(closure_tables(free_enlarged(ell))):
             for pair, elem in table.entries.items():
                 entries = dict(table.entries)
-                entries[pair] = elem.scaled(CScalar.from_rational(2))
+                entries[pair] = elem.scaled(CScalar.from_rational(scale))
                 bad = StructureTable(table.labels, entries, table.odd)
-                with pytest.raises(JacobiFailure):
+                with pytest.raises(JacobiFailure) as exc:
                     check_jacobi(bad, graded=bool(graded))
+                assert exc.value.residual == _residual(bad,
+                                                       *exc.value.triple)
                 swept += 1
-        assert swept == 178
+        return swept
+
+    def test_every_doubled_entry_fails_threehalf(self):
+        assert self._sweep(H(3), 2) == 178
+
+    def test_every_negated_entry_fails_fivehalf(self):
+        assert self._sweep(H(5), -1) == 448
 
     @pytest.mark.parametrize("graded,pair", [
         (False, (w_label(H(1)), ww_label(H(1), H(-1)))),
