@@ -68,27 +68,30 @@ def _potentials(cols: Sequence[Dict[Hashable, CScalar]]
 class SpanSolver:
     """Solve  sum_i x_i * col_i = b  exactly for CScalar unknowns.
 
-    Columns are dicts key->CScalar.  When the solver is built, its rows
-    (one per key) are fed at c = 1 into one incremental Gauss-Jordan
-    elimination over Q, which records the pivot keys K, the pivot
-    columns P and inv(A[K, P]); each solved coefficient gets its power
-    of c back from the potentials.  The caller is expected to verify
-    the reconstruction at operator level.
+    Columns are dicts key->CScalar.  Each question runs one reduced
+    Gauss-Jordan elimination over Q at c = 1 on the rows [A_key | b_key]
+    in key order, up to n pivots, chosen in A alone so that they never
+    depend on b; each solved coefficient gets its power of c back from
+    the potentials.  The caller is expected to verify the reconstruction
+    at operator level.
     """
 
     def __init__(self, cols: Sequence[Dict[Hashable, CScalar]]):
         self.cols = list(cols)
-        self.n = n = len(self.cols)
+        self.n = len(self.cols)
         self.potentials, self.row_potentials = _potentials(self.cols)
-        # after its n entries, a row carries the combination of the rows
-        # of K it came from: the i-th row tried starts as e_i
+        self.keys = sorted({key for c in self.cols for key in c})
+
+    def _eliminate(self, b: Dict[Hashable, CScalar]
+                   ) -> Dict[int, List[Fraction]]:
+        """{pivot column j: its reduced row}; entry n of that row is x_j."""
+        n = self.n
         echelon: Dict[int, List[Fraction]] = {}
-        self.pivot_keys = []
-        for key in sorted({key for c in self.cols for key in c}):
+        for key in self.keys:
             if len(echelon) == n:
                 break
-            row = [_at_one(c.get(key)) for c in self.cols] + [_F0] * n
-            row[n + len(self.pivot_keys)] = Fraction(1)
+            row = [_at_one(c.get(key)) for c in self.cols]
+            row.append(_at_one(b.get(key)))
             for p, erow in echelon.items():
                 f = row[p]
                 if f:
@@ -98,15 +101,13 @@ class SpanSolver:
                 continue
             piv = row[pcol]
             row = [x / piv for x in row]
-            # keep the form reduced, so the combinations are inv(A[K, P])
+            # keep the form reduced, so column n of each row holds x_P
             for p, erow in echelon.items():
                 f = erow[pcol]
                 if f:
                     echelon[p] = [x - f * y for x, y in zip(erow, row)]
             echelon[pcol] = row
-            self.pivot_keys.append(key)
-        self.inv = {j: row[n:n + len(self.pivot_keys)]
-                    for j, row in echelon.items()}
+        return echelon
 
     def solve(self, b: Dict[Hashable, CScalar]) -> List[CScalar]:
         n = self.n
@@ -121,17 +122,15 @@ class SpanSolver:
                 g = p - min(s.terms)
                 if gb.setdefault(comp, g) != g:
                     raise NotGraded(key, n, s)
-        beta = [_at_one(b.get(key)) for key in self.pivot_keys]
-        # x_P = inv(A[K, P]) b|_K and x = 0 off P (caller checks residual)
-        xi = {j: sum((f * q for f, q in zip(row, beta) if f and q), _F0)
-              for j, row in self.inv.items()}
+        # x_P is read off column n, and x = 0 off P (caller checks residual)
+        xi = {j: row[n] for j, row in self._eliminate(b).items()}
         return [CScalar.c_power(g - gb[comp], xi[j]) if xi.get(j)
                 else CScalar.zero()
                 for j, (comp, g) in enumerate(self.potentials)]
 
     def rank(self) -> int:
         """Rank of the column set (no right-hand side)."""
-        return len(self.inv)
+        return len(self._eliminate({}))
 
     def nullity(self) -> int:
         return self.n - self.rank()

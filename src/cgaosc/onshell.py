@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .enlarged import free_enlarged
@@ -15,12 +16,12 @@ from .errors import (Mismatch, NonUniqueSolution, NoSolution,
 from .linsolve import SpanSolver
 from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
                            convention, label_sort_key, label_str,
-                           per_process, positive_w_indices, w_label, ww_label)
+                           positive_w_indices, w_label, ww_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
 
 
-@per_process
+@lru_cache(maxsize=None)
 def omega1_free(ell: HalfInt) -> WeylOp:
     """The degree-1 invariant second-order operator in the free chart:
     d_t + sum_a (l+1/2-a) y_a d_{y_{a+1}} - (l+1/2)/(2c) d_{y_1}^2."""
@@ -38,7 +39,7 @@ def omega1_free(ell: HalfInt) -> WeylOp:
     return op
 
 
-@per_process
+@lru_cache(maxsize=None)
 def omega0_free(ell: HalfInt) -> WeylOp:
     """Degree-0 companion, defined as -t * Omega1 (operator product)."""
     chart = Chart("free", ell)
@@ -63,7 +64,7 @@ def omega0_abstract_threehalf() -> AlgebraElement:
             - AlgebraElement.of(ww_label(h(3), h(-3)), inv4c))
 
 
-@per_process
+@lru_cache(maxsize=None)
 def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """Degree-0 invariant operator in the oscillator chart."""
     convention(ell, normalization, "realization")
@@ -102,7 +103,7 @@ def omega0_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     return op
 
 
-@per_process
+@lru_cache(maxsize=None)
 def omega1_osc(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """Degree-1 companion in the oscillator chart: -e^{-s} * Omega0."""
     chart = Chart("osc", ell)

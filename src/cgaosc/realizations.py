@@ -12,8 +12,7 @@ Generator labels are plain tuples so they sort deterministically:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
-from inspect import signature
+from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -120,21 +119,6 @@ def convention(ell: HalfInt, name: str,
     return conv
 
 
-def per_process(build):
-    """build, run once per process for each set of arguments with the
-    defaults filled in; a call that raises caches nothing.  Every caller
-    shares the result, so it must not be mutable."""
-    cached = lru_cache(maxsize=None)(build)
-    params = signature(build)
-
-    @wraps(build)
-    def call(*args, **kwargs):
-        bound = params.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
-    return call
-
-
 def delta(ell: HalfInt) -> Fraction:
     """delta = (ell + 1/2)^2 / 4: the weight of the t^delta dressing,
     and the vacuum energy per unit of h."""
@@ -213,7 +197,7 @@ def osc_generators(ell: HalfInt,
     return dict(_osc_generators(ell, normalization))
 
 
-@per_process
+@lru_cache(maxsize=None)
 def _osc_generators(ell: HalfInt,
                     normalization: str) -> Dict[GenLabel, WeylOp]:
     convention(ell, normalization, "realization")
@@ -424,7 +408,6 @@ class SpanBasis:
             groups.setdefault(r.twice, []).append(label)
         self.groups = {k: sorted(v, key=label_sort_key)
                        for k, v in groups.items()}
-        self._solvers: Dict[int, SpanSolver] = {}
 
     def expand(self, op: WeylOp, deg2: int) -> AlgebraElement:
         """Re-expand op, of twice the grading deg2, in the span of the
@@ -434,11 +417,8 @@ class SpanBasis:
         labels = self.groups.get(deg2)
         if not labels:
             raise NotClosed(("<none>",), op)
-        solver = self._solvers.get(deg2)
-        if solver is None:
-            solver = self._solvers[deg2] = SpanSolver(
-                [self.gens[lb].terms for lb in labels])
-        xs = solver.solve(op.terms)
+        xs = SpanSolver([self.gens[lb].terms for lb in labels]).solve(
+            op.terms)
         elem = AlgebraElement({lb: x for lb, x in zip(labels, xs)})
         residual = op - elem.realize(self.gens, self.chart)
         if not residual.is_zero():

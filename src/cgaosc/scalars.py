@@ -107,7 +107,7 @@ class CScalar:
     """Laurent polynomial in the formal central charge c, with Fraction
     coefficients.  Zero coefficients are never stored."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         clean = {}
@@ -117,7 +117,6 @@ class CScalar:
                 if v:
                     clean[k] = v
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CScalar is immutable")
@@ -244,13 +243,9 @@ class CScalar:
         return self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            # a pure rational hashes as its Fraction, which it equals
-            h = (hash(self.as_rational()) if self.is_rational()
-                 else hash(tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # a pure rational hashes as its Fraction, which it equals
+        return (hash(self.as_rational()) if self.is_rational()
+                else hash(tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return bool(self.terms)
@@ -275,7 +270,6 @@ _F0 = Fraction(0)
 def _wrap(terms: dict) -> CScalar:
     obj = CScalar.__new__(CScalar)
     object.__setattr__(obj, "terms", terms)
-    object.__setattr__(obj, "_hash", None)
     return obj
 
 
@@ -299,13 +293,11 @@ _C = CScalar({1: Fraction(1)})
 # from numerators(); a rational factor (an e^{mu s} derivative) makes them
 # Fractions, which the same sums accept.
 
-def numerators(terms: Mapping, den: int | None = None) -> Tuple[dict, int]:
+def numerators(terms: Mapping) -> Tuple[dict, int]:
     """The raw {key: {c-power: int}} numerators of a {key: CScalar} map
-    over den, and den; den defaults to the LCM of the coefficients'
-    denominators and must otherwise be a multiple of it."""
-    if den is None:
-        den = lcm(*(q.denominator for c in terms.values()
-                    for q in c.terms.values()))
+    over den, the LCM of the coefficients' denominators, and den."""
+    den = lcm(*(q.denominator for c in terms.values()
+                for q in c.terms.values()))
     return ({key: {k: q.numerator * (den // q.denominator)
                    for k, q in c.terms.items()}
              for key, c in terms.items()}, den)
@@ -347,7 +339,7 @@ def raw_acc(res: dict, key, base: dict, factor) -> None:
             acc[k] = acc.get(k, 0) + q * factor
 
 
-def from_raw(res: dict, den: int = 1) -> dict:
+def from_raw(res: dict, den: int) -> dict:
     """The {key: CScalar} terms of an accumulator over den, without the
     keys whose sums cancelled; every coefficient is a Fraction."""
     out = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,12 +19,12 @@ from .errors import DiagonalDependsOnC, Inconsistent, Mismatch, NotTriangular
 from .funcspace import GaussFunc, apply_op
 from .onshell import omega0_osc
 from .realizations import (Z_ZERO, convention, delta, osc_generators,
-                           per_process, positive_w_indices, w_label)
+                           positive_w_indices, w_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, conjugate
 
 
-@per_process
+@lru_cache(maxsize=None)
 def hamiltonian(ell: HalfInt, normalization: str = "section7") -> WeylOp:
     """The effective Hamiltonian extracted from the degree-0 invariant
     operator: H = h (Omega0 - z0), with h = 2 in the section7 convention

@@ -101,6 +101,9 @@ class TestRandomGraded:
             seen["deficient"] += rank < len(cols)
             xs = solver.solve(b)
             assert sum(1 for x in xs if x) <= rank
+            # x = 0 off the pivot columns, which are independent
+            support = [j for j, x in enumerate(xs) if x]
+            assert A[:, support].rank(simplify=True) == len(support)
             try:
                 sol, params = A.gauss_jordan_solve(bvec)
             except ValueError:
@@ -116,8 +119,8 @@ class TestRandomGraded:
 
 
 class TestOneFactorization:
-    """One solver eliminates its columns once and then serves every
-    right-hand side; each answer must be the one a fresh solver gives."""
+    """One solver serves every right-hand side and its rank, each with
+    one elimination; each answer must be the one a fresh solver gives."""
 
     def test_many_right_hand_sides(self):
         rng = random.Random(29)
@@ -186,6 +189,12 @@ class TestOneFactorization:
         assert info.value.entry == one
         solver = SpanSolver([{0: one}, {1: c}])
         assert solver.solve({0: one, 1: one}) == [one, CScalar.c_power(-1)]
+        # b's entry is named at column n, not at the column whose
+        # potential it conflicts with
+        solver = SpanSolver([{1: c, 0: one}, {1: one, 2: one}])
+        with pytest.raises(NotGraded) as info:
+            solver.solve({0: one, 2: CScalar.c_power(5)})
+        assert (info.value.key, info.value.column) == (2, 2)
 
 
 class TestNotGraded:

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from cgaosc import weyl
 from cgaosc.errors import BadEll, NotClosed
+from cgaosc.onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
 from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis, Z_MINUS,
-                                 Z_PLUS, Z_ZERO, extract_structure,
-                                 free_generators, label_str, osc_generators,
-                                 parse_label, w_indices, w_label, ww_label)
+                                 Z_PLUS, Z_ZERO, _osc_generators,
+                                 extract_structure, free_generators,
+                                 label_str, osc_generators, parse_label,
+                                 w_indices, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
+from cgaosc.spectrum import hamiltonian
 from cgaosc.weyl import WeylOp, degree_of
 
 H = HalfInt
@@ -151,8 +155,35 @@ class TestErrorsAndLabels:
 
 
 class TestPerProcessBuild:
-    """osc_generators builds once per process and resolved (ell,
-    normalization), and hands each caller its own dict."""
+    """Each cached build runs once per process for its arguments, and
+    osc_generators hands each caller its own dict."""
+
+    @pytest.mark.parametrize("build, cached, args", [
+        (osc_generators, _osc_generators, (H(5), "section7")),
+        (hamiltonian, hamiltonian, (H(3), "section6")),
+        (omega0_osc, omega0_osc, (H(5), "section7")),
+        (omega1_osc, omega1_osc, (H(5), "section7")),
+        (omega0_free, omega0_free, (H(5),)),
+        (omega1_free, omega1_free, (H(5),)),
+    ], ids=["osc_generators", "hamiltonian", "omega0_osc", "omega1_osc",
+            "omega0_free", "omega1_free"])
+    def test_second_call_reuses_the_build(self, monkeypatch, build, cached,
+                                          args):
+        # called as the package calls it; once built, no call forms a
+        # product
+        first = build(*args)
+
+        def refuse(*_):
+            raise AssertionError("rebuilt")
+        monkeypatch.setattr(weyl, "bracket", refuse)
+        with pytest.raises(AssertionError, match="rebuilt"):
+            cached.__wrapped__(*args)
+        second = build(*args)
+        if build is osc_generators:
+            assert second is not first and second.keys() == first.keys()
+            assert all(second[lb] is first[lb] for lb in first)
+        else:
+            assert second is first
 
     def test_edited_result_leaves_next_call_whole(self):
         first = osc_generators(H(3))
