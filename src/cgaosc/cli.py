@@ -13,11 +13,12 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .enlarged import (build_enlarged, check_jacobi, closure_tables,
                        duality_report, expected_dims, free_enlarged)
-from .errors import CgaError, InputError
+from .errors import CgaError, InputError, Mismatch
 from .jsonio import gaussfunc_json, gens_json, weylop_json
 from .latexout import func_latex, op_latex, op_plain
 from .onshell import (certify_onshell, cross_relations, omega0_free,
@@ -225,16 +226,20 @@ def verify_spectrum(args) -> dict:
            "states": sum(1 for r in recs if sum(r.n) <= args.max_total),
            "vacuumEnergy": str(vacuum_energy(ell, norm))}
     if norm == "section7":
-        mo = matrix_oracle(ell, args.max_degree)
-        ladder = sorted(r.energy for r in recs
-                        if sum(r.n) <= args.max_degree)
-        if ladder != sorted(mo.eigenvalues):
-            raise CgaError("ladder and matrix spectra disagree")
+        ladder = Counter(r.energy for r in recs
+                         if sum(r.n) <= args.max_degree)
+        oracle = Counter(matrix_oracle(ell, args.max_degree).eigenvalues)
+        if ladder != oracle:
+            e = min(e for e in ladder | oracle if ladder[e] != oracle[e])
+            raise CgaError(f"ladder and matrix spectra disagree at energy "
+                           f"{e}: multiplicity {ladder[e]} on the ladder, "
+                           f"{oracle[e]} in the matrix")
         out["matrixAgrees"] = True
         out["reductionConstant"] = str(harmonic_reduction(ell).constant)
-        if to_m_form(hamiltonian(ell, norm), ell) \
-                != hamiltonian_m_form_expected(ell):
-            raise CgaError("m-form Hamiltonian mismatch")
+        resid = (to_m_form(hamiltonian(ell, norm), ell)
+                 - hamiltonian_m_form_expected(ell))
+        if not resid.is_zero():
+            raise Mismatch("m-form Hamiltonian", resid)
     return out
 
 

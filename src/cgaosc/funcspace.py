@@ -6,8 +6,10 @@ monomial may also carry powers of t).
 Every chart operator maps this class to itself, which is what makes exact
 eigen-relation checks possible.  apply_op moves the Gaussian onto the
 operator with weyl.conjugate and then applies each derivative to the
-polynomial part in closed form, preparing each operator term (its
-nonzero derivatives and its exponent shift) once per call.
+polynomial part in closed form, in one loop on integer numerators:
+each operator term is prepared once per call, each term pair adds its
+products into one {key: {c-power: int}} map, and from_raw makes the
+coefficients once.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from operator import add, sub
 from typing import Dict, Tuple
 
 from .errors import ChartMismatch
-from .scalars import (CScalar, LinComb, from_raw, numerators, raw_acc,
-                      raw_mul)
-from .weyl import Chart, WeylOp, conjugate, falling
+from .scalars import CScalar, LinComb, from_raw, numerators
+from .weyl import Chart, WeylOp, conjugate
 
 FKey = Tuple[int, Tuple[int, ...]]  # (2*mu, variable exponents)
 
@@ -84,10 +85,13 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
     e^{kappa x1^2} (conjugate(op, ("gauss", 2 kappa)) P): each term of the
     conjugated operator meets each term of P in closed form,
     d^n x^p = falling(p, n) x^{p-n} and d_s^n e^{mu s} = mu^n e^{mu s},
-    summed on integer numerators over one denominator.  Each operator
-    term is prepared once per call (its nonzero space derivatives and its
-    exponent shift v - d), and a term of P stops at the first zero
-    falling factorial."""
+    mu^n = (2 mu)^n / 2^n.  All sums run on int numerators over one
+    denominator, 2^S d_op d_f for S the highest d_s order: each operator
+    term is prepared once per call (its d_s order n, its nonzero space
+    derivatives, its exponent shift v - d and its (c-power, numerator)
+    pairs times 2^(S - n)), each term pair adds its products straight
+    into a {key: {c-power: int}} map, and from_raw makes the
+    coefficients once."""
     if op.chart != f.chart:
         raise ChartMismatch("operator and function live in different charts")
     osc = op.chart.kind == "osc"
@@ -95,18 +99,29 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
         op = conjugate(op, ("gauss", f.kappa + f.kappa))
     t_op, d_op = numerators(op.terms)
     t_f, d_f = numerators(f.terms)
+    t_f = [(mu2, m, list(c_f.items())) for (mu2, m), c_f in t_f.items()]
+    top = max((d[0] for _, _, d in t_op), default=0) if osc else 0
     res: Dict[FKey, dict] = {}
     for (e, v, d), c_op in t_op.items():
         s_der, space_ders = (d[0], d[1:]) if osc else (0, d)
         ders = [(i, n) for i, n in enumerate(space_ders) if n]
         shift = tuple(map(sub, v, space_ders))
-        for (mu2, m), c_f in t_f.items():
-            factor = Fraction(mu2, 2) ** s_der if s_der else 1
+        c_op = [(k, q << (top - s_der)) for k, q in c_op.items()]
+        for mu2, m, c_f in t_f:
+            factor = mu2 ** s_der
             for i, n in ders:
-                if not factor:
-                    break
-                factor *= falling(m[i], n)
-            if factor:
-                raw_acc(res, (mu2 + e, tuple(map(add, m, shift))),
-                        raw_mul(c_op, c_f), factor)
-    return f._like(from_raw(res, d_op * d_f))
+                p = m[i]
+                for j in range(n):  # falling(p, n), inlined
+                    factor *= p - j
+            if not factor:
+                continue
+            key = (mu2 + e, tuple(map(add, m, shift)))
+            acc = res.get(key)
+            if acc is None:
+                acc = res[key] = {}
+            for k1, q1 in c_op:
+                q1 *= factor
+                for k2, q2 in c_f:
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + q1 * q2
+    return f._like(from_raw(res, d_op * d_f << top))

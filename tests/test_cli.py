@@ -1,10 +1,12 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from cgaosc.cli import main, parse_ell
 from cgaosc.errors import Mismatch, NotTriangular
 from cgaosc.jsonio import weylop_from_json
 from cgaosc.realizations import AlgebraElement, free_generators, parse_label
-from cgaosc.scalars import HalfInt
+from cgaosc.scalars import CScalar, HalfInt
+from cgaosc.weyl import WeylOp
 
 H = HalfInt
 
@@ -305,6 +308,46 @@ class TestVerify:
         assert json.loads(out) == {"status": "fail",
                                    "error": "NotTriangular",
                                    "detail": "entry below the diagonal"}
+
+    def test_spectrum_disagreement_names_the_energy(self, capsys,
+                                                    monkeypatch):
+        oracle = cgaosc.cli.matrix_oracle
+        moved = oracle(H(3), 3).eigenvalues[-1]
+
+        def off_by_half(ell, max_degree):
+            mo = oracle(ell, max_degree)
+            values = mo.eigenvalues[:-1] + [moved + Fraction(1, 2)]
+            return dataclasses.replace(mo, eigenvalues=values)
+
+        monkeypatch.setattr(cgaosc.cli, "matrix_oracle", off_by_half)
+        code, out = run(capsys, "verify", "spectrum", "--ell", "3/2",
+                        "--max-degree", "3")
+        assert code == 1
+        rep = json.loads(out)["suites"]["spectrum"]
+        count = oracle(H(3), 3).eigenvalues.count(moved)
+        assert rep == {"error": "CgaError", "detail": (
+            f"ladder and matrix spectra disagree at energy {moved}: "
+            f"multiplicity {count} on the ladder, {count - 1} in the "
+            f"matrix")}
+
+    def test_m_form_mismatch_shows_the_residual(self, capsys, monkeypatch):
+        expected = cgaosc.cli.hamiltonian_m_form_expected
+
+        def one_off(ell):
+            h = expected(ell)
+            terms = dict(h.terms)
+            key = h.sorted_terms()[0][0]  # the constant term
+            terms[key] = terms[key] + CScalar.from_rational(1)
+            return WeylOp(h.chart, terms)
+
+        monkeypatch.setattr(cgaosc.cli, "hamiltonian_m_form_expected",
+                            one_off)
+        code, out = run(capsys, "verify", "spectrum", "--ell", "3/2")
+        assert code == 1
+        rep = json.loads(out)["suites"]["spectrum"]
+        assert rep["error"] == "Mismatch"
+        assert rep["detail"] == ("mismatch at m-form Hamiltonian; "
+                                 "residual (1 term): WeylOp(-1)")
 
     def test_onshell_osc_chart(self, capsys):
         code, out = run(capsys, "verify", "onshell", "--ell", "3/2",

@@ -274,6 +274,48 @@ class TestExactCoefficients:
         assert kinds == {Fraction}
 
 
+class TestApplyKernel:
+    """apply_op's integer loop against hand-computed images."""
+
+    ZERO = CScalar.zero()
+
+    def test_terms_that_cancel_leave_no_key(self):
+        # (u du - 2) u^2 = 2 u^2 - 2 u^2
+        op = WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1) - 2 * WeylOp.one(OSC)
+        f = GaussFunc.monomial(OSC, self.ZERO, varpow=(2, 0))
+        assert apply_op(op, f).terms == {}
+
+    def test_c_powers_that_cancel_are_not_stored(self):
+        # ((c + 1) - c u du) u = (c + 1) u - c u = u
+        op = (WeylOp.const(OSC, CScalar({0: 1, 1: 1}))
+              - CScalar.c() * WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1))
+        f = GaussFunc.monomial(OSC, self.ZERO, varpow=(1, 0))
+        out = apply_op(op, f)
+        assert out == f
+        assert out.terms[(0, (1, 0))].terms == {0: Fraction(1)}
+
+    def test_d_s_on_half_integer_mu(self):
+        # ds^2 + 3 ds + u du on e^{mu s} u gives mu^2 + 3 mu + 1:
+        # 11/4 at mu = 1/2 and -5/4 at mu = -3/2
+        op = (WeylOp.der(OSC, 0, power=2) + 3 * WeylOp.der(OSC, 0)
+              + WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1))
+        f = GaussFunc(OSC, self.ZERO, {(1, (1, 0)): Fraction(1, 3),
+                                       (-3, (1, 0)): 2})
+        want = GaussFunc(OSC, self.ZERO, {(1, (1, 0)): Fraction(11, 12),
+                                          (-3, (1, 0)): Fraction(-5, 2)})
+        assert apply_op(op, f) == want
+
+    def test_derivative_of_a_negative_power(self):
+        # (dt^2 + t dt + dx) t^-1 y = 2 t^-3 y - t^-1 y; dx meets x^0
+        op = (WeylOp.der(FREE, 0, power=2)
+              + WeylOp.var(FREE, 0) * WeylOp.der(FREE, 0)
+              + WeylOp.der(FREE, 1))
+        f = GaussFunc.monomial(FREE, self.ZERO, varpow=(-1, 0, 1))
+        want = GaussFunc(FREE, self.ZERO, {(0, (-3, 0, 1)): 2,
+                                           (0, (-1, 0, 1)): -1})
+        assert apply_op(op, f) == want
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("chart", [FREE, OSC], ids=["free", "osc"])
     def test_apply_matches_sympy(self, chart):
