@@ -12,8 +12,8 @@ from .realizations import (AlgebraElement, StructureTable, extract_structure,
 from .enlarged import (EnlargedBasis, build_enlarged, check_jacobi,
                        closure_tables, duality_report)
 from .onshell import (OnShellCertificate, certify_onshell, cross_relations,
-                      offshell_centralizer, omega0_free, omega0_osc,
-                      omega1_free, omega1_osc, solve_omega1)
+                      omega0_free, omega0_osc, omega1_free, omega1_osc,
+                      solve_omega1)
 # The function spectrum() is not re-exported: its name would shadow
 # the submodule cgaosc.spectrum.
 from .transform import TransformSpec, certify_transform
@@ -30,9 +30,8 @@ __all__ = [
     "conjugate", "cross_relations", "degree_of", "duality_report",
     "extract_structure", "free_generators", "free_to_osc_substitution",
     "hamiltonian", "harmonic_reduction", "ladder_relations", "ladder_state",
-    "matrix_oracle", "offshell_centralizer", "omega0_free", "omega0_osc",
-    "omega1_free", "omega1_osc", "osc_generators", "solve_omega1", "to_m_form",
-    "vacuum", "vacuum_energy",
+    "matrix_oracle", "omega0_free", "omega0_osc", "omega1_free", "omega1_osc",
+    "osc_generators", "solve_omega1", "to_m_form", "vacuum", "vacuum_energy",
 ]
 
 __version__ = "0.1.0"

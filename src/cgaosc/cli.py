@@ -16,15 +16,15 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .enlarged import (build_enlarged, check_jacobi, closure_tables,
-                       duality_report, expected_dims, free_enlarged)
+from .enlarged import (check_jacobi, closure_tables, duality_report,
+                       expected_dims, free_enlarged)
 from .errors import CgaError, InputError, Mismatch
 from .jsonio import gaussfunc_json, gens_json, weylop_json
 from .latexout import func_latex, op_latex, op_plain
 from .onshell import (certify_onshell, cross_relations, omega0_free,
                       omega0_osc, omega1_free, omega1_osc, solve_omega1)
-from .realizations import (convention, free_generators, label_sort_key,
-                           label_str, osc_generators)
+from .realizations import (convention, free_generators, free_span,
+                           label_sort_key, label_str, osc_generators)
 from .scalars import HalfInt
 from .spectrum import (harmonic_reduction, hamiltonian,
                        hamiltonian_m_form_expected, ladder_relations,
@@ -189,14 +189,14 @@ def verify_duality(args) -> dict:
 def verify_onshell(args) -> dict:
     ell = args.ell
     if args.chart == "free":
-        basis = free_enlarged(ell)
+        gens = free_span(ell).gens
         om1, om0 = omega1_free(ell), omega0_free(ell)
     else:
         norm = convention(ell, NORMS[args.normalization]).realization
-        basis = build_enlarged(osc_generators(ell, norm), ell)
+        gens = osc_generators(ell, norm)
         om1, om0 = omega1_osc(ell, norm), omega0_osc(ell, norm)
-    cert1 = certify_onshell(om1, basis.realized)
-    cert0 = certify_onshell(om0, basis.realized)
+    cert1 = certify_onshell(om1, gens)
+    cert0 = certify_onshell(om0, gens)
     cross_relations(om0, om1)
     out = {"chart": args.chart,
            "degree1": cert1.to_json(),

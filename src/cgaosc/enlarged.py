@@ -5,7 +5,7 @@ Z2-graded algebra on the very same realized operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Tuple
@@ -14,8 +14,8 @@ from .errors import GradingViolation, JacobiFailure, LinearlyDependent
 from .linsolve import SpanSolver
 from .realizations import (AlgebraElement, C_LABEL, GenLabel, SpanBasis,
                            StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
-                           bracket_tables, free_generators, label_sort_key,
-                           label_str, w_indices, w_label, ww_label)
+                           free_span, label_sort_key, label_str, w_indices,
+                           w_label, ww_label)
 from .scalars import CScalar, HalfInt, check_half_odd, from_raw
 from .weyl import WeylOp
 
@@ -31,6 +31,8 @@ class EnlargedBasis:
     tables: Optional[Tuple[StructureTable, StructureTable]] = field(
         default=None, compare=False, repr=False)
     dims: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    # the SpanBasis of the CGA operators, if it was built before
+    span: Optional[SpanBasis] = field(default=None, compare=False, repr=False)
 
     @property
     def labels(self) -> List[GenLabel]:
@@ -57,8 +59,10 @@ def build_enlarged(gens: Dict[GenLabel, WeylOp],
 
 @lru_cache(maxsize=None)
 def free_enlarged(ell: HalfInt) -> EnlargedBasis:
-    """Enlarged basis over the free-chart realization, cached per ell."""
-    return build_enlarged(free_generators(ell), ell)
+    """Enlarged basis over the free-chart realization, cached per ell,
+    on the operators and the CGA table of free_span(ell)."""
+    span = free_span(ell)
+    return replace(build_enlarged(span.gens, ell), span=span)
 
 
 def expected_dims(ell: HalfInt) -> Tuple[int, int, int]:
@@ -76,15 +80,15 @@ def closure_tables(basis: EnlargedBasis
     """The plain (ECGA) and the graded (SCGA) structure table over the
     same realized operators, built once and kept in basis.tables.
 
-    Only the CGA table is computed from the operators; the rest follows
-    from it by the Leibniz rule.  That is their table only if they are
-    independent, which _certified_dims checks first."""
+    Only the CGA table (the table of basis.span) is computed from the
+    operators; the rest follows from it by the Leibniz rule.  That is
+    their table only if they are independent, which _certified_dims
+    checks first."""
     if basis.tables is None:
-        cga = {lb: op for lb, op in basis.realized.items() if lb[0] != "ww"}
-        span = SpanBasis(cga)
+        span = basis.span or SpanBasis(
+            {lb: op for lb, op in basis.realized.items() if lb[0] != "ww"})
         basis.dims = _certified_dims(basis, span.degrees)
-        basis.tables = _leibniz_tables(basis,
-                                       bracket_tables(cga, span=span)[0])
+        basis.tables = _leibniz_tables(basis, span.table)
     return basis.tables
 
 

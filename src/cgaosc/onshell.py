@@ -1,6 +1,6 @@
 """Invariant operators of degree 1 and 0: explicit construction, an
 independent from-scratch solver over the degree-graded even sector,
-multiplier-function certificates, and off-shell centralizers.
+and multiplier-function certificates.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .enlarged import free_enlarged
 from .errors import (Mismatch, NonUniqueSolution, NoSolution,
@@ -212,21 +212,37 @@ def _multiplier_candidate(comm: WeylOp, omega: WeylOp,
 
 def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
                     ) -> OnShellCertificate:
-    """For every generator g, either [g, omega] = 0 or [g, omega] =
-    f^g * omega with f^g in the chart's multiplier class, verified
-    exactly.  Raises NotProportional when neither holds."""
+    """For every CGA generator g in gens and every w{i,j} = {w_i, w_j},
+    either [g, omega] = 0 or [g, omega] = f^g * omega with f^g in the
+    chart's multiplier class, verified exactly; raises NotProportional
+    at the first label, in label order, where neither holds.  By the
+    Leibniz rule [w{i,j}, omega] = {[w_i, omega], w_j} + {w_i, [w_j,
+    omega]}, a w{i,j} entry is strict zero when both w entries are;
+    any other is bracketed as an operator."""
     z0 = gens[Z_ZERO]
     d_omega = degree_of(omega, z0)
     table: Dict[GenLabel, Optional[WeylOp]] = {}
-    for lb in sorted(gens, key=label_sort_key):
-        comm = gens[lb].commutator(omega)
+
+    def entry(lb: GenLabel, op: WeylOp) -> None:
+        comm = op.commutator(omega)
         if comm.is_zero():
             table[lb] = None
-            continue
+            return
         f = _multiplier_candidate(comm, omega, d_omega, z0)
         if f is None:
             raise NotProportional(label_str(lb), comm)
         table[lb] = f
+
+    for lb in sorted(gens, key=label_sort_key):
+        entry(lb, gens[lb])
+    ws = [lb for lb in table if lb[0] == "w"]  # from w+ell down
+    for a, wi in enumerate(ws):
+        for wj in ws[a:]:
+            lb = ("ww", wi[1], wj[1])
+            if table[wi] is None and table[wj] is None:
+                table[lb] = None
+            else:
+                entry(lb, gens[wi].anticommutator(gens[wj]))
     return OnShellCertificate(table=table)
 
 
@@ -247,10 +263,3 @@ def cross_relations(omega0: WeylOp, omega1: WeylOp) -> None:
     resid = omega1 + WeylOp.exp_s(chart, HalfInt(-2)) * omega0
     if not resid.is_zero():
         raise Mismatch("Omega1 + e^{-s} Omega0", resid)
-
-
-def offshell_centralizer(omega: WeylOp, realized: Dict[GenLabel, WeylOp]
-                         ) -> List[GenLabel]:
-    """Labels whose realized operators commute with omega strictly."""
-    return sorted((lb for lb, g in realized.items()
-                   if g.commutator(omega).is_zero()), key=label_sort_key)

@@ -12,7 +12,7 @@ Generator labels are plain tuples so they sort deterministically:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -425,6 +425,11 @@ class SpanBasis:
             raise NotClosed(tuple(labels), residual)
         return elem
 
+    @cached_property
+    def table(self) -> StructureTable:
+        """The plain structure table of gens, built on first use."""
+        return bracket_tables(self.gens, span=self)[0]
+
 
 def bracket_tables(realized: Dict[GenLabel, WeylOp],
                    odd: frozenset = frozenset(),
@@ -470,3 +475,11 @@ def extract_structure(gens: Dict[GenLabel, WeylOp]) -> StructureTable:
     """All pairwise commutators of a closed realized set, re-expanded in
     the span of the set."""
     return bracket_tables(gens)[0]
+
+
+@lru_cache(maxsize=None)
+def free_span(ell: HalfInt) -> SpanBasis:
+    """The SpanBasis of free_generators(ell), built once per process,
+    and so its table: free_enlarged, verify onshell and
+    certify_transform read it, and none may edit its gens."""
+    return SpanBasis(free_generators(ell))

@@ -21,7 +21,7 @@ from typing import List
 
 from .errors import Mismatch
 from .realizations import (GenLabel, convention, delta, extract_structure,
-                           free_generators, label_sort_key, label_str,
+                           free_span, label_sort_key, label_str,
                            osc_generators)
 from .onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
 from .scalars import CScalar, HalfInt
@@ -97,7 +97,7 @@ def certify_transform(ell: HalfInt,
     counted as homomorphismPairs."""
     spec = TransformSpec(ell, normalization)
     tmap = three_step_map(spec)
-    free = free_generators(ell)
+    free = free_span(ell).gens
     osc = osc_generators(ell, normalization)
     checks = [(label_str(lb), g, osc[lb]) for lb, g in free.items()]
     checks += [("Omega0", omega0_free(ell), omega0_osc(ell, normalization)),
@@ -107,7 +107,7 @@ def certify_transform(ell: HalfInt,
         if img != want:
             raise Mismatch(name, img - want)
 
-    free_table, osc_table = extract_structure(free), extract_structure(osc)
+    free_table, osc_table = free_span(ell).table, extract_structure(osc)
     pairs = list(combinations(sorted(free, key=label_sort_key), 2))
     for a, b in pairs:
         diff = free_table.bracket(a, b) - osc_table.bracket(a, b)

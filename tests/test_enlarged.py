@@ -169,7 +169,7 @@ class TestLeibnizDerivation:
             entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
             return StructureTable(plain.labels, entries), graded
 
-        monkeypatch.setattr(cgaosc.enlarged, "bracket_tables", corrupted)
+        monkeypatch.setattr(cgaosc.realizations, "bracket_tables", corrupted)
         basis = build_enlarged(free_generators(H(3)), H(3))
         with pytest.raises(GradingViolation) as exc:
             closure_tables(basis)

@@ -7,18 +7,51 @@ from cgaosc import cli
 from cgaosc.enlarged import build_enlarged, closure_tables, free_enlarged
 from cgaosc.errors import NormalizationUnavailable, NotProportional
 from cgaosc.funcspace import GaussFunc, apply_op
-from cgaosc.onshell import (certify_onshell, cross_relations,
-                            offshell_centralizer, omega0_abstract_threehalf,
-                            omega0_free, omega0_osc, omega1_abstract_threehalf,
+from cgaosc.onshell import (OnShellCertificate, _multiplier_candidate,
+                            certify_onshell, cross_relations,
+                            omega0_abstract_threehalf, omega0_free,
+                            omega0_osc, omega1_abstract_threehalf,
                             omega1_free, omega1_osc, solve_omega1)
 from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
-                                 Z_ZERO, free_generators, label_str,
-                                 osc_generators, w_label, ww_label)
+                                 Z_ZERO, free_generators, label_sort_key,
+                                 label_str, osc_generators, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.weyl import Chart, WeylOp
+from cgaosc.weyl import Chart, WeylOp, degree_of
 
 H = HalfInt
 ELLS = [H(1), H(3), H(5), H(7), H(9)]
+
+
+def all_labels_certificate(omega, gens):
+    """The oracle: [g, omega] as an operator bracket for every label of
+    the realized enlarged basis over gens, in label order."""
+    realized = build_enlarged(gens, omega.chart.ell).realized
+    z0 = realized[Z_ZERO]
+    d_omega = degree_of(omega, z0)
+    table = {}
+    for lb in sorted(realized, key=label_sort_key):
+        comm = realized[lb].commutator(omega)
+        if comm.is_zero():
+            table[lb] = None
+            continue
+        f = _multiplier_candidate(comm, omega, d_omega, z0)
+        if f is None:
+            raise NotProportional(label_str(lb), comm)
+        table[lb] = f
+    return OnShellCertificate(table=table)
+
+
+def outcome(certify, omega, gens):
+    """The certificate's table, or the failing label and residual."""
+    try:
+        return certify(omega, gens).table
+    except NotProportional as exc:
+        return exc.label, exc.residual
+
+
+def centralizer(cert):
+    """The labels whose entry is strict zero, in label order."""
+    return [lb for lb, f in cert.table.items() if f is None]
 
 
 def t_power(chart, k, coef=None):
@@ -105,9 +138,8 @@ class TestSolver:
 class TestCertificates:
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_free_degree1_multipliers(self, ell):
-        basis = free_enlarged(ell)
         chart = Chart("free", ell)
-        cert = certify_onshell(omega1_free(ell), basis.realized)
+        cert = certify_onshell(omega1_free(ell), free_generators(ell))
         mult = cert.multipliers()
         assert set(mult) == {Z_ZERO, Z_MINUS}
         assert mult[Z_ZERO] == WeylOp.one(chart)
@@ -116,9 +148,8 @@ class TestCertificates:
 
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_free_degree0_multipliers(self, ell):
-        basis = free_enlarged(ell)
         chart = Chart("free", ell)
-        cert = certify_onshell(omega0_free(ell), basis.realized)
+        cert = certify_onshell(omega0_free(ell), free_generators(ell))
         mult = cert.multipliers()
         assert set(mult) == {Z_PLUS, Z_MINUS}
         assert mult[Z_PLUS] == t_power(chart, -1)
@@ -134,15 +165,14 @@ class TestCertificates:
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_osc_multipliers(self, ell):
         gens = osc_generators(ell, "section7")
-        basis = build_enlarged(gens, ell)
         chart = Chart("osc", ell)
         om0 = omega0_osc(ell)
         om1 = omega1_osc(ell)
-        m0 = certify_onshell(om0, basis.realized).multipliers()
+        m0 = certify_onshell(om0, gens).multipliers()
         assert set(m0) == {Z_PLUS, Z_MINUS}
         assert m0[Z_PLUS] == WeylOp.exp_s(chart, H(-2))
         assert m0[Z_MINUS] == WeylOp.exp_s(chart, H(2))
-        m1 = certify_onshell(om1, basis.realized).multipliers()
+        m1 = certify_onshell(om1, gens).multipliers()
         assert set(m1) == {Z_ZERO, Z_MINUS}
         assert m1[Z_ZERO] == WeylOp.one(chart)
         assert m1[Z_MINUS] == WeylOp.exp_s(chart, H(2),
@@ -150,9 +180,8 @@ class TestCertificates:
 
     def test_osc_section5_multipliers(self):
         gens = osc_generators(H(3), "section5")
-        basis = build_enlarged(gens, H(3))
         om0 = omega0_osc(H(3), "section5")
-        m0 = certify_onshell(om0, basis.realized).multipliers()
+        m0 = certify_onshell(om0, gens).multipliers()
         assert set(m0) == {Z_PLUS, Z_MINUS}
 
     def test_failure_shows_the_residual(self):
@@ -197,10 +226,80 @@ class TestInvariantPDE:
         assert not apply_op(omega1_free(H(3)), f).is_zero()
 
 
+class TestDerivedCertificates:
+    """certify_onshell brackets only the CGA generators and derives the
+    w{i,j} entries; the all-labels operator route is the oracle."""
+
+    @pytest.mark.parametrize("chart,ell", [
+        *(("free", ell) for ell in ELLS[:4]),
+        *(("section7", ell) for ell in ELLS[:4]),
+        ("section5", H(3)),
+    ], ids=str)
+    def test_matches_the_all_labels_route(self, chart, ell):
+        if chart == "free":
+            gens = free_generators(ell)
+            omegas = omega1_free(ell), omega0_free(ell)
+        else:
+            gens = osc_generators(ell, chart)
+            omegas = omega1_osc(ell, chart), omega0_osc(ell, chart)
+        for omega in omegas:
+            cert = certify_onshell(omega, gens)
+            assert cert == all_labels_certificate(omega, gens)
+            assert list(cert.table) == sorted(cert.table,
+                                              key=label_sort_key)
+
+    @pytest.mark.parametrize("chart,omega", [
+        ("free", "omega1_free"), ("osc", "omega0_osc")])
+    @pytest.mark.parametrize("ell", [H(3), H(5)], ids=str)
+    def test_altered_operator_fails_as_the_oracle(self, monkeypatch, capsys,
+                                                  chart, omega, ell):
+        # double one coefficient; verify onshell must exit and report
+        # as it does with the all-labels route
+        op = getattr(cli, omega)(ell)
+        key = max(op.terms)
+        altered = WeylOp(op.chart, {**op.terms, key: op.terms[key].scale(2)})
+        monkeypatch.setattr(cli, omega, lambda *args: altered)
+        argv = ["verify", "onshell", "--ell", str(ell), "--chart", chart]
+        reports = []
+        for certify in (certify_onshell, all_labels_certificate):
+            monkeypatch.setattr(cli, "certify_onshell", certify)
+            reports.append((cli.main(argv), capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 1
+        assert '"error": "NotProportional"' in reports[0][1]
+
+    def test_nonzero_w_entry_falls_back(self, monkeypatch):
+        # with z0 in the place of w+1/2, [w+1/2, Omega1] = Omega1 is
+        # not zero, so every w{+1/2,j} entry is an operator bracket;
+        # the first, w{1/2,1/2}, is no multiple of Omega1
+        gens = free_generators(H(1))
+        gens[w_label(H(1))] = gens[Z_ZERO]
+        omega = omega1_free(H(1))
+        want = outcome(all_labels_certificate, omega, gens)
+        calls = []
+        anti = WeylOp.anticommutator
+
+        def counted(a, b):
+            calls.append(1)
+            return anti(a, b)
+
+        monkeypatch.setattr(WeylOp, "anticommutator", counted)
+        assert outcome(certify_onshell, omega, gens) == want
+        assert want[0] == "w{1/2,1/2}" and calls == [1]
+
+    def test_osc_path_forms_no_anticommutator(self, monkeypatch):
+        # every w entry is strict zero, so no w{i,j} is realized
+        def refuse(*_):
+            raise AssertionError("anticommutator formed")
+        monkeypatch.setattr(WeylOp, "anticommutator", refuse)
+        assert cli.main(["verify", "onshell", "--ell", "5/2",
+                         "--chart", "osc"]) == 0
+
+
 class TestCentralizer:
     def test_free_threehalf(self):
-        basis = free_enlarged(H(3))
-        cen = offshell_centralizer(omega1_free(H(3)), basis.realized)
+        cen = centralizer(certify_onshell(omega1_free(H(3)),
+                                          free_generators(H(3))))
         assert len(cen) == 16
         assert Z_PLUS in cen and C_LABEL in cen
         assert Z_ZERO not in cen and Z_MINUS not in cen
@@ -208,9 +307,8 @@ class TestCentralizer:
             assert w_label(H(j)) in cen
 
     def test_osc_threehalf(self):
-        gens = osc_generators(H(3), "section7")
-        basis = build_enlarged(gens, H(3))
-        cen = offshell_centralizer(omega0_osc(H(3)), basis.realized)
+        cen = centralizer(certify_onshell(omega0_osc(H(3)),
+                                          osc_generators(H(3), "section7")))
         assert len(cen) == 16
         assert Z_ZERO in cen and C_LABEL in cen
         assert Z_PLUS not in cen and Z_MINUS not in cen
@@ -222,21 +320,21 @@ class TestCentralizer:
         # centralizerDegree1 comes from the certificate's zero entries
         # and names the labels that commute with Omega1 strictly
         if chart == "free":
-            realized, om1 = free_enlarged(ell).realized, omega1_free(ell)
+            gens, om1 = free_generators(ell), omega1_free(ell)
         else:
-            realized = build_enlarged(osc_generators(ell), ell).realized
-            om1 = omega1_osc(ell)
+            gens, om1 = osc_generators(ell), omega1_osc(ell)
         assert cli.main(["verify", "onshell", "--ell", str(ell),
                          "--chart", chart]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["suites"]["onshell"]["centralizerDegree1"] == [
-            label_str(lb) for lb in offshell_centralizer(om1, realized)]
+            label_str(lb)
+            for lb in centralizer(all_labels_certificate(om1, gens))]
 
     def test_centralizer_graded_closed(self):
         # the off-shell invariant set closes under the graded bracket
-        basis = free_enlarged(H(3))
-        _, graded = closure_tables(basis)
-        cen = set(offshell_centralizer(omega1_free(H(3)), basis.realized))
+        _, graded = closure_tables(free_enlarged(H(3)))
+        cen = set(centralizer(certify_onshell(omega1_free(H(3)),
+                                              free_generators(H(3)))))
         for a in cen:
             for b in cen:
                 got = graded.bracket(a, b)

@@ -8,8 +8,8 @@ from cgaosc.onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
 from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis, Z_MINUS,
                                  Z_PLUS, Z_ZERO, _osc_generators,
                                  extract_structure, free_generators,
-                                 label_str, osc_generators, parse_label,
-                                 w_indices, w_label, ww_label)
+                                 free_span, label_str, osc_generators,
+                                 parse_label, w_indices, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import hamiltonian
 from cgaosc.weyl import WeylOp, degree_of
@@ -160,13 +160,14 @@ class TestPerProcessBuild:
 
     @pytest.mark.parametrize("build, cached, args", [
         (osc_generators, _osc_generators, (H(5), "section7")),
+        (free_span, free_span, (H(5),)),
         (hamiltonian, hamiltonian, (H(3), "section6")),
         (omega0_osc, omega0_osc, (H(5), "section7")),
         (omega1_osc, omega1_osc, (H(5), "section7")),
         (omega0_free, omega0_free, (H(5),)),
         (omega1_free, omega1_free, (H(5),)),
-    ], ids=["osc_generators", "hamiltonian", "omega0_osc", "omega1_osc",
-            "omega0_free", "omega1_free"])
+    ], ids=["osc_generators", "free_span", "hamiltonian", "omega0_osc",
+            "omega1_osc", "omega0_free", "omega1_free"])
     def test_second_call_reuses_the_build(self, monkeypatch, build, cached,
                                           args):
         # called as the package calls it; once built, no call forms a

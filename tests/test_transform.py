@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_cscalar
+import cgaosc.enlarged
+import cgaosc.realizations
 import cgaosc.transform
+from cgaosc import cli
+from cgaosc.enlarged import free_enlarged
 from cgaosc.errors import Mismatch, NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import omega0_free, omega0_osc, omega1_free
 from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
-                                 Z_MINUS, Z_PLUS, Z_ZERO, delta,
-                                 free_generators, osc_generators, w_label)
+                                 Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
+                                 delta, free_generators, free_span,
+                                 osc_generators, w_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.transform import TransformSpec, certify_transform, three_step_map
 from cgaosc.weyl import (Chart, Substitution, conjugate,
@@ -110,6 +115,36 @@ class TestCertification:
         assert len(free) == 8
         for lb in free:
             assert three_step_map(spec)(free[lb]) == osc[lb], lb
+
+
+class TestSharedFreeTable:
+    """One free-chart CGA table per ell serves the closure suite and
+    certify_transform."""
+
+    def test_verify_all_brackets_the_free_generators_once(self, monkeypatch,
+                                                          capsys):
+        charts = []
+
+        def counted(realized, *args, **kwargs):
+            charts.append(next(iter(realized.values())).chart.kind)
+            return bracket_tables(realized, *args, **kwargs)
+
+        monkeypatch.setattr(cgaosc.realizations, "bracket_tables", counted)
+        free_span.cache_clear()
+        free_enlarged.cache_clear()
+        assert cli.main(["verify", "all", "--ell", "3/2"]) == 0
+        capsys.readouterr()
+        assert sorted(charts) == ["free", "osc"]
+
+    def test_verify_transform_builds_no_enlarged_basis(self, monkeypatch,
+                                                       capsys):
+        def refuse(*_):
+            raise AssertionError("Leibniz tables built")
+        monkeypatch.setattr(cgaosc.enlarged, "_leibniz_tables", refuse)
+        before = free_enlarged.cache_info()
+        assert cli.main(["verify", "transform", "--ell", "5/2"]) == 0
+        capsys.readouterr()
+        assert free_enlarged.cache_info() == before
 
 
 class TestComposedMap:
