@@ -4,12 +4,12 @@ where x1 is u_1 (osc chart) or y_1 (free chart; then there is no s and the
 monomial may also carry powers of t).
 
 Every chart operator maps this class to itself, which is what makes exact
-eigen-relation checks possible.  apply_op moves the Gaussian onto the
-operator with weyl.conjugate and then applies each derivative to the
-polynomial part in closed form, in one loop on integer numerators:
-each operator term is prepared once per call, each term pair adds its
-products into one {key: {c-power: int}} map, and from_raw makes the
-coefficients once.
+eigen-relation checks possible.  One kernel applies operators: prepare(op)
+readies each operator term once, and image() applies it to an integer
+polynomial part in closed form, adding every product into one
+{key: {c-power: int}} map.  apply_op is conjugate (the Gaussian moves onto
+the operator), prepare, image, from_raw; spectrum prepares its operators
+once and calls image itself.
 """
 
 from __future__ import annotations
@@ -80,33 +80,32 @@ class GaussFunc(LinComb):
         return f"GaussFunc({body}; kappa={self.kappa})"
 
 
-def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
-    """Exact image of f = P e^{kappa x1^2} under op, computed as
-    e^{kappa x1^2} (conjugate(op, ("gauss", 2 kappa)) P): each term of the
-    conjugated operator meets each term of P in closed form,
-    d^n x^p = falling(p, n) x^{p-n} and d_s^n e^{mu s} = mu^n e^{mu s},
-    mu^n = (2 mu)^n / 2^n.  All sums run on int numerators over one
-    denominator, 2^S d_op d_f for S the highest d_s order: each operator
-    term is prepared once per call (its d_s order n, its nonzero space
-    derivatives, its exponent shift v - d and its (c-power, numerator)
-    pairs times 2^(S - n)), each term pair adds its products straight
-    into a {key: {c-power: int}} map, and from_raw makes the
-    coefficients once."""
-    if op.chart != f.chart:
-        raise ChartMismatch("operator and function live in different charts")
+def prepare(op: WeylOp) -> tuple:
+    """(terms, den) for image(): each term's e-weight, d_s order n,
+    nonzero space-derivative slots, exponent shift v - d and (c-power,
+    numerator) pairs times 2^(S - n), S the highest d_s order, over
+    den = 2^S d_op."""
     osc = op.chart.kind == "osc"
-    if not f.kappa.is_zero():
-        op = conjugate(op, ("gauss", f.kappa + f.kappa))
     t_op, d_op = numerators(op.terms)
-    t_f, d_f = numerators(f.terms)
-    t_f = [(mu2, m, list(c_f.items())) for (mu2, m), c_f in t_f.items()]
     top = max((d[0] for _, _, d in t_op), default=0) if osc else 0
-    res: Dict[FKey, dict] = {}
+    terms = []
     for (e, v, d), c_op in t_op.items():
         s_der, space_ders = (d[0], d[1:]) if osc else (0, d)
-        ders = [(i, n) for i, n in enumerate(space_ders) if n]
-        shift = tuple(map(sub, v, space_ders))
-        c_op = [(k, q << (top - s_der)) for k, q in c_op.items()]
+        terms.append((e, s_der,
+                      [(i, n) for i, n in enumerate(space_ders) if n],
+                      tuple(map(sub, v, space_ders)),
+                      [(k, q << (top - s_der)) for k, q in c_op.items()]))
+    return terms, d_op << top
+
+
+def image(prepared: tuple, t_f: dict, d_f: int) -> Tuple[dict, int]:
+    """The raw {key: {c-power: int}} image of the part t_f / d_f under a
+    prepared operator, over its denominator (cancelled sums stay as 0):
+    d^n x^p = falling(p, n) x^{p-n}, d_s^n e^{mu s} = (2mu)^n/2^n e^{mu s}."""
+    terms, d_op = prepared
+    t_f = [(mu2, m, list(c_f.items())) for (mu2, m), c_f in t_f.items()]
+    res: Dict[FKey, dict] = {}
+    for e, s_der, ders, shift, c_op in terms:
         for mu2, m, c_f in t_f:
             factor = mu2 ** s_der
             for i, n in ders:
@@ -124,4 +123,15 @@ def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
                 for k2, q2 in c_f:
                     k = k1 + k2
                     acc[k] = acc.get(k, 0) + q1 * q2
-    return f._like(from_raw(res, d_op * d_f << top))
+    return res, d_op * d_f
+
+
+def apply_op(op: WeylOp, f: GaussFunc) -> GaussFunc:
+    """Exact image of f = P e^{kappa x1^2} under op, computed as
+    e^{kappa x1^2} (conjugate(op, ("gauss", 2 kappa)) P) by prepare,
+    image and from_raw."""
+    if op.chart != f.chart:
+        raise ChartMismatch("operator and function live in different charts")
+    if not f.kappa.is_zero():
+        op = conjugate(op, ("gauss", f.kappa + f.kappa))
+    return f._like(from_raw(*image(prepare(op), *numerators(f.terms))))

@@ -16,11 +16,11 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DiagonalDependsOnC, Inconsistent, Mismatch, NotTriangular
-from .funcspace import GaussFunc, apply_op
+from .funcspace import GaussFunc, apply_op, image, prepare
 from .onshell import omega0_osc
 from .realizations import (Z_ZERO, convention, delta, osc_generators,
                            positive_w_indices, w_label)
-from .scalars import CScalar, HalfInt, check_half_odd
+from .scalars import CScalar, HalfInt, check_half_odd, from_raw, numerators
 from .weyl import Chart, WeylOp, conjugate
 
 
@@ -127,30 +127,39 @@ def _check_multi_index(n: Sequence[int], size: int) -> None:
                          "int entries")
 
 
+@lru_cache(maxsize=None)
+def _energy_constants(ell: HalfInt, normalization: str):
+    """h delta, h / 2 and the 2 j_a of _lowering_order."""
+    h = convention(ell, normalization, "spectrum").h
+    return h * delta(ell), h / 2, tuple(j.twice for j in
+                                        _lowering_order(ell, normalization))
+
+
 def ladder_energy(ell: HalfInt, normalization: str,
                   n: Sequence[int]) -> Fraction:
     """E(n) = h (delta + sum_a j_a n_a): lowering by w_{-j} shifts the
     energy by h j."""
-    h = convention(ell, normalization, "spectrum").h
-    js = _lowering_order(ell, normalization)
-    _check_multi_index(n, len(js))
-    return h * (delta(ell) + sum(j.as_fraction() * na
-                                 for j, na in zip(js, n)))
+    base, half_h, twice_js = _energy_constants(ell, normalization)
+    _check_multi_index(n, len(twice_js))
+    return base + half_h * sum(t * na for t, na in zip(twice_js, n))
 
 
 class Ladder:
     """The lowering tree of one (ell, normalization) spectrum, in the
     vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
-    kappa, so lowering and h hold the lowering operators and H conjugated
-    once by weyl.conjugate(op, ("gauss", 2 kappa)), parts holds the
-    polynomial parts P (kappa 0) and state() re-attaches kappa.  vacuum()
-    checks the raising operators once, on the Gaussian state.
+    kappa, so the lowering operators and H are conjugated by
+    weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
+    funcspace.image once (h is conj(H)), parts holds the polynomial parts
+    P (kappa 0) and state() re-attaches kappa.  vacuum() checks the
+    raising operators once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where
     n_i > 0, i.e. the outermost operator of the state's word, so each
     state is the same product as a build from the vacuum.  The lowering
-    operators need not commute."""
+    operators need not commute.  Each part is checked when it is built
+    (the vacuum's with the Ladder), on the integer image of its lowering
+    step: image(conj(H), P) = E P entry by entry, E from ladder_energy."""
 
     def __init__(self, ell: HalfInt, normalization: str = "section7"):
         conv = convention(ell, normalization, "spectrum")
@@ -160,21 +169,37 @@ class Ladder:
         self.ell = ell
         self.normalization = normalization
         self.kappa = vac.kappa
-        self.lowering = [conjugate(gens[w_label(-j)], frame)
+        self.lowering = [prepare(conjugate(gens[w_label(-j)], frame))
                          for j in _lowering_order(ell, normalization)]
         self.h = conjugate(hamiltonian(ell, normalization), frame)
-        self.parts: Dict[Tuple[int, ...], GaussFunc] = {
-            (0,) * len(self.lowering):
-                GaussFunc(vac.chart, CScalar.zero(), vac.terms)}
+        self._h = prepare(self.h)
+        zero = (0,) * len(self.lowering)
+        part = GaussFunc(vac.chart, CScalar.zero(), vac.terms)
+        self._check_eigen(zero, part, *numerators(part.terms))
+        self.parts: Dict[Tuple[int, ...], GaussFunc] = {zero: part}
 
     def weighted(self, part: GaussFunc) -> GaussFunc:
         """The state part * e^{kappa x1^2}."""
         return GaussFunc(part.chart, self.kappa, part.terms)
 
-    def part(self, n: Tuple[int, ...]) -> GaussFunc:
+    def _check_eigen(self, n: Tuple[int, ...], part: GaussFunc,
+                     t_p: dict, d_p: int) -> None:
+        """Raise Mismatch unless conj(H) P = E(n) P for P = part = t_p/d_p."""
+        energy = ladder_energy(self.ell, self.normalization, n)
+        t_h, d_h = image(self._h, t_p, d_p)
+        lhs, rhs = energy.denominator * d_p, energy.numerator * d_h
+        if (any(q * lhs != t_p.get(key, {}).get(k, 0) * rhs
+                for key, acc in t_h.items() for k, q in acc.items())
+                or any(q * rhs and k not in t_h.get(key, ())
+                       for key, acc in t_p.items() for k, q in acc.items())):
+            resid = apply_op(self.h - WeylOp.const(self.h.chart, energy),
+                             part)
+            raise Mismatch(f"eigen-relation for n={n}", self.weighted(resid))
+
+    def part(self, n: Tuple[int, ...], check: bool = True) -> GaussFunc:
         """The polynomial part of the state of the multi-index n (a tuple
         of ints), built down the tree from its nearest ancestor built so
-        far."""
+        far.  Each part built is checked and kept, unless check=False."""
         _check_multi_index(n, len(self.lowering))
         path = []
         while n not in self.parts:
@@ -183,25 +208,29 @@ class Ladder:
             n = n[:i] + (n[i] - 1,) + n[i + 1:]
         part = self.parts[n]
         for m, i in reversed(path):
-            part = apply_op(self.lowering[i], part)
+            raw = image(self.lowering[i], *numerators(part.terms))
+            part = part._like(from_raw(*raw))
             if part.is_zero():
                 # a zero state satisfies every eigen-relation, so the
                 # eigen check cannot catch it
                 raise Mismatch(f"lowering step to n={m} gives the zero state",
                                self.weighted(part))
-            self.parts[m] = part
+            if check:
+                self._check_eigen(m, part, *raw)
+                self.parts[m] = part
         return part
 
     def state(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The state of the multi-index n, Gaussian included."""
-        return self.weighted(self.part(n))
+        """The state of the multi-index n, Gaussian included; unchecked."""
+        return self.weighted(self.part(n, check=False))
 
 
 def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
                  ladder: Optional[Ladder] = None) -> SpectrumRecord:
     """Eigenstate built by lowering operators acting on the vacuum, with
-    its eigen-relation checked exactly: e^{-q} (H - E) e^{q} P =
-    (ladder.h - E) P, with e^{q} the vacuum Gaussian.
+    its eigen-relation checked exactly when the ladder builds it:
+    e^{-q} (H - E) e^{q} P = (conj(H) - E) P, with e^{q} the vacuum
+    Gaussian.
 
     n_a counts w_{-j_a} in the order of _lowering_order; the last
     position acts innermost.  ladder, when given, is the Ladder of (ell,
@@ -213,11 +242,8 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
         raise ValueError("the ladder belongs to another ell or "
                          "normalization")
     part = ladder.part(n)
-    energy = ladder_energy(ell, normalization, n)
-    resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy), part)
-    if not resid.is_zero():
-        raise Mismatch(f"eigen-relation for n={n}", ladder.weighted(resid))
-    return SpectrumRecord(n=n, energy=energy, state=ladder.weighted(part))
+    return SpectrumRecord(n=n, energy=ladder_energy(ell, normalization, n),
+                          state=ladder.weighted(part))
 
 
 def spectrum(ell: HalfInt, max_total: int,
@@ -338,15 +364,14 @@ def matrix_oracle(ell: HalfInt, max_degree: int) -> ExactMatrix:
     chart = Chart("osc", ell)
     h = hamiltonian(ell, "section7")
     weight = CScalar.c_power(1, Fraction(1, ell.twice + 1))
-    hp = conjugate(h, ("gauss", weight))
+    hp = prepare(conjugate(h, ("gauss", weight)))
     basis = sorted(_multi_indices(chart.L, max_degree),
                    key=lambda n: (_weighted_order(n), n))
     index = {n: i for i, n in enumerate(basis)}
     entries: Dict[Tuple[int, int], CScalar] = {}
-    zero_kappa = CScalar.zero()
     for j, mono in enumerate(basis):
-        img = apply_op(hp, GaussFunc.monomial(chart, zero_kappa, 0, mono))
-        for (mu2, vp), coef in img.terms.items():
+        img = from_raw(*image(hp, {(0, mono): {0: 1}}, 1))
+        for (mu2, vp), coef in img.items():
             if mu2 != 0:
                 raise NotTriangular(f"s-weight appears in column {mono}")
             if vp == mono:

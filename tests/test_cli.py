@@ -403,6 +403,13 @@ DIGESTS = [
      "e7d1a59407d453afacf22cc58b800359bcfcb809ac5fa13c5676bc8acec5f58b"),
     ("verify transform --ell 3/2 --normalization s5",
      "bfce3e3c2a31a4980c96ebf4eafb10ed5c295e570e0506a51fbbc8c8fd923c99"),
+    # ladder states and their term order, and the matrix oracle
+    ("spectrum --ell 5/2 --max-total 4",
+     "164e30aaa8ca8cf3f29b3ef9411b7b6b72ebda7c53a5f554c454c54f77b76638"),
+    ("eigenstate --ell 5/2 --n 1,1,1",
+     "6e6d6d812e6f8cc96ac5c30f2599010c23d78b02c882a6f89c1d2d6ae061dbbe"),
+    ("matrix --ell 5/2 --max-degree 3",
+     "79a842c4041bd84c9a2167fb42189f7a65c5a433aacb9b0379731ac382c4c6a1"),
 ]
 
 

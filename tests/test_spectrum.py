@@ -8,7 +8,7 @@ import cgaosc.funcspace
 import cgaosc.spectrum
 from cgaosc.errors import (BadEll, Inconsistent, Mismatch,
                            NormalizationUnavailable)
-from cgaosc.funcspace import GaussFunc, apply_op
+from cgaosc.funcspace import GaussFunc, apply_op, prepare
 from cgaosc.realizations import (convention, osc_generators,
                                  positive_w_indices, w_label)
 from cgaosc.scalars import CScalar, HalfInt
@@ -149,7 +149,7 @@ class TestLadder:
 
     def test_shared_parts_built_once(self, monkeypatch):
         counts = Counter()
-        for name in ("hamiltonian", "vacuum", "apply_op"):
+        for name in ("hamiltonian", "vacuum", "apply_op", "image"):
             def counted(*args, _name=name,
                         _fn=getattr(cgaosc.spectrum, name)):
                 counts[_name] += 1
@@ -157,10 +157,11 @@ class TestLadder:
             monkeypatch.setattr(cgaosc.spectrum, name, counted)
         states = len(spectrum(H(5), 4))
         raising = len(positive_w_indices(H(5)))
-        # one lowering step per state but the vacuum, one eigen-relation
-        # check per state, and the vacuum's raising-operator checks
-        assert counts == {"hamiltonian": 1, "vacuum": 1,
-                          "apply_op": (states - 1) + states + raising}
+        # one lowering image per state but the vacuum and one eigen image
+        # per state, through the kernel; apply_op only for the vacuum's
+        # raising-operator checks
+        assert counts == {"hamiltonian": 1, "vacuum": 1, "apply_op": raising,
+                          "image": (states - 1) + states}
 
     def test_operators_conjugated_once_per_ladder(self, monkeypatch):
         counts = Counter()
@@ -210,7 +211,7 @@ class TestLadder:
     def test_zero_lowering_step_is_refused(self):
         # a zero state satisfies H 0 = E 0, so only the ladder can tell
         ladder = Ladder(H(3))
-        ladder.lowering[1] = WeylOp.zero(ladder.lowering[1].chart)
+        ladder.lowering[1] = prepare(WeylOp.zero(Chart("osc", H(3))))
         ladder_state(H(3), "section7", (2, 0), ladder=ladder)
         with pytest.raises(Mismatch) as exc:
             ladder_state(H(3), "section7", (1, 1), ladder=ladder)
@@ -231,6 +232,59 @@ class TestLadder:
         assert "n=(0, 2)" in msg
         assert f"({len(resid.terms)} terms" in msg
         assert repr(resid.head(3)) in msg
+
+    def test_corrupted_hamiltonian_fails_at_the_first_affected_state(
+            self, monkeypatch):
+        # one coefficient of H, that of u_2 d_{u_2}, is off by one; the
+        # vacuum does not depend on u_2, so a later state fails first
+        h = hamiltonian(H(3))
+        key = (0, (0, 1), (0, 0, 1))
+        bad = WeylOp(h.chart, {**h.terms, key: h.terms[key] + 1})
+        monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                            lambda ell, normalization="section7": bad)
+        gens = osc_generators(H(3), "section7")
+        lows = [gens[w_label(-j)] for j in _lowering_order(H(3), "section7")]
+        first = None
+        for n in cgaosc.spectrum._multi_indices(2, 4):
+            state = vacuum(H(3))
+            for i in reversed(range(len(lows))):
+                for _ in range(n[i]):
+                    state = apply_op(lows[i], state)
+            energy = ladder_energy(H(3), "section7", n)
+            resid = apply_op(bad - WeylOp.const(bad.chart, energy), state)
+            if not resid.is_zero():
+                first = n, resid
+                break
+        assert first is not None and any(first[0])
+        with pytest.raises(Mismatch) as exc:
+            spectrum(H(3), 4)
+        assert f"eigen-relation for n={first[0]}" in str(exc.value)
+        assert exc.value.residual == first[1]
+
+    def test_wrong_vacuum_energy_is_refused(self, monkeypatch):
+        energy = cgaosc.spectrum.ladder_energy
+
+        def off_at_vacuum(ell, normalization, n):
+            return energy(ell, normalization, n) + (not any(n))
+
+        monkeypatch.setattr(cgaosc.spectrum, "ladder_energy", off_at_vacuum)
+        with pytest.raises(Mismatch) as exc:
+            spectrum(H(5), 2)
+        assert "n=(0, 0, 0)" in str(exc.value)
+        assert exc.value.residual == vacuum(H(5)).scaled(-1)
+
+    def test_eigen_check_reads_both_sides(self, monkeypatch):
+        # a zero H has an empty image, while E0 times the vacuum is not
+        # zero: the check must find the terms the image lacks
+        chart = Chart("osc", H(3))
+        monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                            lambda ell, normalization="section7":
+                            WeylOp.zero(chart))
+        with pytest.raises(Mismatch) as exc:
+            Ladder(H(3))
+        assert "n=(0, 0)" in str(exc.value)
+        want = CScalar.from_rational(-vacuum_energy(H(3)))
+        assert exc.value.residual == vacuum(H(3)).scaled(want)
 
 
 class TestSectionSixFixture:
