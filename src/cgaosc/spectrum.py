@@ -147,19 +147,17 @@ def ladder_energy(ell: HalfInt, normalization: str,
 class Ladder:
     """The lowering tree of one (ell, normalization) spectrum, in the
     vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
-    kappa, so the lowering operators and H are conjugated by
-    weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
-    funcspace.image once (h is conj(H)), parts holds the polynomial parts
-    P (kappa 0) and state() re-attaches kappa.  vacuum() checks the
-    raising operators once, on the Gaussian state.
+    kappa, so lowering and h hold the lowering operators and H conjugated
+    once by weyl.conjugate(op, ("gauss", 2 kappa)), lowering and _h
+    prepared for funcspace.image, parts holds the polynomial parts P
+    (kappa 0) and state() re-attaches kappa.  vacuum() checks the raising
+    operators once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where
     n_i > 0, i.e. the outermost operator of the state's word, so each
     state is the same product as a build from the vacuum.  The lowering
-    operators need not commute.  Each part is checked when it is built
-    (the vacuum's with the Ladder), on the integer image of its lowering
-    step: image(conj(H), P) = E P entry by entry, E from ladder_energy."""
+    operators need not commute."""
 
     def __init__(self, ell: HalfInt, normalization: str = "section7"):
         conv = convention(ell, normalization, "spectrum")
@@ -173,33 +171,17 @@ class Ladder:
                          for j in _lowering_order(ell, normalization)]
         self.h = conjugate(hamiltonian(ell, normalization), frame)
         self._h = prepare(self.h)
-        zero = (0,) * len(self.lowering)
-        part = GaussFunc(vac.chart, CScalar.zero(), vac.terms)
-        self._check_eigen(zero, part, *numerators(part.terms))
-        self.parts: Dict[Tuple[int, ...], GaussFunc] = {zero: part}
+        self.parts: Dict[Tuple[int, ...], GaussFunc] = {
+            (0,) * len(self.lowering):
+                GaussFunc(vac.chart, CScalar.zero(), vac.terms)}
 
     def weighted(self, part: GaussFunc) -> GaussFunc:
         """The state part * e^{kappa x1^2}."""
         return GaussFunc(part.chart, self.kappa, part.terms)
 
-    def _check_eigen(self, n: Tuple[int, ...], part: GaussFunc,
-                     t_p: dict, d_p: int) -> None:
-        """Raise Mismatch unless conj(H) P = E(n) P for P = part = t_p/d_p."""
-        energy = ladder_energy(self.ell, self.normalization, n)
-        t_h, d_h = image(self._h, t_p, d_p)
-        lhs, rhs = energy.denominator * d_p, energy.numerator * d_h
-        if (any(q * lhs != t_p.get(key, {}).get(k, 0) * rhs
-                for key, acc in t_h.items() for k, q in acc.items())
-                or any(q * rhs and k not in t_h.get(key, ())
-                       for key, acc in t_p.items() for k, q in acc.items())):
-            resid = apply_op(self.h - WeylOp.const(self.h.chart, energy),
-                             part)
-            raise Mismatch(f"eigen-relation for n={n}", self.weighted(resid))
-
-    def part(self, n: Tuple[int, ...], check: bool = True) -> GaussFunc:
-        """The polynomial part of the state of the multi-index n (a tuple
-        of ints), built down the tree from its nearest ancestor built so
-        far.  Each part built is checked and kept, unless check=False."""
+    def _build(self, n: Tuple[int, ...]) -> Tuple[GaussFunc, tuple]:
+        """The part of n and the raw image of its last lowering step, or
+        its numerators when it was built before."""
         _check_multi_index(n, len(self.lowering))
         path = []
         while n not in self.parts:
@@ -207,6 +189,8 @@ class Ladder:
             path.append((n, i))
             n = n[:i] + (n[i] - 1,) + n[i + 1:]
         part = self.parts[n]
+        if not path:
+            return part, numerators(part.terms)
         for m, i in reversed(path):
             raw = image(self.lowering[i], *numerators(part.terms))
             part = part._like(from_raw(*raw))
@@ -215,22 +199,26 @@ class Ladder:
                 # eigen check cannot catch it
                 raise Mismatch(f"lowering step to n={m} gives the zero state",
                                self.weighted(part))
-            if check:
-                self._check_eigen(m, part, *raw)
-                self.parts[m] = part
-        return part
+            self.parts[m] = part
+        return part, raw
+
+    def part(self, n: Tuple[int, ...]) -> GaussFunc:
+        """The polynomial part of the state of the multi-index n (a tuple
+        of ints), built down the tree from its nearest ancestor built so
+        far."""
+        return self._build(n)[0]
 
     def state(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The state of the multi-index n, Gaussian included; unchecked."""
-        return self.weighted(self.part(n, check=False))
+        """The state of the multi-index n, Gaussian included."""
+        return self.weighted(self.part(n))
 
 
 def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
                  ladder: Optional[Ladder] = None) -> SpectrumRecord:
     """Eigenstate built by lowering operators acting on the vacuum, with
-    its eigen-relation checked exactly when the ladder builds it:
-    e^{-q} (H - E) e^{q} P = (conj(H) - E) P, with e^{q} the vacuum
-    Gaussian.
+    its eigen-relation checked exactly: e^{-q} (H - E) e^{q} P =
+    (ladder.h - E) P, with e^{q} the vacuum Gaussian, as ladder.h P = E P
+    entry by entry on the integer image t_p / d_p of P's last step.
 
     n_a counts w_{-j_a} in the order of _lowering_order; the last
     position acts innermost.  ladder, when given, is the Ladder of (ell,
@@ -241,9 +229,18 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     elif (ladder.ell, ladder.normalization) != (ell, normalization):
         raise ValueError("the ladder belongs to another ell or "
                          "normalization")
-    part = ladder.part(n)
-    return SpectrumRecord(n=n, energy=ladder_energy(ell, normalization, n),
-                          state=ladder.weighted(part))
+    part, (t_p, d_p) = ladder._build(n)
+    energy = ladder_energy(ell, normalization, n)
+    t_h, d_h = image(ladder._h, t_p, d_p)
+    lhs, rhs = energy.denominator * d_p, energy.numerator * d_h
+    if (any(q * lhs != t_p.get(key, {}).get(k, 0) * rhs
+            for key, acc in t_h.items() for k, q in acc.items())
+            or any(q * rhs and k not in t_h.get(key, ())
+                   for key, acc in t_p.items() for k, q in acc.items())):
+        resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy),
+                         part)
+        raise Mismatch(f"eigen-relation for n={n}", ladder.weighted(resid))
+    return SpectrumRecord(n=n, energy=energy, state=ladder.weighted(part))
 
 
 def spectrum(ell: HalfInt, max_total: int,
@@ -364,14 +361,15 @@ def matrix_oracle(ell: HalfInt, max_degree: int) -> ExactMatrix:
     chart = Chart("osc", ell)
     h = hamiltonian(ell, "section7")
     weight = CScalar.c_power(1, Fraction(1, ell.twice + 1))
-    hp = prepare(conjugate(h, ("gauss", weight)))
+    hp = conjugate(h, ("gauss", weight))
     basis = sorted(_multi_indices(chart.L, max_degree),
                    key=lambda n: (_weighted_order(n), n))
     index = {n: i for i, n in enumerate(basis)}
     entries: Dict[Tuple[int, int], CScalar] = {}
+    zero_kappa = CScalar.zero()
     for j, mono in enumerate(basis):
-        img = from_raw(*image(hp, {(0, mono): {0: 1}}, 1))
-        for (mu2, vp), coef in img.items():
+        img = apply_op(hp, GaussFunc.monomial(chart, zero_kappa, 0, mono))
+        for (mu2, vp), coef in img.terms.items():
             if mu2 != 0:
                 raise NotTriangular(f"s-weight appears in column {mono}")
             if vp == mono:

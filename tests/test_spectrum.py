@@ -208,6 +208,19 @@ class TestLadder:
         for rec in recs:
             assert ladder_state(ell, norm, rec.n) == rec
 
+    def test_standalone_state_checks_only_itself(self, monkeypatch):
+        # three lowering images down to (1, 1, 1) and one eigen image
+        counts = Counter()
+        image = cgaosc.spectrum.image
+
+        def counted(*args):
+            counts["image"] += 1
+            return image(*args)
+
+        monkeypatch.setattr(cgaosc.spectrum, "image", counted)
+        ladder_state(H(5), "section7", (1, 1, 1))
+        assert counts == {"image": 3 + 1}
+
     def test_zero_lowering_step_is_refused(self):
         # a zero state satisfies H 0 = E 0, so only the ladder can tell
         ladder = Ladder(H(3))
@@ -281,7 +294,7 @@ class TestLadder:
                             lambda ell, normalization="section7":
                             WeylOp.zero(chart))
         with pytest.raises(Mismatch) as exc:
-            Ladder(H(3))
+            ladder_state(H(3), "section7", (0, 0))
         assert "n=(0, 0)" in str(exc.value)
         want = CScalar.from_rational(-vacuum_energy(H(3)))
         assert exc.value.residual == vacuum(H(3)).scaled(want)
