@@ -1,10 +1,12 @@
 """Shared helpers: seeded random generators for exact scalars and
-operators, and a sympy-based application oracle for the operator engine.
+operators, a sympy-based application oracle for the operator engine, and
+a fixture that clears the package's build caches.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,25 @@ def random_weylop(chart: Chart, rng: random.Random,
         d = tuple(rng.randint(0, maxpow) for _ in range(chart.nders))
         terms[(e, v, d)] = random_cscalar(rng)
     return WeylOp(chart, terms)
+
+
+def _clear_package_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name == "cgaosc" or name.startswith("cgaosc."):
+            for fn in list(vars(module).values()):
+                if callable(getattr(fn, "cache_clear", None)):
+                    fn.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Clear every lru_cache of the package before and after the test,
+    so that a corrupted input reads no build cached before it and leaves
+    none behind.  Request it before monkeypatch, so that the patches are
+    undone before the caches are cleared again."""
+    _clear_package_caches()
+    yield
+    _clear_package_caches()
 
 
 # -- sympy oracle -------------------------------------------------------------

@@ -421,3 +421,34 @@ def test_output_digest(command, digest):
         code = main(command.split())
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+class TestVerifyFailurePaths:
+    """The suites' own raising checks, reached by corrupting one input."""
+
+    def test_closure_dimension_mismatch(self, fresh_caches, monkeypatch,
+                                        capsys):
+        ev, od, tot = cgaosc.cli.expected_dims(H(3))
+        monkeypatch.setattr(cgaosc.cli, "expected_dims",
+                            lambda ell: (ev + 1, od, tot + 1))
+        code, out = run(capsys, "verify", "closure", "--ell", "3/2")
+        assert code == 1
+        assert json.loads(out)["suites"]["closure"] == {
+            "error": "CgaError",
+            "detail": f"dimension mismatch: {ev}, {od} expected {ev + 1}, "
+                      f"{od}"}
+
+    def test_onshell_solver_disagrees(self, fresh_caches, monkeypatch,
+                                      capsys):
+        solve = cgaosc.cli.solve_omega1
+
+        def off_by_one(ell):
+            op, elem = solve(ell)
+            return op + WeylOp.one(op.chart), elem
+
+        monkeypatch.setattr(cgaosc.cli, "solve_omega1", off_by_one)
+        code, out = run(capsys, "verify", "onshell", "--ell", "3/2")
+        assert code == 1
+        assert json.loads(out)["suites"]["onshell"] == {
+            "error": "CgaError",
+            "detail": "solver disagrees with the printed operator"}

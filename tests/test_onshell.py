@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import cgaosc.onshell
 from cgaosc import cli
 from cgaosc.enlarged import build_enlarged, closure_tables, free_enlarged
-from cgaosc.errors import NormalizationUnavailable, NotProportional
+from cgaosc.errors import (Mismatch, NonUniqueSolution, NoSolution,
+                           NormalizationUnavailable, NotProportional)
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import (OnShellCertificate, _multiplier_candidate,
                             certify_onshell, cross_relations,
@@ -349,3 +352,56 @@ class TestErrors:
     def test_unknown_normalization(self):
         with pytest.raises(ValueError):
             omega0_osc(H(3), "section9")
+
+
+class TestFailurePaths:
+    """The raising checks of cross_relations and solve_omega1, reached by
+    corrupting one input."""
+
+    @pytest.mark.parametrize("case", ["free", "osc-bracket", "osc-shift"])
+    def test_cross_relations(self, fresh_caches, case):
+        if case == "free":
+            om0, om1 = omega0_free(H(3)), omega1_free(H(3))
+            om1 = om1 + WeylOp.one(om1.chart)
+            label, want = ("[Omega1, Omega0] + Omega1",
+                           WeylOp.one(om1.chart))
+        elif case == "osc-bracket":
+            om0, om1 = omega0_osc(H(3)), omega1_osc(H(3))
+            om1 = om1 + WeylOp.one(om1.chart)
+            label, want = ("[Omega0, Omega1] - Omega1",
+                           WeylOp.const(om1.chart, -1))
+        else:
+            # Omega0 + 1 keeps the bracket but not Omega1 = -e^{-s} Omega0
+            om0, om1 = omega0_osc(H(3)), omega1_osc(H(3))
+            om0 = om0 + WeylOp.one(om0.chart)
+            label, want = ("Omega1 + e^{-s} Omega0",
+                           WeylOp.exp_s(om0.chart, H(-2)))
+        with pytest.raises(Mismatch) as exc:
+            cross_relations(om0, om1)
+        assert exc.value.label == label
+        assert exc.value.residual == want
+
+    @pytest.mark.parametrize("case,error,message", [
+        ("z+ plus dy1", NoSolution,
+         "no invariant operator in the degree-1 sector"),
+        ("doubled candidate", NonUniqueSolution,
+         "solution space dimension 2 before normalization"),
+        ("z+ plus y1", NoSolution, "solver residual nonzero: "),
+    ])
+    def test_solve_omega1(self, fresh_caches, monkeypatch, case, error,
+                          message):
+        basis = free_enlarged(H(3))
+        chart = basis.realized[Z_PLUS].chart
+        if case == "doubled candidate":
+            bad = replace(basis, even=basis.even + [ww_label(H(3), H(-1))])
+        else:
+            extra = (WeylOp.der(chart, 1) if case == "z+ plus dy1"
+                     else WeylOp.var(chart, 1))
+            bad = replace(basis, realized={
+                **basis.realized, Z_PLUS: basis.realized[Z_PLUS] + extra})
+        monkeypatch.setattr(cgaosc.onshell, "free_enlarged",
+                            lambda ell: bad)
+        with pytest.raises(error) as exc:
+            solve_omega1(H(3))
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(message)

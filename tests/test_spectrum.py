@@ -6,10 +6,10 @@ import pytest
 
 import cgaosc.funcspace
 import cgaosc.spectrum
-from cgaosc.errors import (BadEll, Inconsistent, Mismatch,
-                           NormalizationUnavailable)
+from cgaosc.errors import (BadEll, DiagonalDependsOnC, Inconsistent,
+                           Mismatch, NormalizationUnavailable, NotTriangular)
 from cgaosc.funcspace import GaussFunc, apply_op, prepare
-from cgaosc.realizations import (convention, osc_generators,
+from cgaosc.realizations import (Z_ZERO, convention, osc_generators,
                                  positive_w_indices, w_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import (ExactMatrix, Ladder, _lowering_order,
@@ -415,3 +415,161 @@ class TestHarmonicReduction:
                             lambda ell, normalization="section7": bad)
         with pytest.raises(Inconsistent, match=message):
             harmonic_reduction(H(3))
+
+
+def _h_key(ell, v, d):
+    """The key of the H term with space-variable powers v and
+    space-derivative powers d, padded with zeros to the chart."""
+    pad = (0,) * ((ell.twice + 1) // 2 - len(v))
+    return (0, v + pad, (0,) + d + pad)
+
+
+class TestPinnedFailureReports:
+    """The eigen-check's report, byte for byte, when one coefficient of H
+    is off by one: u_2 d_{u_2} fails at a lowered state, d_{u_1}^2 at the
+    vacuum.  The section6 energies are half-integers."""
+
+    U2DU2, DU1DU1 = ((0, 1), (0, 1)), ((0,), (2,))
+    PINS = [
+        (H(5), "section7", U2DU2, (0, 1, 0),
+         "GaussFunc((-2*c)*e^(3/2s)*u2; kappa=1/12*c)"),
+        (H(5), "section7", DU1DU1, (0, 0, 0),
+         "GaussFunc((1/6*c) + (1/36*c^2)*u1^2; kappa=1/12*c)"),
+        (H(3), "section6", U2DU2, (1, 0),
+         "GaussFunc((-3*c)*e^(5/2s)*v; kappa=1/2*c)"),
+        (H(3), "section6", DU1DU1, (0, 0),
+         "GaussFunc((1*c)*e^(1s) + (1*c^2)*e^(1s)*u^2; kappa=1/2*c)"),
+        (H(7), "section7", U2DU2, (0, 1, 0, 0),
+         "GaussFunc((-5/3*c)*e^(3/2s)*u2; kappa=1/16*c)"),
+        (H(7), "section7", DU1DU1, (0, 0, 0, 0),
+         "GaussFunc((1/8*c) + (1/64*c^2)*u1^2; kappa=1/16*c)"),
+    ]
+
+    @pytest.mark.parametrize("ell,norm,term,n,residual", PINS,
+                             ids=lambda x: str(x))
+    def test_report(self, fresh_caches, monkeypatch, ell, norm, term, n,
+                    residual):
+        h = hamiltonian(ell, norm)
+        key = _h_key(ell, *term)
+        bad = WeylOp(h.chart, {**h.terms, key: h.terms[key] + 1})
+        monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                            lambda ell, normalization="section7": bad)
+        with pytest.raises(Mismatch) as exc:
+            spectrum(ell, 3, norm)
+        terms = len(exc.value.residual.terms)
+        assert str(exc.value) == (
+            f"mismatch at eigen-relation for n={n}; residual ({terms} "
+            f"term{'s' if terms > 1 else ''}): {residual}")
+        assert repr(exc.value.residual) == residual
+        energy = WeylOp.const(bad.chart, ladder_energy(ell, norm, n))
+        assert exc.value.residual == apply_op(bad - energy,
+                                              Ladder(ell, norm).state(n))
+
+
+class TestFailurePaths:
+    """Each raising check of the module, reached by corrupting one of its
+    inputs."""
+
+    @pytest.mark.parametrize("norm,extra,label", [
+        ("section7", lambda chart: WeylOp.der(chart, 0),
+         "Hamiltonian contains d_s"),
+        ("section7", lambda chart: WeylOp.exp_s(chart, H(2)),
+         "Hamiltonian carries an s-weight"),
+        ("section6", lambda chart: WeylOp.one(chart),
+         "ladder form of the Hamiltonian"),
+    ], ids=["d_s", "s-weight", "section6-ladder-form"])
+    def test_hamiltonian(self, fresh_caches, monkeypatch, norm, extra,
+                         label):
+        conv = convention(H(3), norm, "spectrum")
+        om0 = cgaosc.spectrum.omega0_osc(H(3), conv.realization)
+        z0 = osc_generators(H(3), conv.realization)[Z_ZERO]
+        bad_om0 = om0 + extra(om0.chart)
+        monkeypatch.setattr(cgaosc.spectrum, "omega0_osc",
+                            lambda ell, normalization="section7": bad_om0)
+        with pytest.raises(Mismatch) as exc:
+            hamiltonian(H(3), norm)
+        assert exc.value.label == label
+        bad_h = conv.h * (bad_om0 - z0)
+        # the ladder form is compared with the true H; the other two
+        # checks show the whole operator
+        want = (bad_h - conv.h * (om0 - z0) if norm == "section6"
+                else bad_h)
+        assert exc.value.residual == want
+
+    def test_vacuum(self, fresh_caches, monkeypatch):
+        gens = osc_generators(H(5), "section7")
+        label = w_label(H(3))
+        bad_w = gens[label] + WeylOp.one(gens[label].chart)
+        monkeypatch.setattr(cgaosc.spectrum, "osc_generators",
+                            lambda ell, realization: {**gens, label: bad_w})
+        good = GaussFunc.monomial(Chart("osc", H(5)),
+                                  CScalar.c_power(1, F(1, 12)))
+        with pytest.raises(Mismatch) as exc:
+            vacuum(H(5))
+        assert exc.value.label == "raising operator w_3/2 on the vacuum"
+        assert exc.value.residual == apply_op(bad_w, good) == good
+
+    def test_spectrum_negative_bound(self, fresh_caches):
+        with pytest.raises(ValueError, match="max_total must be "
+                                             "non-negative"):
+            spectrum(H(3), -1)
+
+    @pytest.mark.parametrize("case", [
+        "omega0", "h-shift", "z0", "section6-split"])
+    def test_ladder_relations(self, fresh_caches, monkeypatch, case):
+        norm = "section6" if case == "section6-split" else "section7"
+        conv = convention(H(3), norm, "spectrum")
+        gens = osc_generators(H(3), conv.realization)
+        om0 = cgaosc.spectrum.omega0_osc(H(3), conv.realization)
+        h = hamiltonian(H(3), norm)
+        chart = h.chart
+        w = gens[w_label(H(1))]
+        u1 = WeylOp.var(chart, 0)
+        if case == "omega0":
+            bad = om0 + u1
+            monkeypatch.setattr(cgaosc.spectrum, "omega0_osc",
+                                lambda ell, normalization="section7": bad)
+            label, want = "[Omega0, w_1/2]", bad.commutator(w)
+        elif case == "h-shift":
+            bad = h.scaled(2)
+            monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                                lambda ell, normalization="section7": bad)
+            label = "[H, w_1/2] shift"
+            want = bad.commutator(w) - w.scaled(CScalar.from_rational(-1))
+        elif case == "z0":
+            bad = gens[Z_ZERO] + u1
+            monkeypatch.setattr(cgaosc.spectrum, "osc_generators",
+                                lambda ell, realization:
+                                {**gens, Z_ZERO: bad})
+            monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                                lambda ell, normalization="section7": h)
+            label, want = "[z0, H]", bad.commutator(h)
+        else:
+            bad = h + WeylOp.one(chart)
+            monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                                lambda ell, normalization="section7": bad)
+            label, want = "Omega0 - (z0 + H)", WeylOp.const(chart, -1)
+        with pytest.raises(Mismatch) as exc:
+            ladder_relations(H(3), norm)
+        assert exc.value.label == label
+        assert exc.value.residual == want
+        assert not want.is_zero()
+
+    @pytest.mark.parametrize("extra,error,message", [
+        (lambda chart: WeylOp.exp_s(chart, H(2)), NotTriangular,
+         "s-weight appears in column (0, 0)"),
+        (lambda chart: WeylOp.var(chart, 1), NotTriangular,
+         "entry (0, 1) <- (0, 0) does not lower the order"),
+        (lambda chart: WeylOp.const(chart, CScalar.c()), DiagonalDependsOnC,
+         "diagonal at (0, 0): "),
+    ], ids=["s-weight", "raises-order", "c-diagonal"])
+    def test_matrix_oracle(self, fresh_caches, monkeypatch, extra, error,
+                           message):
+        h = hamiltonian(H(3))
+        bad = h + extra(h.chart)
+        monkeypatch.setattr(cgaosc.spectrum, "hamiltonian",
+                            lambda ell, normalization="section7": bad)
+        with pytest.raises(error) as exc:
+            matrix_oracle(H(3), 2)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(message)

@@ -547,3 +547,29 @@ class TestGrading:
         assert degree_of(gens[w_label(HalfInt(-1))], z0) == HalfInt(-1)
         mixed = gens[w_label(HalfInt(3))] + gens[w_label(HalfInt(-1))]
         assert degree_of(mixed, z0) is None
+
+
+class TestFuncspaceGuards:
+    """GaussFunc and apply_op refuse operands of another chart or
+    Gaussian weight."""
+
+    KAPPA = CScalar.c_power(1, Fraction(1, 2))
+
+    @pytest.mark.parametrize("other,message", [
+        (GaussFunc.monomial(Chart("osc", HalfInt(5)), KAPPA),
+         "charts differ"),
+        (GaussFunc.monomial(OSC, CScalar.c_power(1, Fraction(1, 4))),
+         "cannot combine GaussFuncs with different Gaussian weights"),
+    ], ids=["chart", "kappa"])
+    def test_sum(self, fresh_caches, other, message):
+        f = GaussFunc.monomial(OSC, self.KAPPA)
+        with pytest.raises(ChartMismatch) as exc:
+            f + other
+        assert str(exc.value) == message
+
+    def test_apply_op(self, fresh_caches):
+        f = GaussFunc.monomial(OSC, self.KAPPA)
+        with pytest.raises(ChartMismatch) as exc:
+            apply_op(WeylOp.der(FREE, 1), f)
+        assert str(exc.value) == ("operator and function live in different "
+                                  "charts")
