@@ -268,20 +268,17 @@ def _check_sector(table: StructureTable, sector: List[GenLabel],
 
 def duality_report(basis: EnlargedBasis) -> DualityReport:
     """Both compatible structures on the same realized operators: the
-    dimension table, once the sp sector (the w_{i,j}) closes in the plain
-    table and the osp sector (the w_{i,j} and the w_j) in the graded one;
-    GradingViolation names a pair that leaves its sector.  The Jacobi
-    identities of the two tables are check_jacobi's, not this report's."""
+    dimension table, with the ranks closure_tables certified, once the sp
+    sector (the w_{i,j}) closes in the plain table and the osp sector
+    (the w_{i,j} and the w_j) in the graded one; GradingViolation names
+    a pair that leaves its sector.  The Jacobi identities of the two
+    tables are check_jacobi's, not this report's."""
     ecga_table, scga_table = closure_tables(basis)
     ww = [lb for lb in basis.even if lb[0] == "ww"]
     osp = ww + basis.odd
     _check_sector(ecga_table, ww, "sp")
     _check_sector(scga_table, osp, "osp")
-    return DualityReport(
-        ell=basis.ell,
-        even_dim=len(basis.even),
-        odd_dim=len(basis.odd),
-        ecga_dim=len(basis.even) + len(basis.odd),
-        sp_dim=len(ww),
-        osp_dim=len(osp),
-    )
+    even, odd = basis.dims
+    return DualityReport(ell=basis.ell, even_dim=even, odd_dim=odd,
+                         ecga_dim=even + odd, sp_dim=len(ww),
+                         osp_dim=len(osp))

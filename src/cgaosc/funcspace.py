@@ -84,13 +84,14 @@ def prepare(op: WeylOp) -> tuple:
     """(terms, den) for image(): each term's e-weight, d_s order n,
     nonzero space-derivative slots, exponent shift v - d and (c-power,
     numerator) pairs times 2^(S - n), S the highest d_s order, over
-    den = 2^S d_op."""
-    osc = op.chart.kind == "osc"
+    den = 2^S d_op.  Variable i's derivative is slot i + Chart.shift, so
+    d[0] is d_s when shift is 1 and no term has a d_s when it is 0."""
+    shift = op.chart.shift
     t_op, d_op = numerators(op.terms)
-    top = max((d[0] for _, _, d in t_op), default=0) if osc else 0
+    top = max((d[0] * shift for _, _, d in t_op), default=0)
     terms = []
     for (e, v, d), c_op in t_op.items():
-        s_der, space_ders = (d[0], d[1:]) if osc else (0, d)
+        s_der, space_ders = d[0] * shift, d[shift:]
         terms.append((e, s_der,
                       [(i, n) for i, n in enumerate(space_ders) if n],
                       tuple(map(sub, v, space_ders)),

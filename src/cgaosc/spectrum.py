@@ -77,7 +77,7 @@ def hamiltonian_m_form_expected(ell: HalfInt) -> WeylOp:
 
 def vacuum_energy(ell: HalfInt, normalization: str = "section7") -> Fraction:
     """E0 = h delta."""
-    return convention(ell, normalization, "spectrum").h * delta(ell)
+    return _energy_constants(ell, normalization)[0]
 
 
 def vacuum(ell: HalfInt, normalization: str = "section7") -> GaussFunc:
@@ -148,10 +148,10 @@ class Ladder:
     """The lowering tree of one (ell, normalization) spectrum, in the
     vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
     kappa, so lowering and h hold the lowering operators and H conjugated
-    once by weyl.conjugate(op, ("gauss", 2 kappa)), lowering and _h
-    prepared for funcspace.image, parts holds the polynomial parts P
-    (kappa 0) and state() re-attaches kappa.  vacuum() checks the raising
-    operators once, on the Gaussian state.
+    once by weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
+    funcspace.image; parts holds the polynomial parts P (kappa 0) and
+    state() re-attaches kappa.  vacuum() checks the raising operators
+    once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where
@@ -169,8 +169,7 @@ class Ladder:
         self.kappa = vac.kappa
         self.lowering = [prepare(conjugate(gens[w_label(-j)], frame))
                          for j in _lowering_order(ell, normalization)]
-        self.h = conjugate(hamiltonian(ell, normalization), frame)
-        self._h = prepare(self.h)
+        self.h = prepare(conjugate(hamiltonian(ell, normalization), frame))
         self.parts: Dict[Tuple[int, ...], GaussFunc] = {
             (0,) * len(self.lowering):
                 GaussFunc(vac.chart, CScalar.zero(), vac.terms)}
@@ -180,9 +179,9 @@ class Ladder:
         return GaussFunc(part.chart, self.kappa, part.terms)
 
     def _build(self, n: Tuple[int, ...]) -> Tuple[GaussFunc, tuple]:
-        """The part of n and the raw image of its last lowering step, or
-        its numerators when it was built before."""
-        _check_multi_index(n, len(self.lowering))
+        """The part of the checked multi-index n, built down the tree from
+        its nearest ancestor built so far, and the raw image of its last
+        lowering step, or its numerators when it was built before."""
         path = []
         while n not in self.parts:
             i = next(i for i, x in enumerate(n) if x)
@@ -202,43 +201,46 @@ class Ladder:
             self.parts[m] = part
         return part, raw
 
-    def part(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The polynomial part of the state of the multi-index n (a tuple
-        of ints), built down the tree from its nearest ancestor built so
-        far."""
-        return self._build(n)[0]
-
     def state(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The state of the multi-index n, Gaussian included."""
-        return self.weighted(self.part(n))
+        """The state of the multi-index n (a tuple of ints), Gaussian
+        included."""
+        _check_multi_index(n, len(self.lowering))
+        return self.weighted(self._build(n)[0])
 
 
 def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
                  ladder: Optional[Ladder] = None) -> SpectrumRecord:
     """Eigenstate built by lowering operators acting on the vacuum, with
     its eigen-relation checked exactly: e^{-q} (H - E) e^{q} P =
-    (ladder.h - E) P, with e^{q} the vacuum Gaussian, as ladder.h P = E P
-    entry by entry on the integer image t_p / d_p of P's last step.
+    (conj H - E) P, with e^{q} the vacuum Gaussian and conj H = ladder.h.
+    The residual's raw map is formed once, from the one image of the
+    integer part t_p / d_p of P's last step, and must be zero; a failing
+    Mismatch carries it.
 
     n_a counts w_{-j_a} in the order of _lowering_order; the last
     position acts innermost.  ladder, when given, is the Ladder of (ell,
     normalization) to build on; otherwise one is made for this state."""
     n = tuple(n)
+    energy = ladder_energy(ell, normalization, n)
     if ladder is None:
         ladder = Ladder(ell, normalization)
     elif (ladder.ell, ladder.normalization) != (ell, normalization):
         raise ValueError("the ladder belongs to another ell or "
                          "normalization")
     part, (t_p, d_p) = ladder._build(n)
-    energy = ladder_energy(ell, normalization, n)
-    t_h, d_h = image(ladder._h, t_p, d_p)
-    lhs, rhs = energy.denominator * d_p, energy.numerator * d_h
-    if (any(q * lhs != t_p.get(key, {}).get(k, 0) * rhs
-            for key, acc in t_h.items() for k, q in acc.items())
-            or any(q * rhs and k not in t_h.get(key, ())
-                   for key, acc in t_p.items() for k, q in acc.items())):
-        resid = apply_op(ladder.h - WeylOp.const(ladder.h.chart, energy),
-                         part)
+    # conj(H) P = t_r / d_r and E P = e t_p / d_r, with d_r = d_h d_p
+    # and e = E d_h: the residual is (e.den t_r - e.num t_p) / e.den d_r
+    t_r, d_r = image(ladder.h, t_p, d_p)
+    e = energy * ladder.h[1]
+    for acc in t_r.values():
+        for k in acc:
+            acc[k] *= e.denominator
+    for key, acc in t_p.items():
+        out = t_r.setdefault(key, {})
+        for k, q in acc.items():
+            out[k] = out.get(k, 0) - e.numerator * q
+    if any(q for acc in t_r.values() for q in acc.values()):
+        resid = part._like(from_raw(t_r, d_r * e.denominator))
         raise Mismatch(f"eigen-relation for n={n}", ladder.weighted(resid))
     return SpectrumRecord(n=n, energy=energy, state=ladder.weighted(part))
 

@@ -28,9 +28,11 @@ Key = Tuple[int, Tuple[int, ...], Tuple[int, ...]]  # (2*mu, var, der)
 
 
 class Chart:
-    """Coordinate chart; L = ell + 1/2 space variables."""
+    """Coordinate chart; L = ell + 1/2 space variables.  Variable i's
+    derivative is slot i + shift of the der tuple: shift is 1 in the osc
+    chart, whose slot 0 is d_s, and 0 in the free chart."""
 
-    __slots__ = ("kind", "ell", "L")
+    __slots__ = ("kind", "ell", "L", "shift")
 
     def __init__(self, kind: str, ell: HalfInt):
         if kind not in ("free", "osc"):
@@ -39,6 +41,7 @@ class Chart:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "L", (ell.twice + 1) // 2)
+        object.__setattr__(self, "shift", 1 if kind == "osc" else 0)
 
     def __setattr__(self, *a):
         raise AttributeError("Chart is immutable")
@@ -205,26 +208,21 @@ class WeylOp(LinComb):
         return f"WeylOp({op_plain(self)})"
 
 
-def _contractions(osc: bool, L: int, d, v, e) -> list:
+def _contractions(shift: int, d, v, e) -> list:
     """The choices of moving the derivatives d of a left term past the
     variables v and the weight exp(e s) of a right term: one tuple per
     slot with something to contract, of (der index, var index or -1, k,
-    factor) for each k >= 0, k = 0 (factor 1) first."""
+    factor) for each k >= 0, k = 0 (factor 1) first.  Variable i meets
+    derivative i + shift (Chart.shift); only the osc chart has an e, and
+    there d[0] is d_s."""
     options = []
-    if osc:
-        if d[0] and e:
-            options.append(tuple((0, -1, i, f) for i, f in _s_cross(d[0], e)))
-        for i in range(L):
-            n, m = d[1 + i], v[i]
-            if n and m:
-                options.append(tuple(
-                    (1 + i, i, k, f) for k, f in _poly_cross(n, m)))
-    else:
-        for i in range(L + 1):
-            n, m = d[i], v[i]
-            if n and m:
-                options.append(tuple(
-                    (i, i, k, f) for k, f in _poly_cross(n, m)))
+    if d[0] and e:
+        options.append(tuple((0, -1, i, f) for i, f in _s_cross(d[0], e)))
+    for i, m in enumerate(v):
+        n = d[i + shift]
+        if n and m:
+            options.append(tuple(
+                (i + shift, i, k, f) for k, f in _poly_cross(n, m)))
     return options
 
 
@@ -248,7 +246,7 @@ def prepare(op: WeylOp, index: bool = True) -> Operand:
     """Only a commutator reads the slot index (a*b and {a, b} visit
     every pair), so index=False leaves it out."""
     raw, den = numerators(op.terms)
-    shift = 1 if op.chart.kind == "osc" else 0
+    shift = op.chart.shift
     slots, by_der, by_var = ([], {}, {}) if index else (None, None, None)
     for n, (e, v, d) in enumerate(raw if index else ()):
         ds = [i for i, p in enumerate(d) if p]
@@ -276,8 +274,7 @@ def _product_terms(a: Operand, b: Operand, plain: int, s_ab: int,
     share the plain product, so a term pair is visited and multiplied
     once; without it, only the pairs where a derivative of one term
     meets a variable of the other (in either order) are visited."""
-    osc = a.op.chart.kind == "osc"
-    L = a.op.chart.L
+    shift = a.op.chart.shift
     res: Dict[Key, dict] = {}
     tb = b.terms
     for n, ((e1, v1, d1), t1) in enumerate(a.terms):
@@ -289,8 +286,8 @@ def _product_terms(a: Operand, b: Operand, plain: int, s_ab: int,
                               | {m for i in vs for m in b.by_der.get(i, ())})
         for m in partners:
             (e2, v2, d2), t2 = tb[m]
-            ab = _contractions(osc, L, d1, v2, e2) if s_ab else ()
-            ba = _contractions(osc, L, d2, v1, e1) if s_ba else ()
+            ab = _contractions(shift, d1, v2, e2) if s_ab else ()
+            ba = _contractions(shift, d2, v1, e1) if s_ba else ()
             base = raw_mul(t1, t2)
             e = e1 + e2
             vsum = [x + y for x, y in zip(v1, v2)]
@@ -342,7 +339,7 @@ def conjugate(a: WeylOp, weight) -> WeylOp:
     if kind == "gauss":
         kappa = weight[1]
         gvar = chart.gauss_var
-        gder = gvar + (0 if chart.kind == "free" else 1)
+        gder = gvar + chart.shift
         image = (WeylOp.der(chart, gder)
                  + WeylOp.var(chart, gvar, coef=kappa))
         return _conjugate_by_der_image(a, gder, image)

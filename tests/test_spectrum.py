@@ -509,6 +509,21 @@ class TestFailurePaths:
         assert exc.value.label == "raising operator w_3/2 on the vacuum"
         assert exc.value.residual == apply_op(bad_w, good) == good
 
+    def test_energy_off_by_a_seventh(self, fresh_caches, monkeypatch):
+        # E d_op is then no integer, so the residual map scales the image
+        # of conj(H) by E's denominator
+        energy = cgaosc.spectrum.ladder_energy
+
+        def off_at_01(ell, normalization, n):
+            return energy(ell, normalization, n) + F(n == (0, 1), 7)
+
+        monkeypatch.setattr(cgaosc.spectrum, "ladder_energy", off_at_01)
+        with pytest.raises(Mismatch) as exc:
+            spectrum(H(3), 2)
+        assert exc.value.label == "eigen-relation for n=(0, 1)"
+        state = Ladder(H(3)).state((0, 1))
+        assert exc.value.residual == state.scaled(F(-1, 7))
+
     def test_spectrum_negative_bound(self, fresh_caches):
         with pytest.raises(ValueError, match="max_total must be "
                                              "non-negative"):
