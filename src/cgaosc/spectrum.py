@@ -229,18 +229,16 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
                          "normalization")
     part, (t_p, d_p) = ladder._build(n)
     # conj(H) P = t_r / d_r and E P = e t_p / d_r, with d_r = d_h d_p
-    # and e = E d_h: the residual is (e.den t_r - e.num t_p) / e.den d_r
+    # and e = E d_h, an int (so the sums stay ints) wherever it is one
     t_r, d_r = image(ladder.h, t_p, d_p)
     e = energy * ladder.h[1]
-    for acc in t_r.values():
-        for k in acc:
-            acc[k] *= e.denominator
+    e = e.numerator if e.denominator == 1 else e
     for key, acc in t_p.items():
         out = t_r.setdefault(key, {})
         for k, q in acc.items():
-            out[k] = out.get(k, 0) - e.numerator * q
+            out[k] = out.get(k, 0) - e * q
     if any(q for acc in t_r.values() for q in acc.values()):
-        resid = part._like(from_raw(t_r, d_r * e.denominator))
+        resid = part._like(from_raw(t_r, d_r))
         raise Mismatch(f"eigen-relation for n={n}", ladder.weighted(resid))
     return SpectrumRecord(n=n, energy=energy, state=ladder.weighted(part))
 

@@ -510,8 +510,7 @@ class TestFailurePaths:
         assert exc.value.residual == apply_op(bad_w, good) == good
 
     def test_energy_off_by_a_seventh(self, fresh_caches, monkeypatch):
-        # E d_op is then no integer, so the residual map scales the image
-        # of conj(H) by E's denominator
+        # E d_op is then no integer, so the residual map holds Fractions
         energy = cgaosc.spectrum.ladder_energy
 
         def off_at_01(ell, normalization, n):
