@@ -149,9 +149,9 @@ class Ladder:
     vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
     kappa, so lowering and h hold the lowering operators and H conjugated
     once by weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
-    funcspace.image; parts holds the polynomial parts P (kappa 0) and
-    state() re-attaches kappa.  vacuum() checks the raising operators
-    once, on the Gaussian state.
+    funcspace.image, which reads only a state's terms P.  states holds
+    the states built so far, from the vacuum() object itself; vacuum()
+    checks the raising operators once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where
@@ -166,46 +166,41 @@ class Ladder:
         frame = ("gauss", vac.kappa + vac.kappa)
         self.ell = ell
         self.normalization = normalization
-        self.kappa = vac.kappa
         self.lowering = [prepare(conjugate(gens[w_label(-j)], frame))
                          for j in _lowering_order(ell, normalization)]
         self.h = prepare(conjugate(hamiltonian(ell, normalization), frame))
-        self.parts: Dict[Tuple[int, ...], GaussFunc] = {
-            (0,) * len(self.lowering):
-                GaussFunc(vac.chart, CScalar.zero(), vac.terms)}
-
-    def weighted(self, part: GaussFunc) -> GaussFunc:
-        """The state part * e^{kappa x1^2}."""
-        return GaussFunc(part.chart, self.kappa, part.terms)
+        self.states: Dict[Tuple[int, ...], GaussFunc] = {
+            (0,) * len(self.lowering): vac}
 
     def _build(self, n: Tuple[int, ...]) -> Tuple[GaussFunc, tuple]:
-        """The part of the checked multi-index n, built down the tree from
-        its nearest ancestor built so far, and the raw image of its last
-        lowering step, or its numerators when it was built before."""
+        """The state of the checked multi-index n, built down the tree
+        from its nearest ancestor built so far, and the raw image of its
+        last lowering step, or its numerators when it was built before.
+        Each new state is its parent's chart and kappa with the image's
+        terms."""
         path = []
-        while n not in self.parts:
+        while n not in self.states:
             i = next(i for i, x in enumerate(n) if x)
             path.append((n, i))
             n = n[:i] + (n[i] - 1,) + n[i + 1:]
-        part = self.parts[n]
+        state = self.states[n]
         if not path:
-            return part, numerators(part.terms)
+            return state, numerators(state.terms)
         for m, i in reversed(path):
-            raw = image(self.lowering[i], *numerators(part.terms))
-            part = part._like(from_raw(*raw))
-            if part.is_zero():
+            raw = image(self.lowering[i], *numerators(state.terms))
+            state = state._like(from_raw(*raw))
+            if state.is_zero():
                 # a zero state satisfies every eigen-relation, so the
                 # eigen check cannot catch it
                 raise Mismatch(f"lowering step to n={m} gives the zero state",
-                               self.weighted(part))
-            self.parts[m] = part
-        return part, raw
+                               state)
+            self.states[m] = state
+        return state, raw
 
     def state(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The state of the multi-index n (a tuple of ints), Gaussian
-        included."""
+        """The state of the multi-index n (a tuple of ints)."""
         _check_multi_index(n, len(self.lowering))
-        return self.weighted(self._build(n)[0])
+        return self._build(n)[0]
 
 
 def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
@@ -215,7 +210,7 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     (conj H - E) P, with e^{q} the vacuum Gaussian and conj H = ladder.h.
     The residual's raw map is formed once, from the one image of the
     integer part t_p / d_p of P's last step, and must be zero; a failing
-    Mismatch carries it.
+    Mismatch carries it.  The record's state is the ladder's own object.
 
     n_a counts w_{-j_a} in the order of _lowering_order; the last
     position acts innermost.  ladder, when given, is the Ladder of (ell,
@@ -227,7 +222,7 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     elif (ladder.ell, ladder.normalization) != (ell, normalization):
         raise ValueError("the ladder belongs to another ell or "
                          "normalization")
-    part, (t_p, d_p) = ladder._build(n)
+    state, (t_p, d_p) = ladder._build(n)
     # conj(H) P = t_r / d_r and E P = e t_p / d_r, with d_r = d_h d_p
     # and e = E d_h, an int (so the sums stay ints) wherever it is one
     t_r, d_r = image(ladder.h, t_p, d_p)
@@ -238,9 +233,9 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
         for k, q in acc.items():
             out[k] = out.get(k, 0) - e * q
     if any(q for acc in t_r.values() for q in acc.values()):
-        resid = part._like(from_raw(t_r, d_r))
-        raise Mismatch(f"eigen-relation for n={n}", ladder.weighted(resid))
-    return SpectrumRecord(n=n, energy=energy, state=ladder.weighted(part))
+        raise Mismatch(f"eigen-relation for n={n}",
+                       state._like(from_raw(t_r, d_r)))
+    return SpectrumRecord(n=n, energy=energy, state=state)
 
 
 def spectrum(ell: HalfInt, max_total: int,

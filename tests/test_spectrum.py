@@ -13,7 +13,7 @@ from cgaosc.realizations import (Z_ZERO, convention, osc_generators,
                                  positive_w_indices, w_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import (ExactMatrix, Ladder, _lowering_order,
-                             harmonic_reduction, hamiltonian,
+                             _multi_indices, harmonic_reduction, hamiltonian,
                              hamiltonian_m_form_expected,
                              ladder_energy, ladder_relations, ladder_state,
                              matrix_oracle, spectrum, to_m_form, vacuum,
@@ -162,6 +162,37 @@ class TestLadder:
         # raising-operator checks
         assert counts == {"hamiltonian": 1, "vacuum": 1, "apply_op": raising,
                           "image": (states - 1) + states}
+
+    def test_one_gaussfunc_per_spectrum(self, monkeypatch):
+        # the vacuum is the only GaussFunc made: every other state is
+        # its parent's chart and kappa with new terms
+        made = []
+        init = GaussFunc.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GaussFunc, "__init__", counted)
+        records = spectrum(H(5), 4)
+        assert len(records) == 35
+        assert records[0].n == (0, 0, 0)
+        assert len(made) == 1
+        assert made[0] is records[0].state
+
+    @pytest.mark.parametrize("ell,norm", [
+        (H(3), "section6"), (H(5), "section7"),
+    ], ids=str)
+    def test_records_hold_the_ladder_states(self, ell, norm):
+        ladder = Ladder(ell, norm)
+        size = len(ladder.lowering)
+        root, vac = ladder.states[(0,) * size], vacuum(ell, norm)
+        assert root == vac
+        assert root.kappa == vac.kappa
+        for n in _multi_indices(size, 3):
+            record = ladder_state(ell, norm, n, ladder)
+            assert record.state is ladder.states[record.n]
+            assert record.state.kappa == root.kappa
 
     def test_operators_conjugated_once_per_ladder(self, monkeypatch):
         counts = Counter()
