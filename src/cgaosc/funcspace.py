@@ -48,10 +48,6 @@ class GaussFunc(LinComb):
             varpow = (0,) * chart.nvars
         return cls(chart, kappa, {(mu2, tuple(varpow)): coef})
 
-    @classmethod
-    def zero(cls, chart: Chart, kappa: CScalar) -> "GaussFunc":
-        return cls(chart, kappa)
-
     def _check(self, other: "GaussFunc"):
         if self.chart != other.chart:
             raise ChartMismatch("charts differ")

@@ -1,6 +1,8 @@
 """JSON encoding of the exact types, with enough structure to round-trip
 operators bit-for-bit: rationals as numerator/denominator strings,
 scalars as Laurent term lists, operators as normal-form term lists.
+Nothing in the package reads this format back; the decoder that checks
+the round trip lives in the CLI test.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .funcspace import GaussFunc
-from .scalars import CScalar, HalfInt
+from .scalars import CScalar
 from .weyl import Chart, WeylOp
 
 
@@ -17,29 +19,13 @@ def rational_json(q: Fraction) -> dict:
     return {"n": str(q.numerator), "d": str(q.denominator)}
 
 
-def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["n"]), int(obj["d"]))
-
-
 def cscalar_json(cs: CScalar) -> list:
     return [{"cpow": k, "coef": rational_json(q)}
             for k, q in cs.items_sorted()]
 
 
-def cscalar_from_json(items: list) -> CScalar:
-    out = CScalar.zero()
-    for it in items:
-        out = out + CScalar.c_power(int(it["cpow"]),
-                                    rational_from_json(it["coef"]))
-    return out
-
-
 def chart_json(chart: Chart) -> dict:
     return {"kind": chart.kind, "twice_ell": chart.ell.twice}
-
-
-def chart_from_json(obj: dict) -> Chart:
-    return Chart(obj["kind"], HalfInt(int(obj["twice_ell"])))
 
 
 def weylop_json(op: WeylOp) -> dict:
@@ -51,17 +37,6 @@ def weylop_json(op: WeylOp) -> dict:
                    "der": list(d)}
                   for (e, v, d), cs in op.sorted_terms()],
     }
-
-
-def weylop_from_json(obj: dict) -> WeylOp:
-    chart = chart_from_json(obj["chart"])
-    terms = {}
-    for t in obj["terms"]:
-        key = (int(t["twice_expS"]),
-               tuple(int(x) for x in t["var"]),
-               tuple(int(x) for x in t["der"]))
-        terms[key] = cscalar_from_json(t["coef"])
-    return WeylOp(chart, terms)
 
 
 def gaussfunc_json(f: GaussFunc) -> dict:

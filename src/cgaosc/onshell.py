@@ -16,7 +16,7 @@ from .errors import (Mismatch, NonUniqueSolution, NoSolution,
 from .linsolve import SpanSolver
 from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
                            convention, label_sort_key, label_str,
-                           positive_w_indices, w_label, ww_label)
+                           positive_w_indices, w_label)
 from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, degree_of
 
@@ -44,24 +44,6 @@ def omega0_free(ell: HalfInt) -> WeylOp:
     """Degree-0 companion, defined as -t * Omega1 (operator product)."""
     chart = Chart("free", ell)
     return -(WeylOp.var(chart, 0) * omega1_free(ell))
-
-
-def omega1_abstract_threehalf() -> AlgebraElement:
-    """z_{+1} + (1/2c) w_{3/2,-1/2} - (1/2c) w_{1/2,1/2}."""
-    h = HalfInt
-    inv2c = CScalar.c_power(-1, Fraction(1, 2))
-    return (AlgebraElement.of(Z_PLUS)
-            + AlgebraElement.of(ww_label(h(3), h(-1)), inv2c)
-            - AlgebraElement.of(ww_label(h(1), h(1)), inv2c))
-
-
-def omega0_abstract_threehalf() -> AlgebraElement:
-    """z_0 + (1/4c) w_{1/2,-1/2} - (1/4c) w_{3/2,-3/2}."""
-    h = HalfInt
-    inv4c = CScalar.c_power(-1, Fraction(1, 4))
-    return (AlgebraElement.of(Z_ZERO)
-            + AlgebraElement.of(ww_label(h(1), h(-1)), inv4c)
-            - AlgebraElement.of(ww_label(h(3), h(-3)), inv4c))
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +153,6 @@ def solve_omega1(ell: HalfInt) -> Tuple[WeylOp, AlgebraElement]:
 @dataclass
 class OnShellCertificate:
     table: Dict[GenLabel, Optional[WeylOp]]  # None means strict zero
-
-    def multipliers(self) -> Dict[GenLabel, WeylOp]:
-        return {k: v for k, v in self.table.items() if v is not None}
 
     def to_json(self) -> dict:
         from .jsonio import weylop_json

@@ -59,21 +59,6 @@ def label_str(label: GenLabel) -> str:
     return "w{%s,%s}" % (half(label[1]), half(label[2]))
 
 
-def parse_label(s: str) -> GenLabel:
-    s = s.strip()
-    if s == "c":
-        return C_LABEL
-    if s.startswith("z"):
-        return ("z", int(s[1:].replace("+", "")))
-    if s.startswith("w{"):
-        i, j = s[2:-1].split(",")
-        return ww_label(HalfInt.from_fraction(Fraction(i)),
-                        HalfInt.from_fraction(Fraction(j)))
-    if s.startswith("w"):
-        return ("w", HalfInt.from_fraction(Fraction(s[1:])).twice)
-    raise ValueError(f"bad generator label {s!r}")
-
-
 def w_indices(ell: HalfInt):
     """All j = -ell .. ell in integer steps of the doubled index."""
     return [HalfInt(t) for t in range(-ell.twice, ell.twice + 1, 2)]

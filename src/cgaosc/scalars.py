@@ -210,21 +210,6 @@ class CScalar:
         (k, a), = other.terms.items()
         return _wrap({p - k: v / a for p, v in self.terms.items()})
 
-    def try_div(self, other: "CScalar") -> "CScalar | None":
-        """Exact Laurent quotient self/other, or None when not divisible."""
-        if other.is_zero():
-            raise ZeroDivisor("division by zero CScalar")
-        if self.is_zero():
-            return _ZERO
-        if other.is_monomial():
-            return self.div_monomial(other)
-        num, ns = _to_poly(self)
-        den, ds = _to_poly(other)
-        q, r = poly_divmod(num, den)
-        if any(r):
-            return None
-        return _from_poly(q, ns - ds)
-
     def subs_c_scale(self, factor: Fraction) -> "CScalar":
         """Substitute c -> factor * c', reinterpreting the symbol.
 
@@ -445,12 +430,14 @@ class LinComb:
 
     def proportionality(self, other: "LinComb") -> "CScalar | None":
         """The r with self == r * other, or None.  The ratio is read at
-        other's largest key and confirmed exactly, space included."""
+        other's largest key, whose coefficient must be a single power of
+        c (NotMonomial otherwise), and confirmed exactly, space
+        included."""
         if not other.terms:
             return _ZERO if self == other else None
         key = max(other.terms, key=other._order)
-        r = self.terms.get(key, _ZERO).try_div(other.terms[key])
-        if r is not None and self == other.scaled(r):
+        r = self.terms.get(key, _ZERO).div_monomial(other.terms[key])
+        if self == other.scaled(r):
             return r
         return None
 
@@ -461,39 +448,3 @@ class LinComb:
 
     def __hash__(self):
         return hash((self._space(), tuple(self.sorted_terms())))
-
-
-# -- dense polynomial helpers (coefficients ascending in c) --------------
-
-def _to_poly(s: CScalar):
-    """CScalar -> (dense coefficient list, shift) with poly[i] = coeff of
-    c^(i+shift), for a nonzero s."""
-    lo = min(s.terms)
-    hi = max(s.terms)
-    poly = [s.terms.get(k, _F0) for k in range(lo, hi + 1)]
-    return poly, lo
-
-
-def _from_poly(poly, shift: int) -> CScalar:
-    return _wrap({i + shift: c for i, c in enumerate(poly) if c})
-
-
-def poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def poly_divmod(num, den):
-    num = list(num)
-    den = poly_trim(list(den))
-    if not den:
-        raise ZeroDivisor("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] / den[-1]
-        if coef:
-            q[i] = coef
-            for j, d in enumerate(den):
-                num[i + j] -= coef * d
-    return poly_trim(q), poly_trim(num)

@@ -417,17 +417,18 @@ class Substitution:
 
     def _power(self, slot: int, p: int) -> WeylOp:
         """The image of source variable or derivative slot (variables
-        first) to the nonzero power p."""
+        first) to the power p >= 1; a negative power raises ValueError."""
         pw = self._powers.get((slot, p))
         if pw is None:
-            step = 1 if p > 0 else -1
-            if p == step:
-                images = self.var_images + self.der_images
+            if p < 0:
                 names = self.src.var_names() + self.src.der_names()
-                pw = (images[slot] if p > 0
-                      else _inverse(images[slot], names[slot]))
+                raise ValueError(f"negative power of {names[slot]}: a "
+                                 "substitution maps polynomial operators "
+                                 "only")
+            if p == 1:
+                pw = (self.var_images + self.der_images)[slot]
             else:
-                pw = self._power(slot, p - step) * self._power(slot, step)
+                pw = self._power(slot, p - 1) * self._power(slot, 1)
             self._powers[(slot, p)] = pw
         return pw
 
@@ -442,27 +443,6 @@ class Substitution:
             for key, x in image.terms.items():
                 out[key] = out[key] + x * c if key in out else x * c
         return WeylOp(self.dst, out)
-
-
-def _inverse(img: WeylOp, name: str) -> WeylOp:
-    """The inverse of a single monomial q c^k e^{mu s} t^m, the only kind
-    of image that a negative power can go through."""
-    if len(img.terms) == 1:
-        ((e, v, d), c), = img.terms.items()
-        nt = 1 if img.chart.kind == "free" else 0  # t is free var 0
-        if not any(v[nt:]) and not any(d) and c.is_monomial():
-            inv = CScalar.one().div_monomial(c)
-            v_inv = tuple(-p for p in v[:nt]) + v[nt:]
-            return img._like({(-e, v_inv, d): inv})
-    raise ValueError(f"negative power of {name}, whose image {img} is not "
-                     f"a single monomial in t and e^(mu s)")
-
-
-def identity_substitution(chart: Chart) -> Substitution:
-    return Substitution(
-        chart, chart,
-        [WeylOp.var(chart, i) for i in range(chart.nvars)],
-        [WeylOp.der(chart, i) for i in range(chart.nders)])
 
 
 def free_to_osc_substitution(ell: HalfInt) -> Substitution:

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random generators for exact scalars and
-operators, a sympy-based application oracle for the operator engine, and
-a fixture that clears the package's build caches.
+operators, a sympy-based application oracle for the operator engine, a
+fixture that clears the package's build caches, and the printed ell=3/2
+invariants as algebra elements.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cgaosc.realizations import AlgebraElement, Z_PLUS, Z_ZERO, ww_label
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import Chart, WeylOp
 
@@ -59,6 +61,33 @@ def fresh_caches():
     _clear_package_caches()
     yield
     _clear_package_caches()
+
+
+# -- the printed ell=3/2 invariants ------------------------------------------
+
+@pytest.fixture
+def omega1_abstract_threehalf() -> AlgebraElement:
+    """z_{+1} + (1/2c) w_{3/2,-1/2} - (1/2c) w_{1/2,1/2}."""
+    h = HalfInt
+    inv2c = CScalar.c_power(-1, Fraction(1, 2))
+    return (AlgebraElement.of(Z_PLUS)
+            + AlgebraElement.of(ww_label(h(3), h(-1)), inv2c)
+            - AlgebraElement.of(ww_label(h(1), h(1)), inv2c))
+
+
+@pytest.fixture
+def omega0_abstract_threehalf() -> AlgebraElement:
+    """z_0 + (1/4c) w_{1/2,-1/2} - (1/4c) w_{3/2,-3/2}."""
+    h = HalfInt
+    inv4c = CScalar.c_power(-1, Fraction(1, 4))
+    return (AlgebraElement.of(Z_ZERO)
+            + AlgebraElement.of(ww_label(h(1), h(-1)), inv4c)
+            - AlgebraElement.of(ww_label(h(3), h(-3)), inv4c))
+
+
+def multipliers(cert) -> dict:
+    """The nonzero multipliers of an on-shell certificate, by label."""
+    return {k: v for k, v in cert.table.items() if v is not None}
 
 
 # -- sympy oracle -------------------------------------------------------------

@@ -15,12 +15,24 @@ import cgaosc.cli
 import cgaosc.enlarged
 from cgaosc.cli import main, parse_ell
 from cgaosc.errors import Mismatch, NotTriangular
-from cgaosc.jsonio import weylop_from_json
-from cgaosc.realizations import AlgebraElement, free_generators, parse_label
+from cgaosc.realizations import AlgebraElement, free_generators, label_str
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.weyl import WeylOp
+from cgaosc.weyl import Chart, WeylOp
 
 H = HalfInt
+
+
+def weylop_from_json(obj: dict) -> WeylOp:
+    """The operator that cgaosc.jsonio.weylop_json encoded."""
+    def cscalar(items):
+        return CScalar({int(it["cpow"]): Fraction(int(it["coef"]["n"]),
+                                                  int(it["coef"]["d"]))
+                        for it in items})
+    chart = Chart(obj["chart"]["kind"], H(int(obj["chart"]["twice_ell"])))
+    return WeylOp(chart, {
+        (int(t["twice_expS"]), tuple(map(int, t["var"])),
+         tuple(map(int, t["der"]))): cscalar(t["coef"])
+        for t in obj["terms"]})
 
 
 def run(capsys, *argv):
@@ -152,10 +164,10 @@ class TestGens:
         assert code == 0
         payload = json.loads(out)
         gens = free_generators(H(3))
+        labels = {label_str(lb): lb for lb in gens}
         assert len(payload) == len(gens)
         for name, opjson in payload.items():
-            lb = parse_label(name)
-            assert weylop_from_json(opjson) == gens[lb]
+            assert weylop_from_json(opjson) == gens[labels[name]]
 
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, "gens", "--ell", "5/2", "--chart", "osc")

@@ -16,9 +16,8 @@ from pathlib import Path
 import pytest
 
 from cgaosc.errors import JacobiFailure, NotClosed
-from cgaosc.onshell import omega1_abstract_threehalf
-from cgaosc.realizations import (Z_MINUS, Z_PLUS, Z_ZERO, free_generators,
-                                 w_label)
+from cgaosc.realizations import (AlgebraElement, Z_MINUS, Z_PLUS, Z_ZERO,
+                                 free_generators, w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import ladder_state
 
@@ -50,6 +49,24 @@ def test_package_imports_its_submodules_in_order():
         f"cgaosc.{name}" for name in (
             "errors", "scalars", "weyl", "funcspace", "linsolve",
             "realizations", "enlarged", "onshell", "transform", "spectrum")]
+
+
+def test_a_failing_property_does_not_stop_the_run(tmp_path):
+    # with warnings as errors, hypothesis's report of a failing example
+    # must fail that test alone: the tests after it still run
+    test = tmp_path / "test_property.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\n"
+                    "def test_fails(n):\n"
+                    "    assert n < 5\n\n\n"
+                    "def test_passes():\n"
+                    "    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), str(test)],
+        cwd=tmp_path, env=dict(os.environ), capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
 
 
 def test_benchmark_entry_points_exist():
@@ -127,8 +144,9 @@ def _mentions(tree):
 
 def test_no_dead_helpers():
     # each definition in the package is named somewhere outside its own
-    # body, in the package, the tests or the benchmark
-    files = [p for d in ("src", "tests", "perfbench")
+    # body, in the package or the benchmark; a test alone does not keep
+    # a definition alive
+    files = [p for d in ("src", "perfbench")
              for p in sorted((ROOT / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
     mentions = {p: list(_mentions(tree)) for p, tree in trees.items()}
@@ -157,7 +175,7 @@ SHARED_METHODS = {
     "one": {"CScalar", "WeylOp"},
     "to_json": {"DualityReport", "ExactMatrix", "LadderReport",
                 "OnShellCertificate", "SpectrumRecord", "TransformReport"},
-    "zero": {"CScalar", "GaussFunc", "WeylOp"},
+    "zero": {"CScalar", "WeylOp"},
 }
 
 
@@ -224,18 +242,19 @@ ROUND_TRIPS = {
 def _values():
     gens = free_generators(HalfInt(1))
     record = ladder_state(HalfInt(3), "section7", (1, 1))
+    elem = AlgebraElement.of(Z_PLUS) + AlgebraElement.of(
+        ww_label(HalfInt(1), HalfInt(1)), CScalar.c_power(-1, Fraction(1, 2)))
     return {
         "HalfInt": HalfInt(3),
         "CScalar": CScalar.c_power(-1, Fraction(1, 2)) + 3,
         "Chart": gens[Z_ZERO].chart,
         "WeylOp": gens[w_label(HalfInt(-1))],
         "GaussFunc": record.state,
-        "AlgebraElement": omega1_abstract_threehalf(),
+        "AlgebraElement": elem,
         "SpectrumRecord": record,
         "NotClosed": NotClosed((Z_PLUS, Z_MINUS), gens[Z_ZERO]),
         "JacobiFailure": JacobiFailure((Z_PLUS, Z_ZERO, Z_MINUS),
-                                       omega1_abstract_threehalf(),
-                                       "graded"),
+                                       elem, "graded"),
     }
 
 

@@ -104,14 +104,6 @@ class TestCScalarRing:
         assert a * CScalar.one() == a
         assert a - a == CScalar.zero()
 
-    @settings(max_examples=200, deadline=None)
-    @given(scalars, scalars)
-    def test_try_div_roundtrip(self, a, b):
-        p = a * b
-        if not b.is_zero():
-            q = p.try_div(b)
-            assert q is not None and q == a
-
     @settings(max_examples=100, deadline=None)
     @given(cscalars(), st.integers(-3, 3), fractions)
     def test_div_monomial(self, a, k, q):
@@ -141,11 +133,6 @@ class TestCScalarBasics:
             CScalar.c().div_monomial(poly)
         with pytest.raises(ZeroDivisor):
             CScalar.c().div_monomial(CScalar.zero())
-
-    def test_try_div_detects_non_laurent(self):
-        num = CScalar.one()
-        den = CScalar.one() + CScalar.c()
-        assert num.try_div(den) is None
 
     def test_subs_c_scale(self):
         # c -> -4m turns 1/(2c) into -1/(8m) and c into -4m
