@@ -19,14 +19,15 @@ from fractions import Fraction
 from .enlarged import (check_jacobi, closure_tables, duality_report,
                        expected_dims, free_enlarged)
 from .errors import CgaError, InputError, Mismatch
-from .jsonio import gaussfunc_json, gens_json, weylop_json
+from .jsonio import (certificate_json, gaussfunc_json, gens_json,
+                     matrix_json, record_json, weylop_json)
 from .latexout import func_latex, op_latex, op_plain
 from .onshell import (certify_onshell, cross_relations, omega0_free,
                       omega0_osc, omega1_free, omega1_osc, solve_omega1)
 from .realizations import (convention, free_generators, free_span,
                            label_sort_key, label_str, osc_generators)
 from .scalars import HalfInt
-from .spectrum import (harmonic_reduction, hamiltonian,
+from .spectrum import (Ladder, harmonic_reduction, hamiltonian,
                        hamiltonian_m_form_expected, ladder_relations,
                        matrix_oracle, spectrum, to_m_form, ladder_state,
                        vacuum_energy)
@@ -142,14 +143,14 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_spectrum(args) -> int:
     recs = spectrum(args.ell, args.max_total, NORMS[args.normalization])
-    _emit([r.to_json() for r in recs])
+    _emit([record_json(r) for r in recs])
     return 0
 
 
 def cmd_eigenstate(args) -> int:
     n = [int(x) for x in args.n.split(",")]
-    rec = ladder_state(args.ell, NORMS[args.normalization], n)
-    out = rec.to_json()
+    rec = ladder_state(Ladder(args.ell, NORMS[args.normalization]), n)
+    out = record_json(rec)
     out["state"] = gaussfunc_json(rec.state)
     out["latex"] = func_latex(rec.state)
     _emit(out)
@@ -157,7 +158,7 @@ def cmd_eigenstate(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    _emit(matrix_oracle(args.ell, args.max_degree).to_json())
+    _emit(matrix_json(matrix_oracle(args.ell, args.max_degree)))
     return 0
 
 
@@ -181,9 +182,13 @@ def verify_jacobi(args) -> dict:
 
 
 def verify_duality(args) -> dict:
-    ell = args.ell
-    basis = free_enlarged(ell)
-    return duality_report(basis).to_json()
+    basis = free_enlarged(args.ell)
+    sp, osp = duality_report(basis)
+    even, odd = basis.dims
+    # duality_report raises when a sector is open, so both read true
+    return {"ell": {"twice": args.ell.twice}, "evenDim": even,
+            "oddDim": odd, "ecgaDim": even + odd, "spDim": sp,
+            "ospDim": osp, "spClosed": True, "ospClosed": True}
 
 
 def verify_onshell(args) -> dict:
@@ -199,10 +204,10 @@ def verify_onshell(args) -> dict:
     cert0 = certify_onshell(om0, gens)
     cross_relations(om0, om1)
     out = {"chart": args.chart,
-           "degree1": cert1.to_json(),
-           "degree0": cert0.to_json(),
+           "degree1": certificate_json(cert1),
+           "degree0": certificate_json(cert0),
            "centralizerDegree1": [label_str(lb) for lb, f
-                                  in cert1.table.items() if f is None]}
+                                  in cert1.items() if f is None]}
     if args.chart == "free":
         solved, elem = solve_omega1(ell)
         if solved != om1:
@@ -213,16 +218,24 @@ def verify_onshell(args) -> dict:
 
 def verify_transform(args) -> dict:
     norm = convention(args.ell, NORMS[args.normalization]).realization
-    return certify_transform(args.ell, norm).to_json()
+    matched, pairs = certify_transform(args.ell, norm)
+    return {"ell": {"twice": args.ell.twice}, "normalization": norm,
+            "generatorsMatched": [label_str(lb) for lb in matched],
+            "homomorphismPairs": pairs}
 
 
 def verify_spectrum(args) -> dict:
     ell = args.ell
     norm = SPECTRUM_NORMS[args.normalization]
-    rel = ladder_relations(ell, norm)
+    split_ok, lows = ladder_relations(ell, norm)
+    relations = {"ell": {"twice": ell.twice}, "normalization": norm,
+                 "splitOk": split_ok,
+                 "loweringCommutatorsZero": {
+                     f"{HalfInt(i)},{HalfInt(j)}": v
+                     for (i, j), v in sorted(lows.items())}}
     # one ladder up to the larger bound serves both counts below
     recs = spectrum(ell, max(args.max_total, args.max_degree), norm)
-    out = {"relations": rel.to_json(),
+    out = {"relations": relations,
            "states": sum(1 for r in recs if sum(r.n) <= args.max_total),
            "vacuumEnergy": str(vacuum_energy(ell, norm))}
     if norm == "section7":
@@ -235,7 +248,8 @@ def verify_spectrum(args) -> dict:
                            f"{e}: multiplicity {ladder[e]} on the ladder, "
                            f"{oracle[e]} in the matrix")
         out["matrixAgrees"] = True
-        out["reductionConstant"] = str(harmonic_reduction(ell).constant)
+        constant, _ = harmonic_reduction(ell)
+        out["reductionConstant"] = str(constant)
         resid = (to_m_form(hamiltonian(ell, norm), ell)
                  - hamiltonian_m_form_expected(ell))
         if not resid.is_zero():

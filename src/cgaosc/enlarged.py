@@ -225,31 +225,6 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
     return n ** 3
 
 
-@dataclass
-class DualityReport:
-    ell: HalfInt
-    even_dim: int
-    odd_dim: int
-    ecga_dim: int
-    sp_dim: int
-    osp_dim: int
-    # true in every report: duality_report raises when a sector is open
-    sp_closed: bool = True
-    osp_closed: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "ell": {"twice": self.ell.twice},
-            "evenDim": self.even_dim,
-            "oddDim": self.odd_dim,
-            "ecgaDim": self.ecga_dim,
-            "spDim": self.sp_dim,
-            "ospDim": self.osp_dim,
-            "spClosed": self.sp_closed,
-            "ospClosed": self.osp_closed,
-        }
-
-
 def _check_sector(table: StructureTable, sector: List[GenLabel],
                   name: str) -> None:
     """Raise GradingViolation at the first pair of the sector, in label
@@ -266,19 +241,16 @@ def _check_sector(table: StructureTable, sector: List[GenLabel],
                     f"{name} sector: {AlgebraElement(outside)!r}")
 
 
-def duality_report(basis: EnlargedBasis) -> DualityReport:
+def duality_report(basis: EnlargedBasis) -> Tuple[int, int]:
     """Both compatible structures on the same realized operators: the
-    dimension table, with the ranks closure_tables certified, once the sp
-    sector (the w_{i,j}) closes in the plain table and the osp sector
-    (the w_{i,j} and the w_j) in the graded one; GradingViolation names
-    a pair that leaves its sector.  The Jacobi identities of the two
-    tables are check_jacobi's, not this report's."""
+    dimensions of the sp sector (the w_{i,j}), closed in the plain
+    table, and of the osp sector (the w_{i,j} and the w_j), closed in
+    the graded one; GradingViolation names a pair that leaves its
+    sector.  The Jacobi identities of the two tables are check_jacobi's,
+    not this check's."""
     ecga_table, scga_table = closure_tables(basis)
     ww = [lb for lb in basis.even if lb[0] == "ww"]
     osp = ww + basis.odd
     _check_sector(ecga_table, ww, "sp")
     _check_sector(scga_table, osp, "osp")
-    even, odd = basis.dims
-    return DualityReport(ell=basis.ell, even_dim=even, odd_dim=odd,
-                         ecga_dim=even + odd, sp_dim=len(ww),
-                         osp_dim=len(osp))
+    return len(ww), len(osp)

@@ -2,16 +2,19 @@
 operators bit-for-bit: rationals as numerator/denominator strings,
 scalars as Laurent term lists, operators as normal-form term lists.
 Nothing in the package reads this format back; the decoder that checks
-the round trip lives in the CLI test.
+the round trip lives in the CLI test.  Only the CLI imports this module:
+it builds each command's JSON from these encoders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Optional
 
 from .funcspace import GaussFunc
+from .realizations import GenLabel, label_sort_key, label_str
 from .scalars import CScalar
+from .spectrum import ExactMatrix, SpectrumRecord
 from .weyl import Chart, WeylOp
 
 
@@ -51,6 +54,29 @@ def gaussfunc_json(f: GaussFunc) -> dict:
 
 
 def gens_json(gens: Dict) -> dict:
-    from .realizations import label_sort_key, label_str
     return {label_str(lb): weylop_json(gens[lb])
             for lb in sorted(gens, key=label_sort_key)}
+
+
+def certificate_json(table: Dict[GenLabel, Optional[WeylOp]]) -> dict:
+    """An on-shell certificate: each label's multiplier, or "zero"."""
+    out = []
+    for lb in sorted(table, key=label_sort_key):
+        f = table[lb]
+        out.append({"generator": label_str(lb),
+                    "multiplier": "zero" if f is None else weylop_json(f)})
+    return {"certificate": out}
+
+
+def record_json(rec: SpectrumRecord) -> dict:
+    return {"n": list(rec.n), "energy": rational_json(rec.energy)}
+
+
+def matrix_json(m: ExactMatrix) -> dict:
+    return {
+        "ell": {"twice": m.ell.twice},
+        "basis": [list(b) for b in m.basis],
+        "entries": [{"row": i, "col": j, "value": cscalar_json(v)}
+                    for (i, j), v in sorted(m.entries.items())],
+        "eigenvalues": [rational_json(e) for e in m.eigenvalues],
+    }

@@ -5,7 +5,6 @@ and multiplier-function certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -18,7 +17,8 @@ from .realizations import (AlgebraElement, GenLabel, Z_PLUS, Z_ZERO,
                            convention, label_sort_key, label_str,
                            positive_w_indices, w_label)
 from .scalars import CScalar, HalfInt, check_half_odd
-from .weyl import Chart, WeylOp, degree_of
+from .weyl import (COMMUTATOR, Chart, WeylOp, bracket, degree_of,
+                   prepare)
 
 
 @lru_cache(maxsize=None)
@@ -104,17 +104,19 @@ def solve_omega1(ell: HalfInt) -> Tuple[WeylOp, AlgebraElement]:
     candidates = [Z_PLUS] + sorted(
         (lb for lb in basis.even if lb[0] == "ww" and lb[1] + lb[2] == 2),
         key=label_sort_key)
-    pos = [gens[w_label(k)] for k in positive_w_indices(ell)]
-    neg = [gens[w_label(-k)] for k in positive_w_indices(ell)]
+    # each operator is prepared for the bracket kernel once
+    pos = [prepare(gens[w_label(k)]) for k in positive_w_indices(ell)]
+    neg = [prepare(gens[w_label(-k)]) for k in positive_w_indices(ell)]
+    cands = [prepare(gens[lb]) for lb in candidates]
 
     def stacked(wops):
         # columns indexed by candidate labels, rows by
         # (which w constraint, Weyl term key)
         cols = []
-        for lb in candidates:
+        for cand in cands:
             col = {}
             for ki, w in enumerate(wops):
-                comm = w.commutator(basis.realized[lb])
+                comm = bracket(w, cand, COMMUTATOR)
                 for key, cs in comm.terms.items():
                     col[(ki, key)] = cs
             cols.append(col)
@@ -141,28 +143,15 @@ def solve_omega1(ell: HalfInt) -> Tuple[WeylOp, AlgebraElement]:
     for lb, x in zip(candidates[1:], xs):
         elem = elem + AlgebraElement.of(lb, x)
     op = elem.realize(basis.realized, gens[Z_PLUS].chart)
+    prepared = prepare(op)
     for w in pos + neg:
-        resid = w.commutator(op)
+        resid = bracket(w, prepared, COMMUTATOR)
         if not resid.is_zero():
             raise NoSolution(f"solver residual nonzero: {resid!r}")
     return op, elem
 
 
 # -- on-shell certificates ---------------------------------------------------
-
-@dataclass
-class OnShellCertificate:
-    table: Dict[GenLabel, Optional[WeylOp]]  # None means strict zero
-
-    def to_json(self) -> dict:
-        from .jsonio import weylop_json
-        out = []
-        for lb in sorted(self.table, key=label_sort_key):
-            f = self.table[lb]
-            out.append({"generator": label_str(lb),
-                        "multiplier": "zero" if f is None else weylop_json(f)})
-        return {"certificate": out}
-
 
 def _multiplier_candidate(comm: WeylOp, omega: WeylOp,
                           d_omega: Optional[HalfInt],
@@ -190,14 +179,15 @@ def _multiplier_candidate(comm: WeylOp, omega: WeylOp,
 
 
 def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
-                    ) -> OnShellCertificate:
+                    ) -> Dict[GenLabel, Optional[WeylOp]]:
     """For every CGA generator g in gens and every w{i,j} = {w_i, w_j},
     either [g, omega] = 0 or [g, omega] = f^g * omega with f^g in the
     chart's multiplier class, verified exactly; raises NotProportional
     at the first label, in label order, where neither holds.  By the
     Leibniz rule [w{i,j}, omega] = {[w_i, omega], w_j} + {w_i, [w_j,
     omega]}, a w{i,j} entry is strict zero when both w entries are;
-    any other is bracketed as an operator."""
+    any other is bracketed as an operator.  Returns each label's
+    multiplier f^g, or None for a strict zero, in label order."""
     z0 = gens[Z_ZERO]
     d_omega = degree_of(omega, z0)
     table: Dict[GenLabel, Optional[WeylOp]] = {}
@@ -222,7 +212,7 @@ def certify_onshell(omega: WeylOp, gens: Dict[GenLabel, WeylOp]
                 table[lb] = None
             else:
                 entry(lb, gens[wi].anticommutator(gens[wj]))
-    return OnShellCertificate(table=table)
+    return table
 
 
 def cross_relations(omega0: WeylOp, omega1: WeylOp) -> None:

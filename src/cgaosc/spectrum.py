@@ -107,10 +107,6 @@ class SpectrumRecord:
     energy: Fraction
     state: GaussFunc
 
-    def to_json(self) -> dict:
-        from .jsonio import rational_json
-        return {"n": list(self.n), "energy": rational_json(self.energy)}
-
 
 def _lowering_order(ell: HalfInt, normalization: str) -> List[HalfInt]:
     """j_a of each multi-index position, n_a counting w_{-j_a}: a - 1/2
@@ -203,8 +199,7 @@ class Ladder:
         return self._build(n)[0]
 
 
-def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
-                 ladder: Optional[Ladder] = None) -> SpectrumRecord:
+def ladder_state(ladder: Ladder, n: Sequence[int]) -> SpectrumRecord:
     """Eigenstate built by lowering operators acting on the vacuum, with
     its eigen-relation checked exactly: e^{-q} (H - E) e^{q} P =
     (conj H - E) P, with e^{q} the vacuum Gaussian and conj H = ladder.h.
@@ -212,16 +207,10 @@ def ladder_state(ell: HalfInt, normalization: str, n: Sequence[int],
     integer part t_p / d_p of P's last step, and must be zero; a failing
     Mismatch carries it.  The record's state is the ladder's own object.
 
-    n_a counts w_{-j_a} in the order of _lowering_order; the last
-    position acts innermost.  ladder, when given, is the Ladder of (ell,
-    normalization) to build on; otherwise one is made for this state."""
+    n_a counts w_{-j_a} in the order of _lowering_order of the ladder's
+    (ell, normalization); the last position acts innermost."""
     n = tuple(n)
-    energy = ladder_energy(ell, normalization, n)
-    if ladder is None:
-        ladder = Ladder(ell, normalization)
-    elif (ladder.ell, ladder.normalization) != (ell, normalization):
-        raise ValueError("the ladder belongs to another ell or "
-                         "normalization")
+    energy = ladder_energy(ladder.ell, ladder.normalization, n)
     state, (t_p, d_p) = ladder._build(n)
     # conj(H) P = t_r / d_r and E P = e t_p / d_r, with d_r = d_h d_p
     # and e = E d_h, an int (so the sums stay ints) wherever it is one
@@ -246,7 +235,7 @@ def spectrum(ell: HalfInt, max_total: int,
     if max_total < 0:
         raise ValueError("max_total must be non-negative")
     ladder = Ladder(ell, normalization)
-    records = [ladder_state(ell, normalization, n, ladder)
+    records = [ladder_state(ladder, n)
                for n in _multi_indices(len(ladder.lowering), max_total)]
     records.sort(key=lambda r: (r.energy, r.n))
     return records
@@ -263,31 +252,14 @@ def _multi_indices(size: int, max_total: int):
     return [tuple(n) for n in out]
 
 
-@dataclass
-class LadderReport:
-    ell: HalfInt
-    normalization: str
-    split_ok: Optional[bool]
-    lowering_commutators_zero: Dict[Tuple[int, int], bool]
-
-    def to_json(self) -> dict:
-        return {
-            "ell": {"twice": self.ell.twice},
-            "normalization": self.normalization,
-            "splitOk": self.split_ok,
-            "loweringCommutatorsZero": {
-                f"{HalfInt(i)},{HalfInt(j)}": v
-                for (i, j), v in sorted(
-                    self.lowering_commutators_zero.items())},
-        }
-
-
-def ladder_relations(ell: HalfInt,
-                     normalization: str = "section7") -> LadderReport:
+def ladder_relations(ell: HalfInt, normalization: str = "section7"
+                     ) -> Tuple[Optional[bool], Dict[Tuple[int, int], bool]]:
     """Exact verification of the spectrum-generating relations:
     [Omega0, w_{+-j}] = 0, [H, w_{+-j}] = -+h j w_{+-j}, [z0, H] = 0;
     in the section6 fixture also Omega0 = z0 + H.  The commutators of
-    the lowering operators among themselves are measured, not assumed."""
+    the lowering operators among themselves are measured, not assumed.
+    Returns split_ok, True when Omega0 = z0 + H was checked and None
+    otherwise, and whether [w_{-i/2}, w_{-j/2}] = 0, keyed (-i, -j)."""
     conv = convention(ell, normalization, "spectrum")
     gens = osc_generators(ell, conv.realization)
     om0 = omega0_osc(ell, conv.realization)
@@ -307,9 +279,9 @@ def ladder_relations(ell: HalfInt,
         raise Mismatch("[z0, H]", z0.commutator(h))
     split_ok = None
     if normalization == "section6":
-        split_ok = (om0 == z0 + h)
-        if not split_ok:
+        if om0 != z0 + h:
             raise Mismatch("Omega0 - (z0 + H)", om0 - (z0 + h))
+        split_ok = True
     lows = {}
     idx = [j.twice for j in positive_w_indices(ell)]
     for a, i in enumerate(idx):
@@ -317,8 +289,7 @@ def ladder_relations(ell: HalfInt,
             comm = gens[w_label(HalfInt(-i))].commutator(
                 gens[w_label(HalfInt(-j))])
             lows[(-i, -j)] = comm.is_zero()
-    return LadderReport(ell=ell, normalization=normalization,
-                        split_ok=split_ok, lowering_commutators_zero=lows)
+    return split_ok, lows
 
 
 # -- independent matrix oracle ------------------------------------------------
@@ -329,16 +300,6 @@ class ExactMatrix:
     basis: List[Tuple[int, ...]]
     entries: Dict[Tuple[int, int], CScalar]
     eigenvalues: List[Fraction]
-
-    def to_json(self) -> dict:
-        from .jsonio import cscalar_json, rational_json
-        return {
-            "ell": {"twice": self.ell.twice},
-            "basis": [list(b) for b in self.basis],
-            "entries": [{"row": i, "col": j, "value": cscalar_json(v)}
-                        for (i, j), v in sorted(self.entries.items())],
-            "eigenvalues": [rational_json(e) for e in self.eigenvalues],
-        }
 
 
 def _weighted_order(n: Tuple[int, ...]) -> int:
@@ -384,20 +345,13 @@ def matrix_oracle(ell: HalfInt, max_degree: int) -> ExactMatrix:
                        eigenvalues=eigenvalues)
 
 
-@dataclass
-class ReductionReport:
-    ell: HalfInt
-    constant: Fraction
-    restricted: WeylOp
-
-
-def harmonic_reduction(ell: HalfInt) -> ReductionReport:
+def harmonic_reduction(ell: HalfInt) -> Tuple[Fraction, WeylOp]:
     """Restrict H to functions of u_1 alone.
 
     Consistency means H preserves that subspace: every term touching
     u_2..u_L must carry a derivative in u_2..u_L.  The restricted
     operator must be the harmonic oscillator plus the constant of the
-    printed table."""
+    printed table.  Returns that constant and the restricted operator."""
     check_half_odd(ell)
     chart = Chart("osc", ell)
     h = hamiltonian(ell, "section7")
@@ -421,4 +375,4 @@ def harmonic_reduction(ell: HalfInt) -> ReductionReport:
                 + WeylOp.const(chart, const))
     if rop != expected:
         raise Inconsistent(f"restricted operator differs: {rop - expected!r}")
-    return ReductionReport(ell=ell, constant=const, restricted=rop)
+    return const, rop

@@ -14,10 +14,9 @@ which names exist where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List
+from typing import List, Tuple
 
 from .errors import Mismatch
 from .realizations import (GenLabel, convention, delta, extract_structure,
@@ -28,63 +27,35 @@ from .scalars import CScalar, HalfInt
 from .weyl import Substitution, conjugate, free_to_osc_substitution
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Parameters of the three-step map: delta = (l+1/2)^2/4 and the
-    Gaussian weight of the realization, lambda = -c/(2l+1) for section7,
-    i.e. g -> exp(-lambda u_1^2/2) g exp(lambda u_1^2/2), and
-    g -> exp(c u^2/2) g exp(-c u^2/2) for section5.
-    """
-    ell: HalfInt
-    normalization: str = "section7"
-
-    def __post_init__(self):
-        convention(self.ell, self.normalization, "realization")
-
-    @property
-    def delta(self) -> Fraction:
-        return delta(self.ell)
-
-    @property
-    def gauss_weight(self) -> CScalar:
-        """kappa with step three acting as d_{u_1} -> d_{u_1} + kappa*u_1."""
-        if self.normalization == "section5":
-            return -CScalar.c()
-        lf = self.ell.as_fraction()
-        return CScalar.c().scale(Fraction(-1) / (2 * lf + 1))
+def gauss_weight(ell: HalfInt, normalization: str) -> CScalar:
+    """kappa with step three acting as d_{u_1} -> d_{u_1} + kappa*u_1:
+    kappa = lambda = -c/(2l+1) for section7, i.e. g -> exp(-lambda
+    u_1^2/2) g exp(lambda u_1^2/2), and kappa = -c for section5, i.e.
+    g -> exp(c u^2/2) g exp(-c u^2/2)."""
+    if normalization == "section5":
+        return -CScalar.c()
+    return CScalar.c().scale(Fraction(-1) / (ell.twice + 1))
 
 
-def three_step_map(spec: TransformSpec) -> Substitution:
+def three_step_map(ell: HalfInt,
+                   normalization: str = "section7") -> Substitution:
     """The three steps as one Substitution: each step is an algebra
     map, so the images of t, y_a, d_t and d_{y_a} under the change of
-    variables, pushed through the s-shift and the Gaussian conjugation,
-    fix the composite."""
-    sub = free_to_osc_substitution(spec.ell)
+    variables, pushed through the s-shift by delta = (l+1/2)^2/4 and the
+    Gaussian conjugation, fix the composite."""
+    convention(ell, normalization, "realization")
+    sub = free_to_osc_substitution(ell)
+    shift, weight = -delta(ell), gauss_weight(ell, normalization)
 
     def push(op):
-        op = conjugate(op, ("sshift", -spec.delta))
-        return conjugate(op, ("gauss", spec.gauss_weight))
+        op = conjugate(op, ("sshift", shift))
+        return conjugate(op, ("gauss", weight))
     return Substitution(sub.src, sub.dst, [push(x) for x in sub.var_images],
                         [push(d) for d in sub.der_images])
 
 
-@dataclass
-class TransformReport:
-    spec: TransformSpec
-    matched: List[GenLabel]
-    homomorphism_pairs: int
-
-    def to_json(self) -> dict:
-        return {
-            "ell": {"twice": self.spec.ell.twice},
-            "normalization": self.spec.normalization,
-            "generatorsMatched": [label_str(lb) for lb in self.matched],
-            "homomorphismPairs": self.homomorphism_pairs,
-        }
-
-
-def certify_transform(ell: HalfInt,
-                      normalization: str = "section7") -> TransformReport:
+def certify_transform(ell: HalfInt, normalization: str = "section7"
+                      ) -> Tuple[List[GenLabel], int]:
     """Certify that the map reproduces the printed oscillator generators,
     carries the invariant operators onto their printed oscillator forms,
     preserves the structure constants, and is a bracket homomorphism.
@@ -93,10 +64,10 @@ def certify_transform(ell: HalfInt,
     tmap(f_a) is matched, both tables are exact (SpanBasis.expand checks
     its residual) and tmap is linear, so equal table entries on a pair
     give [o_a, o_b] = sum_c k_c o_c = sum_c k_c tmap(f_c) = tmap([f_a,
-    f_b]).  Every pair a < b, zero brackets included, is compared and
-    counted as homomorphismPairs."""
-    spec = TransformSpec(ell, normalization)
-    tmap = three_step_map(spec)
+    f_b]).  Every pair a < b, zero brackets included, is compared.
+    Returns the matched generator labels, sorted, and the number of
+    pairs compared."""
+    tmap = three_step_map(ell, normalization)
     free = free_span(ell).gens
     osc = osc_generators(ell, normalization)
     checks = [(label_str(lb), g, osc[lb]) for lb, g in free.items()]
@@ -114,5 +85,4 @@ def certify_transform(ell: HalfInt,
         if not diff.is_zero():
             raise Mismatch(f"[{label_str(a)}, {label_str(b)}] in the "
                            f"structure tables", diff)
-    return TransformReport(spec=spec, matched=sorted(free),
-                           homomorphism_pairs=len(pairs))
+    return sorted(free), len(pairs)

@@ -87,7 +87,7 @@ def omega0_abstract_threehalf() -> AlgebraElement:
 
 def multipliers(cert) -> dict:
     """The nonzero multipliers of an on-shell certificate, by label."""
-    return {k: v for k, v in cert.table.items() if v is not None}
+    return {k: v for k, v in cert.items() if v is not None}
 
 
 # -- sympy oracle -------------------------------------------------------------

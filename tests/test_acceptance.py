@@ -4,11 +4,9 @@ is exact (tolerance zero), and prints one PASS line on success."""
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import multipliers, random_weylop
-from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
-                             expected_dims, free_enlarged)
+from cgaosc.enlarged import (check_jacobi, closure_tables, expected_dims,
+                             free_enlarged)
 from cgaosc.funcspace import apply_op
 from cgaosc.onshell import (certify_onshell, omega0_free, omega1_free,
                             solve_omega1)
@@ -16,11 +14,11 @@ from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
                                  Z_ZERO, extract_structure, free_generators,
                                  osc_generators, w_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.spectrum import (harmonic_reduction, hamiltonian,
+from cgaosc.spectrum import (Ladder, harmonic_reduction, hamiltonian,
                              hamiltonian_m_form_expected, ladder_state,
                              matrix_oracle, spectrum, to_m_form, vacuum,
                              vacuum_energy)
-from cgaosc.transform import TransformSpec, certify_transform, three_step_map
+from cgaosc.transform import certify_transform, three_step_map
 from cgaosc.weyl import Chart, WeylOp, free_to_osc_substitution
 
 H = HalfInt
@@ -111,12 +109,12 @@ def test_criterion_3_onshell_degree1(omega1_abstract_threehalf,
 
 
 def test_criterion_4_transform_certification():
-    spec = TransformSpec(H(3), "section5")
+    tmap = three_step_map(H(3), "section5")
     free = free_generators(H(3))
     osc = osc_generators(H(3), "section5")
     assert len(free) == 8
     for lb in free:
-        assert three_step_map(spec)(free[lb]) == osc[lb], lb
+        assert tmap(free[lb]) == osc[lb], lb
     assert extract_structure(free) == extract_structure(osc)
     for ell in [H(1), H(3), H(5), H(7)]:
         certify_transform(ell, "section7")
@@ -178,8 +176,9 @@ def test_criterion_7_section6_fixture():
                         (6, (4, 0)): CScalar.c_power(4)}),
     }
     energies = []
+    ladder = Ladder(H(3), "section6")
     for (m, k), (energy, terms) in printed.items():
-        rec = ladder_state(H(3), "section6", (m, k))
+        rec = ladder_state(ladder, (m, k))
         assert rec.energy == energy
         want = GaussFunc(chart, kappa, terms)
         assert rec.state.proportionality(want) is not None, (m, k)
@@ -203,8 +202,7 @@ def test_criterion_7_section6_fixture():
 def test_criterion_8_harmonic_reduction():
     constants = {1: F(0), 3: F(3, 2), 5: F(4), 7: F(15, 2), 9: F(12)}
     for ell in ELLS:
-        rep = harmonic_reduction(ell)
-        assert rep.constant == constants[ell.twice]
+        assert harmonic_reduction(ell)[0] == constants[ell.twice]
     print("PASS criterion 8: the Hamiltonian preserves functions of u1 "
           "alone and restricts to the oscillator plus the printed "
           "constant for all ell")

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -479,12 +480,11 @@ class TestDuality:
     @pytest.mark.parametrize("ell,sp,osp", [
         (H(1), 3, 5), (H(3), 10, 14), (H(5), 21, 27),
     ], ids=lambda x: str(x))
-    def test_sector_dimensions(self, ell, sp, osp):
-        rep = duality_report(free_enlarged(ell))
-        assert rep.sp_dim == sp
-        assert rep.osp_dim == osp
-        assert rep.sp_closed and rep.osp_closed
-        js = rep.to_json()
+    def test_sector_dimensions(self, capsys, ell, sp, osp):
+        assert duality_report(free_enlarged(ell)) == (sp, osp)
+        assert cli.main(["verify", "duality", "--ell", str(ell)]) == 0
+        js = json.loads(capsys.readouterr().out)["suites"]["duality"]
+        assert (js["spDim"], js["ospDim"]) == (sp, osp)
         assert js["spClosed"] and js["ospClosed"]
 
     # a z0 term added to one entry takes the pair's bracket out of its

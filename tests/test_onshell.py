@@ -11,10 +11,9 @@ from cgaosc.enlarged import build_enlarged, closure_tables, free_enlarged
 from cgaosc.errors import (Mismatch, NonUniqueSolution, NoSolution,
                            NormalizationUnavailable, NotProportional)
 from cgaosc.funcspace import GaussFunc, apply_op
-from cgaosc.onshell import (OnShellCertificate, _multiplier_candidate,
-                            certify_onshell, cross_relations, omega0_free,
-                            omega0_osc, omega1_free, omega1_osc,
-                            solve_omega1)
+from cgaosc.onshell import (_multiplier_candidate, certify_onshell,
+                            cross_relations, omega0_free, omega0_osc,
+                            omega1_free, omega1_osc, solve_omega1)
 from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
                                  Z_ZERO, free_generators, label_sort_key,
                                  label_str, osc_generators, w_label, ww_label)
@@ -41,20 +40,20 @@ def all_labels_certificate(omega, gens):
         if f is None:
             raise NotProportional(label_str(lb), comm)
         table[lb] = f
-    return OnShellCertificate(table=table)
+    return table
 
 
 def outcome(certify, omega, gens):
     """The certificate's table, or the failing label and residual."""
     try:
-        return certify(omega, gens).table
+        return certify(omega, gens)
     except NotProportional as exc:
         return exc.label, exc.residual
 
 
 def centralizer(cert):
     """The labels whose entry is strict zero, in label order."""
-    return [lb for lb, f in cert.table.items() if f is None]
+    return [lb for lb, f in cert.items() if f is None]
 
 
 def t_power(chart, k, coef=None):
@@ -249,8 +248,7 @@ class TestDerivedCertificates:
         for omega in omegas:
             cert = certify_onshell(omega, gens)
             assert cert == all_labels_certificate(omega, gens)
-            assert list(cert.table) == sorted(cert.table,
-                                              key=label_sort_key)
+            assert list(cert) == sorted(cert, key=label_sort_key)
 
     @pytest.mark.parametrize("chart,omega", [
         ("free", "omega1_free"), ("osc", "omega0_osc")])

@@ -17,7 +17,7 @@ from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
                                  delta, free_generators, free_span,
                                  osc_generators, w_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.transform import TransformSpec, certify_transform, three_step_map
+from cgaosc.transform import certify_transform, gauss_weight, three_step_map
 from cgaosc.weyl import (Chart, Substitution, conjugate,
                          free_to_osc_substitution)
 
@@ -60,10 +60,11 @@ class TestCertification:
         *(pytest.param(ell, "section7", id=str(ell)) for ell in ELLS),
         pytest.param(H(3), "section5", id="3/2-section5")])
     def test_section7_all_ell(self, ell, norm):
-        rep = certify_transform(ell, norm)
-        assert len(rep.matched) == 2 * ((ell.twice + 1) // 2) + 4
-        n = len(rep.matched)
-        assert rep.homomorphism_pairs == n * (n - 1) // 2
+        matched, pairs = certify_transform(ell, norm)
+        assert matched == sorted(free_generators(ell))
+        n = len(matched)
+        assert n == 2 * ((ell.twice + 1) // 2) + 4
+        assert pairs == n * (n - 1) // 2
 
     def test_section5_threehalf(self):
         certify_transform(H(3), "section5")
@@ -109,12 +110,11 @@ class TestCertification:
         assert exc.value.residual == AlgebraElement.of(C_LABEL, -1)
 
     def test_each_generator_maps_threehalf_section5(self):
-        spec = TransformSpec(H(3), "section5")
         free = free_generators(H(3))
         osc = osc_generators(H(3), "section5")
         assert len(free) == 8
         for lb in free:
-            assert three_step_map(spec)(free[lb]) == osc[lb], lb
+            assert three_step_map(H(3), "section5")(free[lb]) == osc[lb], lb
 
 
 class TestSharedFreeTable:
@@ -156,13 +156,12 @@ class TestComposedMap:
         (H(1), "section7"), (H(3), "section7"), (H(5), "section7"),
         (H(7), "section7"), (H(3), "section5")], ids=str)
     def test_equals_three_passes(self, ell, norm):
-        spec = TransformSpec(ell, norm)
         sub = free_to_osc_substitution(ell)
-        tmap = three_step_map(spec)
+        tmap = three_step_map(ell, norm)
 
         def three_passes(g):
-            out = conjugate(sub(g), ("sshift", -spec.delta))
-            return conjugate(out, ("gauss", spec.gauss_weight))
+            out = conjugate(sub(g), ("sshift", -delta(ell)))
+            return conjugate(out, ("gauss", gauss_weight(ell, norm)))
 
         gens = list(free_generators(ell).values())
         ops = gens + [omega1_free(ell), omega0_free(ell)]
@@ -170,7 +169,7 @@ class TestComposedMap:
                 for b in gens[i + 1:]]
         for g in ops:
             assert tmap(g) == three_passes(g)
-        assert all(three_step_map(spec)(g) == tmap(g) for g in gens)
+        assert all(three_step_map(ell, norm)(g) == tmap(g) for g in gens)
 
 
 class TestFaultInjection:
@@ -178,16 +177,15 @@ class TestFaultInjection:
     generator, z+1, whose image carries both delta and the weight."""
 
     @pytest.mark.parametrize("name,wrong", [
-        ("delta", lambda spec: delta(spec.ell) + 1),
-        ("gauss_weight", lambda spec, _w=TransformSpec.gauss_weight.fget:
-         _w(spec).scale(2)),
+        ("delta", lambda ell: delta(ell) + 1),
+        ("gauss_weight", lambda ell, norm: gauss_weight(ell, norm).scale(2)),
     ], ids=["delta-off-by-one", "gauss-weight-doubled"])
     @pytest.mark.parametrize("ell,norm", [
         (H(1), "section7"), (H(5), "section7"), (H(3), "section5")],
         ids=str)
     def test_wrong_step_names_first_generator(self, monkeypatch, name,
                                               wrong, ell, norm):
-        monkeypatch.setattr(TransformSpec, name, property(wrong))
+        monkeypatch.setattr(cgaosc.transform, name, wrong)
         with pytest.raises(Mismatch) as exc:
             certify_transform(ell, norm)
         assert exc.value.label == "z+1"
@@ -196,23 +194,22 @@ class TestFaultInjection:
 
 class TestSpecParameters:
     def test_delta(self):
-        assert TransformSpec(H(3), "section5").delta == 1
-        assert TransformSpec(H(3), "section7").delta == 1
-        assert TransformSpec(H(1)).delta == Fraction(1, 4)
-        assert TransformSpec(H(5)).delta == Fraction(9, 4)
+        assert delta(H(3)) == 1
+        assert delta(H(1)) == Fraction(1, 4)
+        assert delta(H(5)) == Fraction(9, 4)
 
     def test_gauss_weight(self):
-        assert TransformSpec(H(3), "section5").gauss_weight == -CScalar.c()
-        assert TransformSpec(H(3)).gauss_weight \
+        assert gauss_weight(H(3), "section5") == -CScalar.c()
+        assert gauss_weight(H(3), "section7") \
             == CScalar.c().scale(Fraction(-1, 4))
-        assert TransformSpec(H(1)).gauss_weight \
+        assert gauss_weight(H(1), "section7") \
             == CScalar.c().scale(Fraction(-1, 2))
 
     def test_section5_restricted(self):
         with pytest.raises(NormalizationUnavailable):
-            TransformSpec(H(5), "section5")
+            three_step_map(H(5), "section5")
         with pytest.raises(ValueError):
-            TransformSpec(H(3), "section4")
+            three_step_map(H(3), "section4")
 
 
 class TestOscInvariantShape:
