@@ -57,6 +57,14 @@ def non_negative(text: str) -> int:
     return n
 
 
+def multi_index(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be a comma-separated multi-index of ints, like 1,0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cgaosc",
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eigenstate", help="one ladder eigenstate")
     common(sp, norm=["s6", "s7"], fmt=False)
-    sp.add_argument("--n", required=True,
+    sp.add_argument("--n", type=multi_index, required=True,
                     help="comma-separated multi-index, e.g. 1,0")
 
     sp = sub.add_parser("matrix", help="triangular matrix oracle")
@@ -148,8 +156,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_eigenstate(args) -> int:
-    n = [int(x) for x in args.n.split(",")]
-    rec = ladder_state(Ladder(args.ell, NORMS[args.normalization]), n)
+    rec = ladder_state(Ladder(args.ell, NORMS[args.normalization]), args.n)
     out = record_json(rec)
     out["state"] = gaussfunc_json(rec.state)
     out["latex"] = func_latex(rec.state)
@@ -288,10 +295,11 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # "--n -1,0" would read as an option: keep it the value of --n
-    i = argv.index("--n") + 1 if "--n" in argv[:-1] else 0
-    if i and re.match(r"-\d", argv[i]):
-        argv[i - 1:i + 1] = [f"--n={argv[i]}"]
+    # "--ell -1/2" or "--n -1,0" would read as an option: keep the value
+    for flag in ("--ell", "--n"):
+        i = argv.index(flag) + 1 if flag in argv[:-1] else 0
+        if i and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     args = parser.parse_args(argv)
     handlers = {
         "gens": cmd_gens,

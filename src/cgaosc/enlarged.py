@@ -16,7 +16,7 @@ from .realizations import (AlgebraElement, C_LABEL, GenLabel, SpanBasis,
                            StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
                            free_span, label_sort_key, label_str, w_indices,
                            w_label, ww_label)
-from .scalars import CScalar, HalfInt, check_half_odd, from_raw
+from .scalars import HalfInt, check_half_odd, from_raw, numerators
 from .weyl import WeylOp
 
 
@@ -117,38 +117,51 @@ def _certified_dims(basis: EnlargedBasis,
 
 def _leibniz_tables(basis: EnlargedBasis, cga: StructureTable
                     ) -> Tuple[StructureTable, StructureTable]:
-    """Both enlarged tables from the CGA table, without a Weyl product.
-    In label order, [x, w{i,j}] = {[x, w_i], w_j} + {w_i, [x, w_j]},
-    with [x, w] read from the entries before it; the graded table's
-    odd-odd entries are {w_i, w_j} = w{i,j}.  GradingViolation names a
-    pair [x, w] outside span{w} + Q(c)c."""
-    labels, odd, zero = basis.labels, frozenset(basis.odd), AlgebraElement()
-    plain = dict(cga.entries)
-
-    def ww(a: GenLabel, b: GenLabel) -> GenLabel:
-        return ww_label(HalfInt(a[1]), HalfInt(b[1]))
-
-    def anti(x: GenLabel, wi: GenLabel, wj: GenLabel) -> AlgebraElement:
-        # {[x, wi], wj}, where a c in [x, wi] is realized as c*1
-        elem = (plain[(x, wi)] if (x, wi) in plain
-                else -plain.get((wi, x), zero))
-        if not set(elem.terms) <= odd | {C_LABEL}:
-            raise GradingViolation(
-                f"bracket ({label_str(x)}, {label_str(wi)}) is outside "
-                f"span{{w}} + Q(c)c: {elem!r}")
-        return AlgebraElement(dict(
-            (wj, coef * CScalar.c_power(1, 2)) if lb == C_LABEL
-            else (ww(lb, wj), coef) for lb, coef in elem.terms.items()))
-
+    """Both enlarged tables from the CGA table by int sums, without a
+    Weyl product.  In label order, [x, w{i,j}] = {[x, w_i], w_j} +
+    {w_i, [x, w_j]}, with [x, w] read from the entries before it; the
+    graded table's odd-odd entries are {w_i, w_j} = w{i,j}.
+    GradingViolation names a pair [x, w] outside span{w} + Q(c)c."""
+    labels, odd = basis.labels, frozenset(basis.odd)
+    span_w = odd | {C_LABEL}
+    ww = {(a, b): ww_label(HalfInt(a[1]), HalfInt(b[1]))
+          for a in odd for b in odd}
+    plain = {pair: elem for pair, elem in cga.entries.items() if elem.terms}
+    flat, den = numerators({(pair, lb): cs for pair, elem in plain.items()
+                            if not odd.isdisjoint(pair)
+                            for lb, cs in elem.terms.items()})
+    rows: Dict[tuple, dict] = {}
+    for (pair, lb), raw in flat.items():
+        rows.setdefault(pair, {})[lb] = raw
     for i, x in enumerate(labels):
         for y in labels[i + 1:]:
             if y[0] == "ww":
-                wi, wj = ("w", y[1]), ("w", y[2])
-                plain[(x, y)] = anti(x, wi, wj) + anti(x, wj, wi)
-    plain = {pair: elem for pair, elem in plain.items() if elem.terms}
+                acc: Dict[GenLabel, dict] = {}
+                for wi, wj in ((("w", y[1]), ("w", y[2])),
+                               (("w", y[2]), ("w", y[1]))):
+                    # {[x, wi], wj}, where a c in [x, wi] is realized as c*1
+                    row, sign = rows.get((x, wi)), 1
+                    if row is None:
+                        row, sign = rows.get((wi, x), {}), -1
+                    if not row.keys() <= span_w:
+                        elem = plain[(x, wi)] if sign > 0 else -plain[(wi, x)]
+                        raise GradingViolation(
+                            f"bracket ({label_str(x)}, {label_str(wi)}) is "
+                            f"outside span{{w}} + Q(c)c: {elem!r}")
+                    for lb, raw in row.items():
+                        key, shift, f = ((wj, 1, 2 * sign) if lb == C_LABEL
+                                         else (ww[lb, wj], 0, sign))
+                        t = acc.setdefault(key, {})
+                        for k, q in raw.items():
+                            t[k + shift] = t.get(k + shift, 0) + f * q
+                elem = AlgebraElement(from_raw(acc, den))
+                if elem.terms:
+                    plain[(x, y)] = elem
+                    if x in odd:
+                        rows[(x, y)] = acc
     graded = {pair: elem for pair, elem in plain.items()
               if not set(pair) <= odd}
-    graded.update({(a, b): AlgebraElement.of(ww(a, b))
+    graded.update({(a, b): AlgebraElement.of(ww[a, b])
                    for i, a in enumerate(basis.odd) for b in basis.odd[i:]})
     return (StructureTable(labels, plain),
             StructureTable(labels, graded, odd))
@@ -182,7 +195,7 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
                                f"are {sorted(odd, key=label_sort_key)}")
     den = lcm(*(q.denominator for elem in table.entries.values()
                 for cs in elem.terms.values() for q in cs.terms.values()))
-    pos = {x: i for i, x in enumerate(labels)}
+    pos = table.position
     ad: List[Dict[int, tuple]] = [{} for _ in labels]
     for (a, b), elem in table.entries.items():
         row = tuple((pos[lb], k, q.numerator * (den // q.denominator))

@@ -334,8 +334,8 @@ class StructureTable:
     def __init__(self, labels, entries, odd=frozenset()):
         self.labels = sorted(labels, key=label_sort_key)
         self.odd = frozenset(odd)
-        known = set(self.labels)
-        stray = self.odd - known
+        self.position = known = {lb: i for i, lb in enumerate(self.labels)}
+        stray = self.odd - known.keys()
         if stray:
             raise BadTableEntry("odd labels outside the table: "
                                 f"{sorted(stray, key=str)}")
@@ -344,7 +344,7 @@ class StructureTable:
             if unknown:
                 raise BadTableEntry(f"entry ({a}, {b}) names labels "
                                     f"outside the table: {unknown}")
-            if label_sort_key(a) > label_sort_key(b):
+            if known[a] > known[b]:
                 raise BadTableEntry(f"entry ({a}, {b}) is out of label order")
             if a == b and a not in self.odd:
                 raise GradingViolation(f"diagonal entry ({a}, {b}) of an "
@@ -359,11 +359,11 @@ class StructureTable:
              for a, b in self.entries})
 
     def bracket(self, a: GenLabel, b: GenLabel) -> AlgebraElement:
-        key = tuple(sorted((a, b), key=label_sort_key))
-        entry = self.entries.get(key)
+        swap = self.position.get(a, -1) > self.position.get(b, -1)
+        entry = self.entries.get((b, a) if swap else (a, b))
         if entry is None:
             return AlgebraElement()
-        if (a, b) != key and not {a, b} <= self.odd:
+        if swap and not {a, b} <= self.odd:
             return -entry
         return entry
 

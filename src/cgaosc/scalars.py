@@ -99,7 +99,7 @@ def check_half_odd(ell: HalfInt) -> HalfInt:
     if not isinstance(ell, HalfInt):
         raise BadEll(f"ell must be a HalfInt, got {type(ell)}")
     if ell.twice <= 0 or ell.twice % 2 == 0:
-        raise BadEll(f"ell must be half-odd-integer, got {ell}")
+        raise BadEll(f"ell must be a positive half-odd integer, got {ell}")
     return ell
 
 

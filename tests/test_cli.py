@@ -102,6 +102,31 @@ class TestParsing:
         assert errs[0] == errs[1] == ("cgaosc: error: multi-index must have "
                                       "2 non-negative int entries\n")
 
+    def test_negative_ell_is_named(self, capsys):
+        # "--ell -1/2" is the value of --ell, not an option, and a
+        # negative half-odd ell is refused as not positive
+        errs = []
+        for argv in (["--ell", "-1/2"], ["--ell=-1/2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "all", *argv])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
+        assert errs[0] == errs[1] == ("cgaosc: error: ell must be a positive "
+                                      "half-odd integer, got -1/2\n")
+
+    def test_unreadable_multi_index_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenstate", "--ell", "3/2", "--n", "1,x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cgaosc eigenstate ")
+        assert captured.err.endswith(
+            "cgaosc eigenstate: error: argument --n: must be a "
+            "comma-separated multi-index of ints, like 1,0\n")
+
     def test_normalization_refused_before_any_suite(self, capsys,
                                                     monkeypatch):
         def never(args):

@@ -10,16 +10,18 @@ import cgaosc.enlarged
 import cgaosc.realizations
 import cgaosc.weyl
 from cgaosc import cli
-from cgaosc.enlarged import (build_enlarged, check_jacobi, closure_tables,
-                             duality_report, expected_dims, free_enlarged)
+from cgaosc.enlarged import (_leibniz_tables, build_enlarged, check_jacobi,
+                             closure_tables, duality_report, expected_dims,
+                             free_enlarged)
 from cgaosc.errors import (BadEll, BadTableEntry, GradingViolation,
                            JacobiFailure, LinearlyDependent, NotClosed)
 from cgaosc.linsolve import SpanSolver
-from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
-                                 Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
-                                 free_generators, label_sort_key, label_str,
-                                 osc_generators, w_label, ww_label)
-from cgaosc.scalars import CScalar, HalfInt
+from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis,
+                                 StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
+                                 bracket_tables, free_generators,
+                                 label_sort_key, label_str, osc_generators,
+                                 w_label, ww_label)
+from cgaosc.scalars import CScalar, HalfInt, LinComb
 from cgaosc.weyl import degree_of
 
 H = HalfInt
@@ -138,6 +140,31 @@ class TestLeibnizDerivation:
         n = len(cga)
         assert counts == {"cga": n * (n - 1) // 2 + n}
 
+    @pytest.mark.parametrize("chart,ell", [
+        ("free", H(3)), ("free", H(7)), ("section7", H(5)),
+    ], ids=str)
+    def test_derives_without_scalar_arithmetic(self, monkeypatch, chart,
+                                               ell):
+        # the sums run on int numerators (over 6 at ell=7/2): once the
+        # CGA table and the oracle exist, no CScalar or LinComb sum,
+        # product or negation runs
+        gens = (free_generators(ell) if chart == "free"
+                else osc_generators(ell, chart))
+        basis = build_enlarged(gens, ell)
+        cga = SpanBasis({lb: op for lb, op in basis.realized.items()
+                         if lb[0] != "ww"}).table
+        oracle = bracket_tables(basis.realized, frozenset(basis.odd))
+
+        def refused(*args):
+            raise AssertionError("scalar arithmetic in the derivation")
+
+        for cls, names in ((CScalar, ("__mul__", "__rmul__", "__add__",
+                                      "__radd__", "scale")),
+                           (LinComb, ("__add__", "__neg__"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, refused)
+        assert _leibniz_tables(basis, cga) == oracle
+
     def test_doubled_cga_entry_fails_verify_closure(self, monkeypatch,
                                                     capsys):
         # the CGA entry [z-1, w_j] comes out doubled from the solver; the
@@ -159,7 +186,8 @@ class TestLeibnizDerivation:
         assert '"error": "NotClosed"' in out
         assert f"{(Z_MINUS, w_label(H(1)))}" in out
 
-    def test_cga_entry_outside_span_w_refused(self, monkeypatch):
+    @staticmethod
+    def _outside_span_w(monkeypatch, coef):
         # a z0 term in [w_k, w_i] keeps the pair's parity, so only the
         # span{w} + Q(c)c check sees it
         pair = (w_label(H(3)), w_label(H(-3)))
@@ -167,16 +195,28 @@ class TestLeibnizDerivation:
         def corrupted(*args, **kwargs):
             plain, graded = bracket_tables(*args, **kwargs)
             entries = dict(plain.entries)
-            entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
+            entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO, coef)
             return StructureTable(plain.labels, entries), graded
 
         monkeypatch.setattr(cgaosc.realizations, "bracket_tables", corrupted)
         basis = build_enlarged(free_generators(H(3)), H(3))
         with pytest.raises(GradingViolation) as exc:
             closure_tables(basis)
-        msg = str(exc.value)
-        assert "bracket (w+3/2, w-3/2) is outside span{w} + Q(c)c" in msg
-        assert "(1)*z0" in msg
+        return str(exc.value)
+
+    def test_cga_entry_outside_span_w_refused(self, monkeypatch):
+        assert self._outside_span_w(monkeypatch, 1) == (
+            "bracket (w+3/2, w-3/2) is outside span{w} + Q(c)c: "
+            "(1)*z0 + (-3)*c")
+
+    def test_fractional_entry_outside_span_w_shown_exactly(self,
+                                                          monkeypatch):
+        # the rows' one denominator becomes 12; the message still shows
+        # the entry's own coefficients
+        coef = CScalar({0: Fraction(1, 4), 1: Fraction(-5, 3)})
+        assert self._outside_span_w(monkeypatch, coef) == (
+            "bracket (w+3/2, w-3/2) is outside span{w} + Q(c)c: "
+            "(1/4 + -5/3*c)*z0 + (-3)*c")
 
     def test_dependent_realized_set_refused(self, monkeypatch, capsys):
         basis = build_enlarged(free_generators(H(5)), H(5))
