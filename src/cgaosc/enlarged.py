@@ -154,6 +154,8 @@ def _leibniz_tables(basis: EnlargedBasis, cga: StructureTable
                         t = acc.setdefault(key, {})
                         for k, q in raw.items():
                             t[k + shift] = t.get(k + shift, 0) + f * q
+                if not acc:
+                    continue
                 elem = AlgebraElement(from_raw(acc, den))
                 if elem.terms:
                     plain[(x, y)] = elem

@@ -6,10 +6,10 @@ monomial may also carry powers of t).
 Every chart operator maps this class to itself, which is what makes exact
 eigen-relation checks possible.  One kernel applies operators: prepare(op)
 readies each operator term once, and image() applies it to an integer
-polynomial part in closed form, adding every product into one
-{key: {c-power: int}} map.  apply_op is conjugate (the Gaussian moves onto
-the operator), prepare, image, from_raw; spectrum prepares its operators
-once and calls image itself.
+polynomial part in closed form, forming each exponent tuple's column once
+per prepared operator, into one {key: {c-power: int}} map.  apply_op is
+conjugate (the Gaussian moves onto the operator), prepare, image,
+from_raw; spectrum prepares its operators once and calls image itself.
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ class GaussFunc(LinComb):
 
 
 def prepare(op: WeylOp) -> tuple:
-    """(terms, den) for image(): each term's e-weight, d_s order n,
-    nonzero space-derivative slots, exponent shift v - d and (c-power,
-    numerator) pairs times 2^(S - n), S the highest d_s order, over
-    den = 2^S d_op.  Variable i's derivative is slot i + Chart.shift, so
+    """(terms, den, columns) for image(): each term's e-weight, d_s order
+    n, nonzero space-derivative slots, exponent shift v - d and
+    (c-power, numerator) pairs times 2^(S - n), S the highest d_s order,
+    over den = 2^S d_op, and an empty {exponents: column} cache that
+    image() fills.  Variable i's derivative is slot i + Chart.shift, so
     d[0] is d_s when shift is 1 and no term has a d_s when it is 0."""
     shift = op.chart.shift
     t_op, d_op = numerators(op.terms)
@@ -92,26 +93,45 @@ def prepare(op: WeylOp) -> tuple:
                       [(i, n) for i, n in enumerate(space_ders) if n],
                       tuple(map(sub, v, space_ders)),
                       [(k, q << (top - s_der)) for k, q in c_op.items()]))
-    return terms, d_op << top
+    return terms, d_op << top, {}
+
+
+def _column(terms: list, m: Tuple[int, ...]) -> list:
+    """x^m's image under the prepared terms, before e^{mu s} weighs in,
+    by d^k x^p = falling(p, k) x^{p-k}: (e, n, exponents, nonzero
+    (c-power, numerator) pairs), one entry per (e, n, exponents)."""
+    col: Dict[tuple, dict] = {}
+    for e, s_der, ders, shift, c_op in terms:
+        factor = 1
+        for i, n in ders:
+            p = m[i]
+            for j in range(n):  # falling(p, n), inlined
+                factor *= p - j
+        if factor:
+            acc = col.setdefault((e, s_der, tuple(map(add, m, shift))), {})
+            for k, q in c_op:
+                acc[k] = acc.get(k, 0) + q * factor
+    return [(e, n, vp, [(k, q) for k, q in acc.items() if q])
+            for (e, n, vp), acc in col.items() if any(acc.values())]
 
 
 def image(prepared: tuple, t_f: dict, d_f: int) -> Tuple[dict, int]:
     """The raw {key: {c-power: int}} image of the part t_f / d_f under a
-    prepared operator, over its denominator (cancelled sums stay as 0):
-    d^n x^p = falling(p, n) x^{p-n}, d_s^n e^{mu s} = (2mu)^n/2^n e^{mu s}."""
-    terms, d_op = prepared
-    t_f = [(mu2, m, list(c_f.items())) for (mu2, m), c_f in t_f.items()]
+    prepared operator, over its denominator (cancelled sums stay as 0).
+    Each exponent tuple m's column is formed once per prepared operator;
+    a term e^{mu s} x^m reads it with the weight of its own mu:
+    d_s^n e^{mu s} = (2mu)^n/2^n e^{mu s}."""
+    terms, d_op, columns = prepared
     res: Dict[FKey, dict] = {}
-    for e, s_der, ders, shift, c_op in terms:
-        for mu2, m, c_f in t_f:
-            factor = mu2 ** s_der
-            for i, n in ders:
-                p = m[i]
-                for j in range(n):  # falling(p, n), inlined
-                    factor *= p - j
+    for (mu2, m), c_f in t_f.items():
+        if m not in columns:
+            columns[m] = _column(terms, m)
+        c_f = c_f.items()
+        for e, n, vp, c_op in columns[m]:
+            factor = mu2 ** n
             if not factor:
                 continue
-            key = (mu2 + e, tuple(map(add, m, shift)))
+            key = (mu2 + e, vp)
             acc = res.get(key)
             if acc is None:
                 acc = res[key] = {}

@@ -334,6 +334,9 @@ def matrix_oracle(ell: HalfInt, max_degree: int) -> ExactMatrix:
             if _weighted_order(vp) >= _weighted_order(mono):
                 raise NotTriangular(
                     f"entry {vp} <- {mono} does not lower the order")
+            if vp not in index:
+                raise NotTriangular(f"entry {vp} <- {mono} is outside the "
+                                    f"basis of degree <= {max_degree}")
             entries[(index[vp], j)] = coef
     eigenvalues = []
     for j in range(len(basis)):

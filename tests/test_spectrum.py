@@ -251,6 +251,17 @@ class TestLadder:
         ladder_state(Ladder(H(5)), (1, 1, 1))
         assert counts == {"image": 3 + 1}
 
+    def test_hamiltonian_columns_are_keyed_by_exponents(self):
+        # every state's eigen check reads conj(H)'s columns; states that
+        # share an exponent tuple at different s-weights share a column
+        ladder = Ladder(H(5))
+        for n in _multi_indices(len(ladder.lowering), 4):
+            ladder_state(ladder, n)
+        keys = {key for f in ladder.states.values() for key in f.terms}
+        columns = ladder.h[2]
+        assert set(columns) == {m for _, m in keys}
+        assert len(columns) < len(keys)
+
     def test_zero_lowering_step_is_refused(self):
         # a zero state satisfies H 0 = E 0, so only the ladder can tell
         ladder = Ladder(H(3))
@@ -607,7 +618,11 @@ class TestFailurePaths:
          "entry (0, 1) <- (0, 0) does not lower the order"),
         (lambda chart: WeylOp.const(chart, CScalar.c()), DiagonalDependsOnC,
          "diagonal at (0, 0): "),
-    ], ids=["s-weight", "raises-order", "c-diagonal"])
+        # lowers the order of u2^2 (4 -> 3) but leaves the degree-2 basis
+        (lambda chart: WeylOp.var(chart, 0, power=3)
+         * WeylOp.der(chart, 2, power=2), NotTriangular,
+         "entry (3, 0) <- (0, 2) is outside the basis of degree <= 2"),
+    ], ids=["s-weight", "raises-order", "c-diagonal", "outside-basis"])
     def test_matrix_oracle(self, fresh_caches, monkeypatch, extra, error,
                            message):
         h = hamiltonian(H(3))

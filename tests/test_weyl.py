@@ -8,9 +8,10 @@ import sympy
 from conftest import (gaussfunc_to_sympy, random_cscalar, random_weylop,
                       weyl_apply_sympy)
 from cgaosc.errors import ChartMismatch, NotMonomial, RelationViolation
-from cgaosc.funcspace import GaussFunc, apply_op
+from cgaosc.funcspace import GaussFunc, apply_op, image
+from cgaosc.funcspace import prepare as prepare_image
 from cgaosc.realizations import C_LABEL, Z_PLUS, AlgebraElement
-from cgaosc.scalars import CScalar, HalfInt
+from cgaosc.scalars import CScalar, HalfInt, from_raw, numerators
 from cgaosc.weyl import (COMMUTATOR, Chart, Substitution, WeylOp, bracket,
                          conjugate, degree_of, free_to_osc_substitution,
                          prepare)
@@ -314,6 +315,52 @@ class TestApplyKernel:
         want = GaussFunc(FREE, self.ZERO, {(0, (-3, 0, 1)): 2,
                                            (0, (-1, 0, 1)): -1})
         assert apply_op(op, f) == want
+
+
+class TestColumnCache:
+    """image() forms each exponent tuple's column once per prepared
+    operator and applies a term's own s-weight on every use."""
+
+    ZERO = CScalar.zero()
+
+    @staticmethod
+    def merging_op():
+        # ds and u1 ds d1 merge at d_s order 1; u1 d1, 2 and u1^2 d1^2
+        # at order 0: on e^{mu s} u1^p the sum is
+        # mu^2 + (3 + p) mu + p^2 + 2, plus e^{(mu + 1/2) s} u1^{p+1}
+        ds, d1, u1 = WeylOp.der(OSC, 0), WeylOp.der(OSC, 1), WeylOp.var(OSC, 0)
+        return (ds * ds + 3 * ds + u1 * ds * d1 + u1 * d1
+                + 2 * WeylOp.one(OSC) + u1 * u1 * d1 * d1
+                + WeylOp.exp_s(OSC, HalfInt(1)) * u1)
+
+    def test_shared_column_at_every_s_weight(self):
+        op = self.merging_op()
+        prepared = prepare_image(op)
+        # mu = 1/2, 0 (where d_s vanishes), -3/2 and 1 on u1^2 u2
+        for mu2, want in ((1, Fraction(35, 4)), (0, Fraction(6)),
+                          (-3, Fraction(3, 4)), (2, Fraction(12))):
+            f = GaussFunc.monomial(OSC, self.ZERO, mu2, (2, 1))
+            got = f._like(from_raw(*image(prepared, *numerators(f.terms))))
+            assert got == GaussFunc(OSC, self.ZERO, {(mu2, (2, 1)): want,
+                                                     (mu2 + 1, (3, 1)): 1})
+            assert got == apply_op(op, f)
+        mixed = GaussFunc(OSC, self.ZERO, {(0, (2, 1)): Fraction(1, 3),
+                                           (1, (2, 1)): CScalar.c(),
+                                           (2, (1, 0)): 2})
+        raw = image(prepared, *numerators(mixed.terms))
+        assert mixed._like(from_raw(*raw)) == apply_op(op, mixed)
+        # one column per exponent tuple: 7 terms, 4 entries on u1^2 u2
+        columns = prepared[2]
+        assert set(columns) == {(2, 1), (1, 0)}
+        assert len(prepared[0]) == 7 and len(columns[(2, 1)]) == 4
+
+    def test_merged_entry_that_cancels_is_not_stored(self):
+        # (u1 d1 - 1) u1 = u1 - u1
+        prepared = prepare_image(WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1)
+                                 - WeylOp.one(OSC))
+        f = GaussFunc.monomial(OSC, self.ZERO, varpow=(1, 0))
+        assert from_raw(*image(prepared, *numerators(f.terms))) == {}
+        assert prepared[2] == {(1, 0): []}
 
 
 class TestSympyOracle:
