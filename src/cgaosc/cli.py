@@ -156,10 +156,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_eigenstate(args) -> int:
-    rec = ladder_state(Ladder(args.ell, NORMS[args.normalization]), args.n)
+    ladder = Ladder(args.ell, NORMS[args.normalization])
+    rec = ladder_state(ladder, args.n)
+    state = ladder.state(rec.n)
     out = record_json(rec)
-    out["state"] = gaussfunc_json(rec.state)
-    out["latex"] = func_latex(rec.state)
+    out["state"] = gaussfunc_json(state)
+    out["latex"] = func_latex(state)
     _emit(out)
     return 0
 

@@ -105,7 +105,6 @@ def vacuum(ell: HalfInt, normalization: str = "section7") -> GaussFunc:
 class SpectrumRecord:
     n: Tuple[int, ...]
     energy: Fraction
-    state: GaussFunc
 
 
 def _lowering_order(ell: HalfInt, normalization: str) -> List[HalfInt]:
@@ -121,6 +120,13 @@ def _check_multi_index(n: Sequence[int], size: int) -> None:
                              or x < 0 for x in n):
         raise ValueError(f"multi-index must have {size} non-negative "
                          "int entries")
+
+
+def _check_bound(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 @lru_cache(maxsize=None)
@@ -145,9 +151,10 @@ class Ladder:
     vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
     kappa, so lowering and h hold the lowering operators and H conjugated
     once by weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
-    funcspace.image, which reads only a state's terms P.  states holds
-    the states built so far, from the vacuum() object itself; vacuum()
-    checks the raising operators once, on the Gaussian state.
+    funcspace.image, which reads only the integer part t / d of P.
+    parts holds the parts built so far: the vacuum's numerators, and for
+    every other state the raw image of its lowering step, unreduced;
+    vacuum() checks the raising operators once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where
@@ -162,56 +169,54 @@ class Ladder:
         frame = ("gauss", vac.kappa + vac.kappa)
         self.ell = ell
         self.normalization = normalization
+        self.vacuum = vac
         self.lowering = [prepare(conjugate(gens[w_label(-j)], frame))
                          for j in _lowering_order(ell, normalization)]
         self.h = prepare(conjugate(hamiltonian(ell, normalization), frame))
-        self.states: Dict[Tuple[int, ...], GaussFunc] = {
-            (0,) * len(self.lowering): vac}
+        self.parts: Dict[Tuple[int, ...], Tuple[dict, int]] = {
+            (0,) * len(self.lowering): numerators(vac.terms)}
 
-    def _build(self, n: Tuple[int, ...]) -> Tuple[GaussFunc, tuple]:
-        """The state of the checked multi-index n, built down the tree
-        from its nearest ancestor built so far, and the raw image of its
-        last lowering step, or its numerators when it was built before.
-        Each new state is its parent's chart and kappa with the image's
-        terms."""
+    def _build(self, n: Tuple[int, ...]) -> Tuple[dict, int]:
+        """The part (t, d) of the checked multi-index n, built down the
+        tree from its nearest ancestor built so far; every step's image
+        is checked nonzero."""
         path = []
-        while n not in self.states:
+        while n not in self.parts:
             i = next(i for i, x in enumerate(n) if x)
             path.append((n, i))
             n = n[:i] + (n[i] - 1,) + n[i + 1:]
-        state = self.states[n]
-        if not path:
-            return state, numerators(state.terms)
+        part = self.parts[n]
         for m, i in reversed(path):
-            raw = image(self.lowering[i], *numerators(state.terms))
-            state = state._like(from_raw(*raw))
-            if state.is_zero():
+            part = image(self.lowering[i], *part)
+            if not any(q for acc in part[0].values() for q in acc.values()):
                 # a zero state satisfies every eigen-relation, so the
                 # eigen check cannot catch it
                 raise Mismatch(f"lowering step to n={m} gives the zero state",
-                               state)
-            self.states[m] = state
-        return state, raw
+                               self.vacuum._like({}))
+            self.parts[m] = part
+        return part
 
-    def state(self, n: Tuple[int, ...]) -> GaussFunc:
-        """The state of the multi-index n (a tuple of ints)."""
+    def state(self, n: Sequence[int]) -> GaussFunc:
+        """The state of the multi-index n, a sequence of ints, made from
+        its part on the vacuum's chart and kappa."""
+        n = tuple(n)
         _check_multi_index(n, len(self.lowering))
-        return self._build(n)[0]
+        return self.vacuum._like(from_raw(*self._build(n)))
 
 
 def ladder_state(ladder: Ladder, n: Sequence[int]) -> SpectrumRecord:
-    """Eigenstate built by lowering operators acting on the vacuum, with
-    its eigen-relation checked exactly: e^{-q} (H - E) e^{q} P =
-    (conj H - E) P, with e^{q} the vacuum Gaussian and conj H = ladder.h.
-    The residual's raw map is formed once, from the one image of the
-    integer part t_p / d_p of P's last step, and must be zero; a failing
-    Mismatch carries it.  The record's state is the ladder's own object.
+    """The energy of the eigenstate built by lowering operators acting on
+    the vacuum, with its eigen-relation checked exactly: e^{-q} (H - E)
+    e^{q} P = (conj H - E) P, with e^{q} the vacuum Gaussian and
+    conj H = ladder.h.  The residual's raw map is formed once, from the
+    one image of P's integer part t_p / d_p, and must be zero; a failing
+    Mismatch carries it.  ladder.state(n) makes the state itself.
 
     n_a counts w_{-j_a} in the order of _lowering_order of the ladder's
     (ell, normalization); the last position acts innermost."""
     n = tuple(n)
     energy = ladder_energy(ladder.ell, ladder.normalization, n)
-    state, (t_p, d_p) = ladder._build(n)
+    t_p, d_p = ladder._build(n)
     # conj(H) P = t_r / d_r and E P = e t_p / d_r, with d_r = d_h d_p
     # and e = E d_h, an int (so the sums stay ints) wherever it is one
     t_r, d_r = image(ladder.h, t_p, d_p)
@@ -223,8 +228,8 @@ def ladder_state(ladder: Ladder, n: Sequence[int]) -> SpectrumRecord:
             out[k] = out.get(k, 0) - e * q
     if any(q for acc in t_r.values() for q in acc.values()):
         raise Mismatch(f"eigen-relation for n={n}",
-                       state._like(from_raw(t_r, d_r)))
-    return SpectrumRecord(n=n, energy=energy, state=state)
+                       ladder.vacuum._like(from_raw(t_r, d_r)))
+    return SpectrumRecord(n=n, energy=energy)
 
 
 def spectrum(ell: HalfInt, max_total: int,
@@ -232,8 +237,7 @@ def spectrum(ell: HalfInt, max_total: int,
     """All ladder states with multi-index total at most max_total,
     ordered by (energy, multi-index).  One Ladder serves them all; every
     state's eigen-relation is checked."""
-    if max_total < 0:
-        raise ValueError("max_total must be non-negative")
+    _check_bound("max_total", max_total)
     ladder = Ladder(ell, normalization)
     records = [ladder_state(ladder, n)
                for n in _multi_indices(len(ladder.lowering), max_total)]
@@ -312,8 +316,7 @@ def matrix_oracle(ell: HalfInt, max_degree: int) -> ExactMatrix:
     strict triangularity under G(n) = sum a*n_a, and read the spectrum
     off the (c-free) diagonal."""
     check_half_odd(ell)
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    _check_bound("max_degree", max_degree)
     chart = Chart("osc", ell)
     h = hamiltonian(ell, "section7")
     weight = CScalar.c_power(1, Fraction(1, ell.twice + 1))

@@ -181,7 +181,8 @@ def test_criterion_7_section6_fixture():
         rec = ladder_state(ladder, (m, k))
         assert rec.energy == energy
         want = GaussFunc(chart, kappa, terms)
-        assert rec.state.proportionality(want) is not None, (m, k)
+        state = ladder.state(rec.n)
+        assert state.proportionality(want) is not None, (m, k)
         energies.append(energy)
     assert sorted(energies) == [F(1), F(3, 2), F(2), F(5, 2), F(5, 2),
                                 F(3), F(3)]

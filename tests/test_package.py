@@ -259,7 +259,8 @@ ROUND_TRIPS = {
 
 def _values():
     gens = free_generators(HalfInt(1))
-    record = ladder_state(Ladder(HalfInt(3)), (1, 1))
+    ladder = Ladder(HalfInt(3))
+    record = ladder_state(ladder, (1, 1))
     elem = AlgebraElement.of(Z_PLUS) + AlgebraElement.of(
         ww_label(HalfInt(1), HalfInt(1)), CScalar.c_power(-1, Fraction(1, 2)))
     return {
@@ -267,7 +268,7 @@ def _values():
         "CScalar": CScalar.c_power(-1, Fraction(1, 2)) + 3,
         "Chart": gens[Z_ZERO].chart,
         "WeylOp": gens[w_label(HalfInt(-1))],
-        "GaussFunc": record.state,
+        "GaussFunc": ladder.state(record.n),
         "AlgebraElement": elem,
         "SpectrumRecord": record,
         "NotClosed": NotClosed((Z_PLUS, Z_MINUS), gens[Z_ZERO]),

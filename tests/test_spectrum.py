@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -11,7 +12,7 @@ from cgaosc.errors import (BadEll, DiagonalDependsOnC, Inconsistent,
 from cgaosc.funcspace import GaussFunc, apply_op, prepare
 from cgaosc.realizations import (Z_ZERO, convention, osc_generators,
                                  positive_w_indices, w_label)
-from cgaosc.scalars import CScalar, HalfInt
+from cgaosc.scalars import CScalar, HalfInt, from_raw
 from cgaosc.spectrum import (ExactMatrix, Ladder, _lowering_order,
                              _multi_indices, harmonic_reduction, hamiltonian,
                              hamiltonian_m_form_expected,
@@ -163,8 +164,8 @@ class TestLadder:
                           "image": (states - 1) + states}
 
     def test_one_gaussfunc_per_spectrum(self, monkeypatch):
-        # the vacuum is the only GaussFunc made: every other state is
-        # its parent's chart and kappa with new terms
+        # the vacuum is the only GaussFunc made: the ladder keeps every
+        # other state as its integer part
         made = []
         init = GaussFunc.__init__
 
@@ -177,7 +178,45 @@ class TestLadder:
         assert len(records) == 35
         assert records[0].n == (0, 0, 0)
         assert len(made) == 1
-        assert made[0] is records[0].state
+        assert made[0] == Ladder(H(5)).state(records[0].n)
+
+    @pytest.mark.parametrize("ell,norm", [
+        (H(5), "section7"), (H(3), "section6"),
+    ], ids=str)
+    def test_spectrum_builds_no_state(self, monkeypatch, ell, norm):
+        # every step and eigen check reads integer parts; Fractions are
+        # made only for a state asked for, or a failure's residual
+        def refused(*args):
+            raise AssertionError("from_raw called")
+
+        monkeypatch.setattr(cgaosc.spectrum, "from_raw", refused)
+        size = len(_lowering_order(ell, norm))
+        assert len(spectrum(ell, 4, norm)) == comb(size + 4, 4)
+
+    def test_one_ladder_state_call_per_record(self, monkeypatch):
+        # perfbench's tracing counts spectrum() through this module-level
+        # name, so spectrum() must look it up there for every record
+        calls = []
+        fn = cgaosc.spectrum.ladder_state
+
+        def counted(ladder, n):
+            calls.append(n)
+            return fn(ladder, n)
+
+        monkeypatch.setattr(cgaosc.spectrum, "ladder_state", counted)
+        assert len(spectrum(H(1), 1)) == len(calls) == 2
+        records = spectrum(H(5), 3)
+        assert sorted(calls[2:]) == sorted(r.n for r in records)
+        assert len(calls) == 2 + comb(3 + 3, 3)
+
+    def test_state_takes_any_sequence(self):
+        ladder = Ladder(H(3))
+        assert ladder.state([1, 0]) == ladder.state((1, 0))
+        low = w_label(-_lowering_order(H(3), "section7")[1])
+        assert ladder.state([0, 2]) == apply_op(
+            osc_generators(H(3), "section7")[low], ladder.state([0, 1]))
+        with pytest.raises(ValueError):
+            ladder.state([1, 0, 0])
 
     @pytest.mark.parametrize("ell,norm", [
         (H(3), "section6"), (H(5), "section7"),
@@ -185,13 +224,14 @@ class TestLadder:
     def test_records_hold_the_ladder_states(self, ell, norm):
         ladder = Ladder(ell, norm)
         size = len(ladder.lowering)
-        root, vac = ladder.states[(0,) * size], vacuum(ell, norm)
+        root, vac = ladder.state((0,) * size), vacuum(ell, norm)
         assert root == vac
         assert root.kappa == vac.kappa
         for n in _multi_indices(size, 3):
             record = ladder_state(ladder, n)
-            assert record.state is ladder.states[record.n]
-            assert record.state.kappa == root.kappa
+            state = ladder.state(record.n)
+            assert state.terms == from_raw(*ladder.parts[record.n])
+            assert state.kappa == root.kappa
 
     def test_operators_conjugated_once_per_ladder(self, monkeypatch):
         counts = Counter()
@@ -218,13 +258,14 @@ class TestLadder:
                               .realization)
         lows = [gens[w_label(-j)] for j in _lowering_order(ell, norm)]
         h = hamiltonian(ell, norm)
+        ladder = Ladder(ell, norm)
         for rec in spectrum(ell, 4, norm):
             state = vacuum(ell, norm)
             for i in reversed(range(len(lows))):
                 for _ in range(rec.n[i]):
                     state = apply_op(lows[i], state)
-            assert rec.state == state
-            assert rec.state.kappa == state.kappa
+            assert ladder.state(rec.n) == state
+            assert ladder.state(rec.n).kappa == state.kappa
             assert apply_op(h - WeylOp.const(h.chart, rec.energy),
                             state).is_zero()
 
@@ -257,7 +298,7 @@ class TestLadder:
         ladder = Ladder(H(5))
         for n in _multi_indices(len(ladder.lowering), 4):
             ladder_state(ladder, n)
-        keys = {key for f in ladder.states.values() for key in f.terms}
+        keys = {key for t, _ in ladder.parts.values() for key in t}
         columns = ladder.h[2]
         assert set(columns) == {m for _, m in keys}
         assert len(columns) < len(keys)
@@ -376,7 +417,7 @@ class TestSectionSixFixture:
             rec = ladder_state(ladder, (m, k))
             assert rec.energy == energy, (m, k)
             want = GaussFunc(self.CHART, self.KAPPA, terms)
-            ratio = rec.state.proportionality(want)
+            ratio = ladder.state(rec.n).proportionality(want)
             assert ratio is not None, (m, k)
 
     def test_energy_multiset_and_degeneracy(self):
@@ -569,6 +610,18 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="max_total must be "
                                              "non-negative"):
             spectrum(H(3), -1)
+
+    # True once ran as 1, and 1.5 raised a bare TypeError from range
+    @pytest.mark.parametrize("bound", [True, False, 1.5, F(2), 2.0, "2"],
+                             ids=repr)
+    def test_bounds_are_ints(self, fresh_caches, bound):
+        shown = re.escape(repr(bound))
+        with pytest.raises(ValueError,
+                           match=f"^max_total must be an int, not {shown}$"):
+            spectrum(H(3), bound)
+        with pytest.raises(ValueError,
+                           match=f"^max_degree must be an int, not {shown}$"):
+            matrix_oracle(H(3), bound)
 
     @pytest.mark.parametrize("case", [
         "omega0", "h-shift", "z0", "section6-split"])
