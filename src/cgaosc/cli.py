@@ -298,10 +298,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # "--ell -1/2" or "--n -1,0" would read as an option: keep the value
-    for flag in ("--ell", "--n"):
-        i = argv.index(flag) + 1 if flag in argv[:-1] else 0
-        if i and re.match(r"-\d", argv[i]):
-            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
+    # with its flag at every occurrence, as argparse lets the last one win
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--ell", "--n") and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     handlers = {
         "gens": cmd_gens,

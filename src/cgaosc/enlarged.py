@@ -5,10 +5,10 @@ Z2-graded algebra on the very same realized operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import GradingViolation, JacobiFailure, LinearlyDependent
 from .linsolve import SpanSolver
@@ -22,28 +22,40 @@ from .weyl import WeylOp
 
 @dataclass
 class EnlargedBasis:
-    ell: HalfInt
+    """The CGA operators of span with every {w_i, w_j} adjoined; the
+    ranks and both structure tables are derived on first use."""
+    span: SpanBasis = field(compare=False, repr=False)
     even: List[GenLabel]
     odd: List[GenLabel]
     realized: Dict[GenLabel, WeylOp]
-    # (plain, graded) structure tables and the (even, odd) ranks,
-    # filled by closure_tables
-    tables: Optional[Tuple[StructureTable, StructureTable]] = field(
-        default=None, compare=False, repr=False)
-    dims: Optional[Tuple[int, int]] = field(default=None, compare=False)
-    # the SpanBasis of the CGA operators, if it was built before
-    span: Optional[SpanBasis] = field(default=None, compare=False, repr=False)
 
     @property
     def labels(self) -> List[GenLabel]:
         return sorted(self.even + self.odd, key=label_sort_key)
 
+    @cached_property
+    def dims(self) -> Tuple[int, int]:
+        """The certified (even, odd) rank of the realized operators."""
+        return _certified_dims(self)
 
-def build_enlarged(gens: Dict[GenLabel, WeylOp],
-                   ell: HalfInt) -> EnlargedBasis:
-    """Adjoin all anticommutators {w_i, w_j} (i >= j) to the CGA set."""
+    @cached_property
+    def tables(self) -> Tuple[StructureTable, StructureTable]:
+        """The plain (ECGA) and the graded (SCGA) structure table.
+
+        Only the CGA table (the table of span) is computed from the
+        operators; the rest follows from it by the Leibniz rule.  That is
+        their table only if they are independent, which dims certifies
+        first."""
+        self.dims  # raises LinearlyDependent before any table exists
+        return _leibniz_tables(self)
+
+
+def build_enlarged(span: SpanBasis) -> EnlargedBasis:
+    """Adjoin all anticommutators {w_i, w_j} (i >= j) to the CGA set of
+    span."""
+    gens = span.gens
     realized = dict(gens)
-    ws = w_indices(ell)
+    ws = w_indices(span.chart.ell)
     even = [Z_PLUS, Z_ZERO, Z_MINUS, C_LABEL]
     odd = [w_label(j) for j in ws]
     for a, i in enumerate(ws):
@@ -51,7 +63,7 @@ def build_enlarged(gens: Dict[GenLabel, WeylOp],
             lbl = ww_label(i, j)
             realized[lbl] = gens[w_label(i)].anticommutator(gens[w_label(j)])
             even.append(lbl)
-    return EnlargedBasis(ell=ell,
+    return EnlargedBasis(span=span,
                          even=sorted(even, key=label_sort_key),
                          odd=sorted(odd, key=label_sort_key),
                          realized=realized)
@@ -61,8 +73,7 @@ def build_enlarged(gens: Dict[GenLabel, WeylOp],
 def free_enlarged(ell: HalfInt) -> EnlargedBasis:
     """Enlarged basis over the free-chart realization, cached per ell,
     on the operators and the CGA table of free_span(ell)."""
-    span = free_span(ell)
-    return replace(build_enlarged(span.gens, ell), span=span)
+    return build_enlarged(free_span(ell))
 
 
 def expected_dims(ell: HalfInt) -> Tuple[int, int, int]:
@@ -78,27 +89,16 @@ def expected_dims(ell: HalfInt) -> Tuple[int, int, int]:
 def closure_tables(basis: EnlargedBasis
                    ) -> Tuple[StructureTable, StructureTable]:
     """The plain (ECGA) and the graded (SCGA) structure table over the
-    same realized operators, built once and kept in basis.tables.
-
-    Only the CGA table (the table of basis.span) is computed from the
-    operators; the rest follows from it by the Leibniz rule.  That is
-    their table only if they are independent, which _certified_dims
-    checks first."""
-    if basis.tables is None:
-        span = basis.span or SpanBasis(
-            {lb: op for lb, op in basis.realized.items() if lb[0] != "ww"})
-        basis.dims = _certified_dims(basis, span.degrees)
-        basis.tables = _leibniz_tables(basis, span.table)
+    same realized operators: basis.tables, built once per basis."""
     return basis.tables
 
 
-def _certified_dims(basis: EnlargedBasis,
-                    degrees: Dict[GenLabel, HalfInt]) -> Tuple[int, int]:
+def _certified_dims(basis: EnlargedBasis) -> Tuple[int, int]:
     """(even, odd) rank of the realized operators, summed over their
     z0-degree groups, where w{i,j} has the degree of w_i plus that of
     w_j and a half-odd degree is odd.  Raises LinearlyDependent naming
     a group whose rank is below its size."""
-    twice = {lb: d.twice for lb, d in degrees.items()}
+    twice = {lb: d.twice for lb, d in basis.span.degrees.items()}
     groups: Dict[int, List[GenLabel]] = {}
     for lb in basis.labels:
         if lb[0] == "ww":
@@ -115,9 +115,9 @@ def _certified_dims(basis: EnlargedBasis,
     return dims[0], dims[1]
 
 
-def _leibniz_tables(basis: EnlargedBasis, cga: StructureTable
+def _leibniz_tables(basis: EnlargedBasis
                     ) -> Tuple[StructureTable, StructureTable]:
-    """Both enlarged tables from the CGA table by int sums, without a
+    """Both enlarged tables from basis.span.table by int sums, without a
     Weyl product.  In label order, [x, w{i,j}] = {[x, w_i], w_j} +
     {w_i, [x, w_j]}, with [x, w] read from the entries before it; the
     graded table's odd-odd entries are {w_i, w_j} = w{i,j}.
@@ -126,7 +126,8 @@ def _leibniz_tables(basis: EnlargedBasis, cga: StructureTable
     span_w = odd | {C_LABEL}
     ww = {(a, b): ww_label(HalfInt(a[1]), HalfInt(b[1]))
           for a in odd for b in odd}
-    plain = {pair: elem for pair, elem in cga.entries.items() if elem.terms}
+    plain = {pair: elem for pair, elem in basis.span.table.entries.items()
+             if elem.terms}
     flat, den = numerators({(pair, lb): cs for pair, elem in plain.items()
                             if not odd.isdisjoint(pair)
                             for lb, cs in elem.terms.items()})

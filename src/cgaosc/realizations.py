@@ -15,14 +15,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (BadTableEntry, GradingViolation, NormalizationUnavailable,
                      NotClosed)
 from .linsolve import SpanSolver
 from .scalars import CScalar, HalfInt, LinComb, check_half_odd
-from .weyl import (ANTICOMMUTATOR, COMMUTATOR, Chart, WeylOp, bracket,
-                   degree_of, prepare)
+from .weyl import COMMUTATOR, Chart, WeylOp, bracket, degree_of, prepare
 
 GenLabel = Tuple
 
@@ -128,6 +127,9 @@ def free_generators(ell: HalfInt) -> Dict[GenLabel, WeylOp]:
     def dy(a):
         return WeylOp.der(chart, a)
 
+    def t_pow(k):
+        return WeylOp.var(chart, 0, power=k)
+
     gens: Dict[GenLabel, WeylOp] = {}
     gens[Z_PLUS] = dt
 
@@ -150,19 +152,19 @@ def free_generators(ell: HalfInt) -> Dict[GenLabel, WeylOp]:
         op = WeylOp.zero(chart)
         for k in range(int(lf - jf) + 1):
             op = op + Fraction(comb(int(lf - jf), k)) * (
-                t.power(int(lf - jf) - k) * dy(L - k))
+                t_pow(int(lf - jf) - k) * dy(L - k))
         gens[w_label(j)] = op
         # w_{-j}
         op = WeylOp.zero(chart)
         for k in range(int(lf - half) + 1):
             op = op + Fraction(comb(int(lf + jf), k)) * (
-                t.power(int(lf + jf) - k) * dy(L - k))
+                t_pow(int(lf + jf) - k) * dy(L - k))
         pref = Fraction(factorial(int(lf + jf)),
                         factorial(int(lf - half)) * factorial(int(lf + half)))
         for a in range(1, int(jf + half) + 1):
             fac = Fraction((-1) ** a * factorial(int(lf + half) - a),
                            factorial(int(jf + half) - a))
-            op = op - (t.power(int(jf + half) - a) * y(a)).scaled(
+            op = op - (t_pow(int(jf + half) - a) * y(a)).scaled(
                 c.scale(pref * fac))
         gens[w_label(-j)] = op
 
@@ -378,7 +380,7 @@ class StructureTable:
 class SpanBasis:
     """Degree-graded exact span solver over a realized generator set."""
 
-    def __init__(self, gens: Dict[GenLabel, WeylOp]):
+    def __init__(self, gens: Mapping[GenLabel, WeylOp]):
         self.gens = gens
         some = next(iter(gens.values()))
         self.chart = some.chart
@@ -412,59 +414,28 @@ class SpanBasis:
 
     @cached_property
     def table(self) -> StructureTable:
-        """The plain structure table of gens, built on first use."""
-        return bracket_tables(self.gens, span=self)[0]
-
-
-def bracket_tables(realized: Dict[GenLabel, WeylOp],
-                   odd: frozenset = frozenset(),
-                   span: Optional[SpanBasis] = None
-                   ) -> Tuple[StructureTable, StructureTable]:
-    """The plain and the graded structure table of a closed realized set.
-
-    The plain table holds every commutator; the graded one shares its
-    entries of the pairs that are not both odd and holds the
-    anticommutators of the odd-odd pairs (the diagonal included).
-    Raises NotClosed naming the pair whose bracket leaves the span.
-    span, if given, is the SpanBasis of realized."""
-    span = span or SpanBasis(realized)
-    labels = sorted(realized, key=label_sort_key)
-    ops = {label: prepare(op) for label, op in realized.items()}
-    plain, graded = {}, {}
-
-    def expand(op, a, b):
-        try:
-            return span.expand(op, span.degrees[a].twice
-                               + span.degrees[b].twice)
-        except NotClosed as exc:
-            raise NotClosed((a, b), exc.residual) from exc
-
-    for i, a in enumerate(labels):
-        for b in labels[i:]:
-            odd_odd = a in odd and b in odd
-            if a != b:
+        """The plain structure table of gens, built on first use: every
+        commutator re-expanded in the span; raises NotClosed naming the
+        pair whose commutator leaves it."""
+        labels = sorted(self.gens, key=label_sort_key)
+        ops = {label: prepare(self.gens[label]) for label in labels}
+        entries = {}
+        for i, a in enumerate(labels):
+            for b in labels[i + 1:]:
                 comm = bracket(ops[a], ops[b], COMMUTATOR)
-                if not comm.is_zero():
-                    plain[(a, b)] = expand(comm, a, b)
-                    if not odd_odd:
-                        graded[(a, b)] = plain[(a, b)]
-            if odd_odd:
-                anti = bracket(ops[a], ops[b], ANTICOMMUTATOR)
-                if not anti.is_zero():
-                    graded[(a, b)] = expand(anti, a, b)
-    return (StructureTable(labels, plain),
-            StructureTable(labels, graded, odd))
-
-
-def extract_structure(gens: Dict[GenLabel, WeylOp]) -> StructureTable:
-    """All pairwise commutators of a closed realized set, re-expanded in
-    the span of the set."""
-    return bracket_tables(gens)[0]
+                if comm.is_zero():
+                    continue
+                try:
+                    entries[(a, b)] = self.expand(
+                        comm, self.degrees[a].twice + self.degrees[b].twice)
+                except NotClosed as exc:
+                    raise NotClosed((a, b), exc.residual) from exc
+        return StructureTable(labels, entries)
 
 
 @lru_cache(maxsize=None)
 def free_span(ell: HalfInt) -> SpanBasis:
     """The SpanBasis of free_generators(ell), built once per process,
     and so its table: free_enlarged, verify onshell and
-    certify_transform read it, and none may edit its gens."""
-    return SpanBasis(free_generators(ell))
+    certify_transform read it, and its gens are read-only."""
+    return SpanBasis(MappingProxyType(free_generators(ell)))

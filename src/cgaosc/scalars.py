@@ -16,8 +16,6 @@ from typing import Iterable, Mapping, Tuple
 
 from .errors import BadEll, NotMonomial, ZeroDivisor
 
-Rational = Fraction
-
 
 def rational(q) -> Fraction:
     """The one way a number from outside becomes a coefficient: an int

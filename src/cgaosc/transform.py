@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import List, Tuple
 
 from .errors import Mismatch
-from .realizations import (GenLabel, convention, delta, extract_structure,
-                           free_span, label_str, osc_generators)
+from .realizations import (GenLabel, SpanBasis, convention, delta, free_span,
+                           label_str, osc_generators)
 from .onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
 from .scalars import CScalar, HalfInt
 from .weyl import Substitution, conjugate, free_to_osc_substitution
@@ -77,7 +77,7 @@ def certify_transform(ell: HalfInt, normalization: str = "section7"
         if img != want:
             raise Mismatch(name, img - want)
 
-    free_table, osc_table = free_span(ell).table, extract_structure(osc)
+    free_table, osc_table = free_span(ell).table, SpanBasis(osc).table
     pairs = list(combinations(free_table.labels, 2))
     for a, b in pairs:
         diff = free_table.bracket(a, b) - osc_table.bracket(a, b)

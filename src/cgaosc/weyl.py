@@ -190,14 +190,6 @@ class WeylOp(LinComb):
         return bracket(prepare(self, False), prepare(other, False),
                        ANTICOMMUTATOR)
 
-    def power(self, n: int) -> "WeylOp":
-        if n < 0:
-            raise ValueError(f"WeylOp.power needs n >= 0, got {n}")
-        res = WeylOp.one(self.chart)
-        for _ in range(n):
-            res = res * self
-        return res
-
     # -- misc ---------------------------------------------------------------
     def _check(self, other: "WeylOp"):
         if self.chart != other.chart:

@@ -1,7 +1,8 @@
 """Shared helpers: seeded random generators for exact scalars and
 operators, a sympy-based application oracle for the operator engine, a
-fixture that clears the package's build caches, and the printed ell=3/2
-invariants as algebra elements.
+fixture that clears the package's build caches, the printed ell=3/2
+invariants as algebra elements, and the realized-bracket oracle of the
+enlarged structure tables.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cgaosc.realizations import AlgebraElement, Z_PLUS, Z_ZERO, ww_label
+from cgaosc.errors import NotClosed
+from cgaosc.realizations import (AlgebraElement, SpanBasis, StructureTable,
+                                 Z_PLUS, Z_ZERO, label_sort_key, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
-from cgaosc.weyl import Chart, WeylOp
+from cgaosc.weyl import (ANTICOMMUTATOR, COMMUTATOR, Chart, WeylOp, bracket,
+                         prepare)
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -88,6 +92,46 @@ def omega0_abstract_threehalf() -> AlgebraElement:
 def multipliers(cert) -> dict:
     """The nonzero multipliers of an on-shell certificate, by label."""
     return {k: v for k, v in cert.items() if v is not None}
+
+
+# -- realized-bracket oracle -------------------------------------------------
+
+def realized_tables(realized, odd=frozenset()):
+    """The plain and the graded structure table of a closed realized set,
+    each bracket taken on the operators and re-expanded in their span.
+
+    The plain table holds every commutator; the graded one shares its
+    entries of the pairs that are not both odd and holds the
+    anticommutators of the odd-odd pairs (the diagonal included).
+    Raises NotClosed naming the pair whose bracket leaves the span.  It
+    shares no code with the Leibniz derivation it checks."""
+    span = SpanBasis(realized)
+    labels = sorted(realized, key=label_sort_key)
+    ops = {label: prepare(op) for label, op in realized.items()}
+    plain, graded = {}, {}
+
+    def expand(op, a, b):
+        try:
+            return span.expand(op, span.degrees[a].twice
+                               + span.degrees[b].twice)
+        except NotClosed as exc:
+            raise NotClosed((a, b), exc.residual) from exc
+
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            odd_odd = a in odd and b in odd
+            if a != b:
+                comm = bracket(ops[a], ops[b], COMMUTATOR)
+                if not comm.is_zero():
+                    plain[(a, b)] = expand(comm, a, b)
+                    if not odd_odd:
+                        graded[(a, b)] = plain[(a, b)]
+            if odd_odd:
+                anti = bracket(ops[a], ops[b], ANTICOMMUTATOR)
+                if not anti.is_zero():
+                    graded[(a, b)] = expand(anti, a, b)
+    return (StructureTable(labels, plain),
+            StructureTable(labels, graded, odd))
 
 
 # -- sympy oracle -------------------------------------------------------------

@@ -10,8 +10,8 @@ from cgaosc.enlarged import (check_jacobi, closure_tables, expected_dims,
 from cgaosc.funcspace import apply_op
 from cgaosc.onshell import (certify_onshell, omega0_free, omega1_free,
                             solve_omega1)
-from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
-                                 Z_ZERO, extract_structure, free_generators,
+from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis, Z_MINUS,
+                                 Z_PLUS, Z_ZERO, free_generators,
                                  osc_generators, w_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import (Ladder, harmonic_reduction, hamiltonian,
@@ -35,7 +35,7 @@ def el(*pairs):
 
 
 def test_criterion_1_structure_constants_threehalf():
-    table = extract_structure(free_generators(H(3)))
+    table = SpanBasis(free_generators(H(3))).table
     w = {t: w_label(H(t)) for t in (-3, -1, 1, 3)}
     expected = {
         (Z_PLUS, Z_MINUS): el((Z_ZERO, 2)),
@@ -115,7 +115,7 @@ def test_criterion_4_transform_certification():
     assert len(free) == 8
     for lb in free:
         assert tmap(free[lb]) == osc[lb], lb
-    assert extract_structure(free) == extract_structure(osc)
+    assert SpanBasis(free).table == SpanBasis(osc).table
     for ell in [H(1), H(3), H(5), H(7)]:
         certify_transform(ell, "section7")
     print("PASS criterion 4: three-step transform reproduces all printed "

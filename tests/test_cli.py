@@ -116,6 +116,22 @@ class TestParsing:
         assert errs[0] == errs[1] == ("cgaosc: error: ell must be a positive "
                                       "half-odd integer, got -1/2\n")
 
+    @pytest.mark.parametrize("argv,err", [
+        (["eigenstate", "--ell", "3/2", "--n", "1,0", "--n", "-1,0"],
+         "multi-index must have 2 non-negative int entries"),
+        (["verify", "closure", "--ell", "3/2", "--ell", "-1/2"],
+         "ell must be a positive half-odd integer, got -1/2"),
+    ], ids=["n", "ell"])
+    def test_repeated_flag_names_the_last_value(self, capsys, argv, err):
+        # argparse lets the last occurrence win, so its negative value is
+        # the one refused by name
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cgaosc: error: {err}\n"
+
     def test_unreadable_multi_index_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eigenstate", "--ell", "3/2", "--n", "1,x"])

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from conftest import realized_tables
 import cgaosc.enlarged
 import cgaosc.realizations
 import cgaosc.weyl
@@ -18,9 +19,9 @@ from cgaosc.errors import (BadEll, BadTableEntry, GradingViolation,
 from cgaosc.linsolve import SpanSolver
 from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis,
                                  StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
-                                 bracket_tables, free_generators,
-                                 label_sort_key, label_str, osc_generators,
-                                 w_label, ww_label)
+                                 free_generators, free_span, label_sort_key,
+                                 label_str, osc_generators, w_label,
+                                 ww_label)
 from cgaosc.scalars import CScalar, HalfInt, LinComb
 from cgaosc.weyl import degree_of
 
@@ -82,17 +83,17 @@ class TestClosure:
 
     def test_osc_chart_matches_free(self):
         free = free_enlarged(H(3))
-        osc = build_enlarged(osc_generators(H(3), "section7"), H(3))
+        osc = build_enlarged(SpanBasis(osc_generators(H(3), "section7")))
         assert closure_tables(free) == closure_tables(osc)
 
     def test_tables_are_built_once_per_basis(self):
-        basis = build_enlarged(osc_generators(H(1), "section7"), H(1))
-        assert basis.tables is None
+        basis = build_enlarged(SpanBasis(osc_generators(H(1), "section7")))
+        assert "tables" not in vars(basis)
         tables = closure_tables(basis)
         assert basis.tables is tables
         assert closure_tables(basis) is tables
         # the cached tables take no part in comparing bases
-        fresh = build_enlarged(osc_generators(H(1), "section7"), H(1))
+        fresh = build_enlarged(SpanBasis(osc_generators(H(1), "section7")))
         assert fresh == basis
 
     def test_not_closed_names_the_pair(self):
@@ -103,9 +104,25 @@ class TestClosure:
             del realized[lb]
         odd = frozenset({w_label(H(1)), w_label(H(-1))})
         with pytest.raises(NotClosed) as exc:
-            bracket_tables(realized, odd)
+            realized_tables(realized, odd)
         assert exc.value.pair == (w_label(H(1)), w_label(H(-1)))
         assert not exc.value.residual.is_zero()
+
+
+class TestDerivedFacts:
+    """An enlarged basis derives its ranks and its tables itself, each
+    on first use."""
+
+    def test_dims_need_no_table(self, fresh_caches, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("Leibniz tables built")
+        monkeypatch.setattr(cgaosc.enlarged, "_leibniz_tables", refuse)
+        assert free_enlarged(H(3)).dims == expected_dims(H(3))[:2]
+
+    def test_closure_tables_are_the_basis_tables(self):
+        basis = build_enlarged(free_span(H(1)))
+        tables = basis.tables
+        assert closure_tables(basis) is tables
 
 
 class TestLeibnizDerivation:
@@ -119,13 +136,13 @@ class TestLeibnizDerivation:
     def test_matches_the_realized_route(self, chart, ell):
         gens = (free_generators(ell) if chart == "free"
                 else osc_generators(ell, chart))
-        basis = build_enlarged(gens, ell)
-        assert closure_tables(basis) == bracket_tables(
+        basis = build_enlarged(SpanBasis(gens))
+        assert closure_tables(basis) == realized_tables(
             basis.realized, frozenset(basis.odd))
         assert basis.dims == expected_dims(ell)[:2]
 
     def test_brackets_only_cga_pairs(self, monkeypatch):
-        basis = build_enlarged(free_generators(H(5)), H(5))
+        basis = build_enlarged(SpanBasis(free_generators(H(5))))
         cga = [op for lb, op in basis.realized.items() if lb[0] != "ww"]
         counts = Counter()
         for module in (cgaosc.weyl, cgaosc.realizations):
@@ -135,10 +152,10 @@ class TestLeibnizDerivation:
                 return _fn(a, b, kind)
             monkeypatch.setattr(module, "bracket", counted)
         closure_tables(basis)
-        # one commutator per pair of CGA labels, and one [z0, g] per CGA
-        # label for its degree; none on a w{i,j}
+        # one commutator per pair of CGA labels, none on a w{i,j}; the
+        # [z0, g] that gives each label its degree ran with the span
         n = len(cga)
-        assert counts == {"cga": n * (n - 1) // 2 + n}
+        assert counts == {"cga": n * (n - 1) // 2}
 
     @pytest.mark.parametrize("chart,ell", [
         ("free", H(3)), ("free", H(7)), ("section7", H(5)),
@@ -150,10 +167,9 @@ class TestLeibnizDerivation:
         # product or negation runs
         gens = (free_generators(ell) if chart == "free"
                 else osc_generators(ell, chart))
-        basis = build_enlarged(gens, ell)
-        cga = SpanBasis({lb: op for lb, op in basis.realized.items()
-                         if lb[0] != "ww"}).table
-        oracle = bracket_tables(basis.realized, frozenset(basis.odd))
+        basis = build_enlarged(SpanBasis(gens))
+        basis.span.table  # built before the patches below
+        oracle = realized_tables(basis.realized, frozenset(basis.odd))
 
         def refused(*args):
             raise AssertionError("scalar arithmetic in the derivation")
@@ -163,7 +179,7 @@ class TestLeibnizDerivation:
                            (LinComb, ("__add__", "__neg__"))):
             for name in names:
                 monkeypatch.setattr(cls, name, refused)
-        assert _leibniz_tables(basis, cga) == oracle
+        assert _leibniz_tables(basis) == oracle
 
     def test_doubled_cga_entry_fails_verify_closure(self, monkeypatch,
                                                     capsys):
@@ -179,7 +195,7 @@ class TestLeibnizDerivation:
             return [x.scale(2) for x in xs] if b == target.terms else xs
 
         monkeypatch.setattr(SpanSolver, "solve", doubled)
-        basis = build_enlarged(gens, H(3))
+        basis = build_enlarged(SpanBasis(gens))
         monkeypatch.setattr(cli, "free_enlarged", lambda ell: basis)
         assert cli.main(["verify", "closure", "--ell", "3/2"]) == 1
         out = capsys.readouterr().out
@@ -191,15 +207,12 @@ class TestLeibnizDerivation:
         # a z0 term in [w_k, w_i] keeps the pair's parity, so only the
         # span{w} + Q(c)c check sees it
         pair = (w_label(H(3)), w_label(H(-3)))
-
-        def corrupted(*args, **kwargs):
-            plain, graded = bracket_tables(*args, **kwargs)
-            entries = dict(plain.entries)
-            entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO, coef)
-            return StructureTable(plain.labels, entries), graded
-
-        monkeypatch.setattr(cgaosc.realizations, "bracket_tables", corrupted)
-        basis = build_enlarged(free_generators(H(3)), H(3))
+        span = SpanBasis(free_generators(H(3)))
+        entries = dict(span.table.entries)
+        entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO, coef)
+        monkeypatch.setattr(span, "table",
+                            StructureTable(span.table.labels, entries))
+        basis = build_enlarged(span)
         with pytest.raises(GradingViolation) as exc:
             closure_tables(basis)
         return str(exc.value)
@@ -219,7 +232,7 @@ class TestLeibnizDerivation:
             "(1/4 + -5/3*c)*z0 + (-3)*c")
 
     def test_dependent_realized_set_refused(self, monkeypatch, capsys):
-        basis = build_enlarged(free_generators(H(5)), H(5))
+        basis = build_enlarged(SpanBasis(free_generators(H(5))))
         realized = basis.realized
         realized[ww_label(H(5), H(-5))] = (realized[ww_label(H(1), H(-1))]
                                            + realized[ww_label(H(3), H(-3))])
@@ -535,13 +548,18 @@ class TestDuality:
     ], ids=["plain-ww-ww", "graded-w-w"])
     def test_open_sector_raises(self, monkeypatch, capsys, table, pair,
                                 sector):
-        basis = build_enlarged(free_generators(H(3)), H(3))
-        tables = list(closure_tables(basis))
-        entries = dict(tables[table].entries)
-        entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
-        tables[table] = StructureTable(basis.labels, entries,
-                                       tables[table].odd)
-        basis.tables = tuple(tables)
+        derive = cgaosc.enlarged._leibniz_tables
+
+        def corrupted(basis):
+            tables = list(derive(basis))
+            entries = dict(tables[table].entries)
+            entries[pair] = entries[pair] + AlgebraElement.of(Z_ZERO)
+            tables[table] = StructureTable(basis.labels, entries,
+                                           tables[table].odd)
+            return tuple(tables)
+
+        monkeypatch.setattr(cgaosc.enlarged, "_leibniz_tables", corrupted)
+        basis = build_enlarged(free_span(H(3)))
         with pytest.raises(GradingViolation) as exc:
             duality_report(basis)
         msg = str(exc.value)

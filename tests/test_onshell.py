@@ -14,9 +14,10 @@ from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import (_multiplier_candidate, certify_onshell,
                             cross_relations, omega0_free, omega0_osc,
                             omega1_free, omega1_osc, solve_omega1)
-from cgaosc.realizations import (AlgebraElement, C_LABEL, Z_MINUS, Z_PLUS,
-                                 Z_ZERO, free_generators, label_sort_key,
-                                 label_str, osc_generators, w_label, ww_label)
+from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis, Z_MINUS,
+                                 Z_PLUS, Z_ZERO, free_generators,
+                                 label_sort_key, label_str, osc_generators,
+                                 w_label, ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import Chart, WeylOp, degree_of
 
@@ -27,7 +28,7 @@ ELLS = [H(1), H(3), H(5), H(7), H(9)]
 def all_labels_certificate(omega, gens):
     """The oracle: [g, omega] as an operator bracket for every label of
     the realized enlarged basis over gens, in label order."""
-    realized = build_enlarged(gens, omega.chart.ell).realized
+    realized = build_enlarged(SpanBasis(gens)).realized
     z0 = realized[Z_ZERO]
     d_omega = degree_of(omega, z0)
     table = {}

@@ -114,16 +114,25 @@ def test_spectrum_matches_the_benchmark_reference():
 
 
 def _definitions(tree):
-    """Every top-level function and class of a module, and every
-    non-dunder method of its classes."""
+    """(name, node) of every top-level function, class and non-dunder
+    name assignment of a module, and of every non-dunder method of its
+    classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("__")):
-                    yield item
+                    yield item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not name.id.startswith("__")):
+                        yield name.id, node
 
 
 def _mentions(tree):
@@ -143,9 +152,9 @@ def _mentions(tree):
 
 
 def test_no_dead_helpers():
-    # each definition in the package is named somewhere outside its own
-    # body, in the package or the benchmark; a test alone does not keep
-    # a definition alive
+    # each definition in the package, a module-level name included, is
+    # named somewhere outside its own body, in the package or the
+    # benchmark; a test alone does not keep a definition alive
     files = [p for d in ("src", "perfbench")
              for p in sorted((ROOT / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
@@ -154,13 +163,30 @@ def test_no_dead_helpers():
     for path in files:
         if path.parent != ROOT / "src" / "cgaosc":
             continue
-        for node in _definitions(trees[path]):
+        for defined, node in _definitions(trees[path]):
             lines = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and (p != path or line not in lines)
+            if not any(name == defined and (p != path or line not in lines)
                        for p, found in mentions.items()
                        for name, line in found):
-                dead.append(f"{path.name}:{node.lineno} {node.name}")
+                dead.append(f"{path.name}:{node.lineno} {defined}")
     assert not dead
+
+
+def test_bracket_oracle_shares_no_code_with_the_derivation():
+    # the realized-bracket oracle of the enlarged tables lives with the
+    # tests and imports nothing of the Leibniz derivation it checks
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text())
+    assert "realized_tables" in {node.name for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module, *(f"{node.module}.{alias.name}"
+                                        for alias in node.names)}
+    assert not {name for name in imported
+                if name.startswith("cgaosc.enlarged")}
 
 
 # The methods that several package classes define, with those classes.

@@ -1,15 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cgaosc import weyl
+from cgaosc import realizations, weyl
 from cgaosc.errors import BadEll, NotClosed
 from cgaosc.onshell import omega0_free, omega0_osc, omega1_free, omega1_osc
 from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis, Z_MINUS,
                                  Z_PLUS, Z_ZERO, _osc_generators,
-                                 extract_structure, free_generators,
-                                 free_span, label_str, osc_generators,
-                                 w_indices, w_label, ww_label)
+                                 free_generators, free_span, label_str,
+                                 osc_generators, w_indices, w_label,
+                                 ww_label)
 from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import hamiltonian
 from cgaosc.weyl import WeylOp, degree_of
@@ -32,7 +33,7 @@ def table(request):
         gens = free_generators(H(3))
     else:
         gens = osc_generators(H(3), "section7")
-    return extract_structure(gens)
+    return SpanBasis(gens).table
 
 
 class TestThreeHalfTable:
@@ -88,8 +89,8 @@ class TestThreeHalfTable:
 class TestClosureAllEll:
     @pytest.mark.parametrize("ell", ELLS, ids=str)
     def test_both_charts_closed_and_isomorphic(self, ell):
-        free = extract_structure(free_generators(ell))
-        osc = extract_structure(osc_generators(ell, "section7"))
+        free = SpanBasis(free_generators(ell)).table
+        osc = SpanBasis(osc_generators(ell, "section7")).table
         assert free == osc
 
     @pytest.mark.parametrize("ell", ELLS, ids=str)
@@ -125,12 +126,36 @@ class TestClosureAllEll:
                     == CScalar.from_rational(at_threehalf[j.twice])
 
 
+class TestPlainTable:
+    def test_one_table_of_commutators(self, monkeypatch):
+        # SpanBasis.table builds one StructureTable, from one commutator
+        # per pair of labels and no anticommutator
+        span = SpanBasis(free_generators(H(3)))
+        built, kinds = [], Counter()
+        structure_table, bracket = realizations.StructureTable, weyl.bracket
+
+        def counted_table(*args):
+            built.append(args)
+            return structure_table(*args)
+
+        def counted_bracket(a, b, kind):
+            kinds[kind] += 1
+            return bracket(a, b, kind)
+
+        monkeypatch.setattr(realizations, "StructureTable", counted_table)
+        monkeypatch.setattr(realizations, "bracket", counted_bracket)
+        span.table
+        n = len(span.gens)
+        assert len(built) == 1
+        assert kinds == {weyl.COMMUTATOR: n * (n - 1) // 2}
+
+
 class TestErrorsAndLabels:
     def test_not_closed(self):
         gens = free_generators(H(1))
         del gens[w_label(H(-1))]
         with pytest.raises(NotClosed):
-            extract_structure(gens)
+            SpanBasis(gens).table
 
     def test_bad_ell(self):
         with pytest.raises(BadEll):
@@ -147,10 +172,10 @@ class TestErrorsAndLabels:
             "w{-1/2,-3/2}"]
 
     def test_different_ell_tables_differ(self):
-        a = extract_structure(free_generators(H(1)))
-        b = extract_structure(free_generators(H(3)))
+        a = SpanBasis(free_generators(H(1))).table
+        b = SpanBasis(free_generators(H(3))).table
         assert a != b
-        assert a == extract_structure(free_generators(H(1)))
+        assert a == SpanBasis(free_generators(H(1))).table
 
 
 class TestPerProcessBuild:
@@ -184,6 +209,12 @@ class TestPerProcessBuild:
             assert all(second[lb] is first[lb] for lb in first)
         else:
             assert second is first
+
+    def test_shared_free_generators_are_read_only(self):
+        gens = free_span(H(3)).gens
+        with pytest.raises(TypeError):
+            gens[Z_PLUS] = gens[Z_ZERO]
+        assert gens[Z_PLUS] == free_generators(H(3))[Z_PLUS]
 
     def test_edited_result_leaves_next_call_whole(self):
         first = osc_generators(H(3))

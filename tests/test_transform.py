@@ -5,15 +5,14 @@ import pytest
 
 from conftest import random_cscalar
 import cgaosc.enlarged
-import cgaosc.realizations
 import cgaosc.transform
 from cgaosc import cli
 from cgaosc.enlarged import free_enlarged
 from cgaosc.errors import Mismatch, NormalizationUnavailable
 from cgaosc.funcspace import GaussFunc, apply_op
 from cgaosc.onshell import omega0_free, omega0_osc, omega1_free
-from cgaosc.realizations import (AlgebraElement, C_LABEL, StructureTable,
-                                 Z_MINUS, Z_PLUS, Z_ZERO, bracket_tables,
+from cgaosc.realizations import (AlgebraElement, C_LABEL, SpanBasis,
+                                 StructureTable, Z_MINUS, Z_PLUS, Z_ZERO,
                                  delta, free_generators, free_span,
                                  osc_generators, w_label)
 from cgaosc.scalars import CScalar, HalfInt
@@ -40,19 +39,18 @@ def change_of_variables(f: GaussFunc, ell: HalfInt) -> GaussFunc:
 
 
 def corrupt_osc_table(monkeypatch, pair, entry):
-    """Make extract_structure give the oscillator table entry(table) at
+    """Make certify_transform read the oscillator table entry(table) at
     pair, leaving the free table as it is."""
-    extract = cgaosc.transform.extract_structure
-
     def corrupted(gens):
-        table = extract(gens)
+        span = SpanBasis(gens)
         if next(iter(gens.values())).chart.kind == "osc":
+            table = span.table
             entries = dict(table.entries)
             entries[pair] = entry(table)
-            table = StructureTable(table.labels, entries, table.odd)
-        return table
+            span.table = StructureTable(table.labels, entries, table.odd)
+        return span
 
-    monkeypatch.setattr(cgaosc.transform, "extract_structure", corrupted)
+    monkeypatch.setattr(cgaosc.transform, "SpanBasis", corrupted)
 
 
 class TestCertification:
@@ -124,12 +122,14 @@ class TestSharedFreeTable:
     def test_verify_all_brackets_the_free_generators_once(self, monkeypatch,
                                                           capsys):
         charts = []
+        table = vars(SpanBasis)["table"]
+        build = table.func
 
-        def counted(realized, *args, **kwargs):
-            charts.append(next(iter(realized.values())).chart.kind)
-            return bracket_tables(realized, *args, **kwargs)
+        def counted(span):
+            charts.append(span.chart.kind)
+            return build(span)
 
-        monkeypatch.setattr(cgaosc.realizations, "bracket_tables", counted)
+        monkeypatch.setattr(table, "func", counted)
         free_span.cache_clear()
         free_enlarged.cache_clear()
         assert cli.main(["verify", "all", "--ell", "3/2"]) == 0
