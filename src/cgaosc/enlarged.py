@@ -5,6 +5,7 @@ Z2-graded algebra on the very same realized operators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
@@ -166,8 +167,8 @@ def _leibniz_tables(basis: EnlargedBasis
               if not set(pair) <= odd}
     graded.update({(a, b): AlgebraElement.of(ww[a, b])
                    for i, a in enumerate(basis.odd) for b in basis.odd[i:]})
-    return (StructureTable(labels, plain),
-            StructureTable(labels, graded, odd))
+    plain_table = StructureTable(labels, plain)
+    return plain_table, StructureTable(labels, graded, odd, plain_table)
 
 
 # -- Jacobi verification on extracted tables --------------------------------
@@ -187,58 +188,93 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
     of table.odd; graded says which table the caller means, and a table
     whose grading disagrees raises GradingViolation.
 
-    The sums walk only the nonzero brackets, as (label, c-power,
-    numerator) over the table-wide denominator D: for each pair a <= b,
-    one sum keyed (d, label, c-power) over every d >= b, so any Laurent
-    coefficient is checked exactly.  Returns n^3; raises JacobiFailure at
-    the first sorted triple with a nonzero residual lhs - rhs (over D^2)."""
-    labels, odd = table.labels, table.odd
-    if graded != bool(odd):
+    A graded table with a plain twin needs its entries off the odd-odd
+    pairs to be the twin's (GradingViolation names the first pair that
+    differs) and the twin to pass; its residuals then differ from the
+    twin's only at triples with two or three odd labels, and only those
+    are walked.  A pass is kept per table, a failure never.  Returns
+    n^3; raises JacobiFailure at the first failing sorted triple."""
+    if graded != bool(table.odd):
         raise GradingViolation(f"graded={graded} but the table's odd labels "
-                               f"are {sorted(odd, key=label_sort_key)}")
+                               f"are {sorted(table.odd, key=label_sort_key)}")
+    twin = table.plain if graded else None
+    if twin is not None and not table.jacobi_passed:
+        pos, entries = table.position, table.entries
+        differ = [(pos[a], pos[b]) for a, b in entries.keys() | twin.entries
+                  if not table.odd >= {a, b}
+                  and entries.get((a, b)) != twin.entries.get((a, b))]
+        if differ:
+            a, b = (table.labels[k] for k in min(differ))
+            raise GradingViolation(
+                f"graded bracket ({label_str(a)}, {label_str(b)}) differs "
+                f"from the plain one: {table.bracket(a, b)!r}")
+    for tab, min_odd in ([(table, 0)] if twin is None else
+                         [(twin, 0), (table, 2)]):
+        if not tab.jacobi_passed:
+            _walk(tab, min_odd)
+            tab.jacobi_passed = True
+    return len(table.labels) ** 3
+
+
+def _walk(table: StructureTable, min_odd: int) -> None:
+    """Raise JacobiFailure at the first sorted triple a <= b <= d with at
+    least min_odd odd labels and a nonzero residual (over D^2, D the
+    table's denominator).  Per pair a <= b one sum, keyed by the int
+    d*N + label*K + c-power - 2 lo, reads the rows sorted by d from the
+    first d >= b, so any Laurent coefficient is checked exactly."""
+    labels, odd, pos = table.labels, table.odd, table.position
+    n = len(labels)
     den = lcm(*(q.denominator for elem in table.entries.values()
                 for cs in elem.terms.values() for q in cs.terms.values()))
-    pos = table.position
+    ks = {k for elem in table.entries.values()
+          for cs in elem.terms.values() for k in cs.terms} or {0}
+    lo, big_k = min(ks), 2 * (max(ks) - min(ks)) + 1
+    big_n = n * big_k
+    # ad[x][d] = [x, d} as (d*N + e*K + c-power - lo, label e, numerator)
     ad: List[Dict[int, tuple]] = [{} for _ in labels]
     for (a, b), elem in table.entries.items():
-        row = tuple((pos[lb], k, q.numerator * (den // q.denominator))
-                    for lb, cs in elem.terms.items()
-                    for k, q in cs.terms.items())
-        ad[pos[a]][pos[b]] = row
-        if a != b:  # the sign bracket(b, a) gives the mirrored entry
-            ad[pos[b]][pos[a]] = (row if a in odd and b in odd else
-                                  tuple((e, k, -q) for e, k, q in row))
-    n = len(labels)
+        row = [(pos[lb] * big_k + k - lo, pos[lb],
+                q.numerator * (den // q.denominator))
+               for lb, cs in elem.terms.items() for k, q in cs.terms.items()]
+        x, d = pos[a], pos[b]
+        ad[x][d] = tuple([(d * big_n + v, e, q) for v, e, q in row])
+        if a != b:  # the sign of bracket(b, a) gives the mirrored entry
+            s = 1 if a in odd and b in odd else -1
+            ad[d][x] = tuple([(x * big_n + v, e, s * q) for v, e, q in row])
+    is_odd = [lb in odd for lb in labels]
+    # per x, the terms of ad[x] in order of d: at every d, at the odd d
+    scans = [[[t for d in sorted(row) if keep[d] for t in row[d]]
+              for row in ad] for keep in ([True] * n, is_odd)]
     for i in range(n):
         for j in range(i, n):
-            sign = -1 if labels[i] in odd and labels[j] in odd else 1
-            acc: Dict[tuple, int] = {}
+            m = is_odd[i] + is_odd[j]
+            if m < min_odd - 1:
+                continue
+            rows, acc, sign = scans[m < min_odd], {}, -1 if m == 2 else 1
+            start = (j * big_n,)  # sorts before every term at d >= j
             # [[a,b},d}, then -[a,[b,d}} and sign * [b,[a,d}}
-            for e, ke, qe in ad[i].get(j, ()):
-                for d, row in ad[e].items():
-                    if d >= j:
-                        for lb, k, q in row:
-                            key = (d, lb, ke + k)
-                            acc[key] = acc.get(key, 0) + qe * q
-            for outer, inner, s in ((ad[j], ad[i], -1),
-                                    (ad[i], ad[j], sign)):
-                for d, row in outer.items():
-                    if d >= j:
-                        for e, ke, qe in row:
-                            qe *= s
-                            for lb, k, q in inner.get(e, ()):
-                                key = (d, lb, ke + k)
-                                acc[key] = acc.get(key, 0) + qe * q
-            d = min((key[0] for key, v in acc.items() if v), default=None)
-            if d is not None:
+            for v, e, qe in ad[i].get(j, ()):
+                terms, v = rows[e], v - (j * big_n + e * big_k)
+                for u, _, q in terms[bisect_left(terms, start):]:
+                    acc[v + u] = acc.get(v + u, 0) + qe * q
+            for x, inner, s in ((j, ad[i], -1), (i, ad[j], sign)):
+                terms = rows[x]
+                for v, e, qe in terms[bisect_left(terms, start):]:
+                    row = inner.get(e)
+                    if row:
+                        v, qe = v - e * (big_k + big_n), s * qe
+                        for u, _, q in row:
+                            acc[v + u] = acc.get(v + u, 0) + qe * q
+            if any(acc.values()):
+                d = min(key for key, v in acc.items() if v) // big_n
                 res: Dict[GenLabel, dict] = {}
-                for (dd, lb, k), v in acc.items():
-                    if dd == d:
-                        res.setdefault(labels[lb], {})[k] = v
+                for key, v in acc.items():
+                    if key // big_n == d:
+                        lb, k = divmod(key - d * big_n, big_k)
+                        res.setdefault(labels[lb], {})[k + 2 * lo] = v
                 raise JacobiFailure((labels[i], labels[j], labels[d]),
                                     AlgebraElement(from_raw(res, den * den)),
-                                    "graded" if graded else "plain")
-    return n ** 3
+                                    "graded" if odd else "plain")
 
 
 def _check_sector(table: StructureTable, sector: List[GenLabel],

@@ -331,16 +331,24 @@ class StructureTable:
     odd.  BadTableEntry refuses an odd label off the table and an entry
     out of label order or off the table, GradingViolation an entry
     outside its pair's parity sector (odd iff exactly one label is odd)
-    or on an even diagonal."""
+    or on an even diagonal.  A graded table may carry plain, its plain
+    twin on the same labels, refused by GradingViolation if graded and by
+    BadTableEntry on other labels; check_jacobi sets jacobi_passed once
+    the table passes.  Neither takes part in equality."""
 
-    def __init__(self, labels, entries, odd=frozenset()):
-        self.labels = sorted(labels, key=label_sort_key)
+    def __init__(self, labels, entries, odd=frozenset(), plain=None):
+        self.labels = tuple(sorted(labels, key=label_sort_key))
         self.odd = frozenset(odd)
         self.position = known = {lb: i for i, lb in enumerate(self.labels)}
         stray = self.odd - known.keys()
         if stray:
             raise BadTableEntry("odd labels outside the table: "
                                 f"{sorted(stray, key=str)}")
+        if plain is not None and plain.odd:
+            raise GradingViolation("the plain twin has odd labels")
+        if plain is not None and plain.labels != self.labels:
+            raise BadTableEntry("the plain twin has other labels")
+        self.plain, self.jacobi_passed = plain, False
         for (a, b), elem in entries.items():
             unknown = [lb for lb in (a, b, *elem.terms) if lb not in known]
             if unknown:

@@ -472,6 +472,128 @@ class TestJacobiGuards:
             StructureTable(table.labels, entries, table.odd)
 
 
+class TestJacobiTwin:
+    """A graded table that carries its plain twin is certified by a
+    sharing check, the twin's walk and a walk of the triples with at
+    least two odd labels; a lone table is walked in full."""
+
+    @staticmethod
+    def _twin_bearing(ell, pair, scale):
+        """The graded table at ell, on a fresh basis, with the entry of
+        pair scaled (dropped for scale 0), still carrying the plain twin."""
+        plain, graded = closure_tables(build_enlarged(free_span(ell)))
+        entries = dict(graded.entries)
+        entries[pair] = entries[pair].scaled(CScalar.from_rational(scale))
+        if not entries[pair].terms:
+            del entries[pair]
+        return plain, StructureTable(graded.labels, entries, graded.odd,
+                                     plain)
+
+    @pytest.mark.parametrize("scale", [2, 0], ids=["doubled", "dropped"])
+    def test_shared_entry_must_be_the_plain_one(self, scale):
+        pair = (Z_PLUS, w_label(H(1)))
+        plain, bad = self._twin_bearing(H(3), pair, scale)
+        with pytest.raises(GradingViolation) as exc:
+            check_jacobi(bad, graded=True)
+        assert f"({label_str(pair[0])}, {label_str(pair[1])})" in str(
+            exc.value)
+        # a second differing pair earlier in label order is named first
+        entries = dict(bad.entries)
+        first = (Z_PLUS, Z_ZERO)
+        entries[first] = entries[first].scaled(CScalar.from_rational(3))
+        worse = StructureTable(bad.labels, entries, bad.odd, plain)
+        with pytest.raises(GradingViolation, match=r"\(z\+1, z0\)"):
+            check_jacobi(worse, graded=True)
+        # the lone table walks in full and fails the Jacobi identity
+        with pytest.raises(JacobiFailure):
+            check_jacobi(StructureTable(bad.labels, bad.entries, bad.odd),
+                         graded=True)
+
+    def test_every_doubled_odd_odd_entry_fails_threehalf(self):
+        plain, graded = closure_tables(free_enlarged(H(3)))
+        pairs = [pair for pair in graded.entries if set(pair) <= graded.odd]
+        for pair in pairs:
+            entries = dict(graded.entries)
+            entries[pair] = entries[pair].scaled(CScalar.from_rational(2))
+            bad = StructureTable(graded.labels, entries, graded.odd, plain)
+            with pytest.raises(JacobiFailure) as exc:
+                check_jacobi(bad, graded=True)
+            assert exc.value.residual == _residual(bad, *exc.value.triple)
+            # the walk of the lone table names the same first triple
+            with pytest.raises(JacobiFailure) as full:
+                check_jacobi(StructureTable(graded.labels, entries,
+                                            graded.odd), graded=True)
+            assert full.value.triple == exc.value.triple
+            assert full.value.residual == exc.value.residual
+        assert len(pairs) == 10
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["lone", "twin"])
+    def test_a_failure_is_not_remembered(self, twin):
+        pair = (w_label(H(1)), w_label(H(-1)))
+        plain, bad = self._twin_bearing(H(3), pair, 2)
+        if not twin:
+            bad = StructureTable(bad.labels, bad.entries, bad.odd)
+        for _ in range(2):
+            with pytest.raises(JacobiFailure):
+                check_jacobi(bad, graded=True)
+        assert not bad.jacobi_passed
+
+    @pytest.mark.parametrize("first", ["plain", "graded"])
+    def test_plain_walked_once_graded_on_two_odd_labels(self, monkeypatch,
+                                                         first):
+        walks = []
+        walk = cgaosc.enlarged._walk
+
+        def counted(table, min_odd):
+            walks.append((table.odd, min_odd))
+            return walk(table, min_odd)
+        monkeypatch.setattr(cgaosc.enlarged, "_walk", counted)
+        plain, graded = closure_tables(build_enlarged(free_span(H(3))))
+        n = len(plain.labels)
+        order = [(plain, False), (graded, True)]
+        for table, flag in (order if first == "plain" else order[::-1]) * 2:
+            assert check_jacobi(table, graded=flag) == n ** 3
+        assert walks == [(frozenset(), 0), (graded.odd, 2)]
+        assert graded.plain is plain and plain.plain is None
+
+    # the walk with min_odd=2 fails exactly where the oracle first fails
+    # among the sorted triples with at least two odd labels
+    def test_restricted_walk_on_every_doubled_entry_threehalf(self):
+        graded = closure_tables(free_enlarged(H(3)))[1]
+        triples = [t for t in combinations_with_replacement(graded.labels, 3)
+                   if sum(x in graded.odd for x in t) >= 2]
+        for pair, elem in graded.entries.items():
+            entries = dict(graded.entries)
+            entries[pair] = elem.scaled(CScalar.from_rational(2))
+            bad = StructureTable(graded.labels, entries, graded.odd)
+            failing = [t for t in triples if not _residual(bad, *t).is_zero()]
+            if not failing:
+                cgaosc.enlarged._walk(bad, 2)
+                continue
+            with pytest.raises(JacobiFailure) as exc:
+                cgaosc.enlarged._walk(bad, 2)
+            assert exc.value.triple == failing[0]
+            assert exc.value.residual == _residual(bad, *failing[0])
+
+    @pytest.mark.parametrize("labels", [TestJacobiReduction.LABELS, [
+        w_label(H(1)), w_label(H(-1)), C_LABEL, ww_label(H(1), H(1)),
+        ww_label(H(1), H(-1))]], ids=["z-first", "w-first"])
+    def test_restricted_walk_covers_two_odd_labels(self, labels):
+        rng = random.Random(79)
+        for _ in range(12):
+            table = _random_table(rng, labels, True)
+            failing = [t for t in combinations_with_replacement(labels, 3)
+                       if sum(x in table.odd for x in t) >= 2
+                       and not _residual(table, *t).is_zero()]
+            if not failing:
+                cgaosc.enlarged._walk(table, 2)
+                continue
+            with pytest.raises(JacobiFailure) as exc:
+                cgaosc.enlarged._walk(table, 2)
+            assert exc.value.triple == failing[0]
+            assert exc.value.residual == _residual(table, *failing[0])
+
+
 class TestStructureTable:
     def test_entries_are_read_only(self):
         table = closure_tables(free_enlarged(H(1)))[1]
@@ -495,6 +617,25 @@ class TestStructureTable:
                    for pair in graded.entries
                    if not set(pair) <= graded.odd)
 
+
+    def test_labels_are_read_only(self):
+        plain, graded = closure_tables(free_enlarged(H(1)))
+        assert isinstance(graded.labels, tuple)
+        with pytest.raises(TypeError):
+            graded.labels[0] = C_LABEL
+        # neither the twin nor a remembered pass takes part in equality
+        lone = StructureTable(graded.labels, graded.entries, graded.odd)
+        check_jacobi(graded, graded=True)
+        assert lone == graded and lone.plain is None
+        assert not lone.jacobi_passed and graded.jacobi_passed
+
+    def test_twin_must_be_plain_on_the_same_labels(self):
+        plain, graded = closure_tables(free_enlarged(H(1)))
+        with pytest.raises(GradingViolation, match=r"plain twin"):
+            StructureTable(graded.labels, graded.entries, graded.odd, graded)
+        other = closure_tables(free_enlarged(H(3)))[0]
+        with pytest.raises(BadTableEntry, match=r"plain twin"):
+            StructureTable(graded.labels, graded.entries, graded.odd, other)
 
     def test_entry_out_of_label_order_refused(self):
         # (z-1, z+1) is keyed against label order, so bracket() would
