@@ -8,6 +8,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import Dict, List, Tuple
 
@@ -188,21 +189,19 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
     of table.odd; graded says which table the caller means, and a table
     whose grading disagrees raises GradingViolation.
 
-    A graded table with a plain twin needs its entries off the odd-odd
-    pairs to be the twin's (GradingViolation names the first pair that
-    differs) and the twin to pass; its residuals then differ from the
-    twin's only at triples with two or three odd labels, and only those
-    are walked.  A pass is kept per table, a failure never.  Returns
-    n^3; raises JacobiFailure at the first failing sorted triple."""
+    A graded table with its plain twin (table.plain) needs the twin's
+    entries off the odd-odd pairs and the twin's pass, and is walked only
+    on triples with two or three odd labels.  A pass is kept per table.
+    Returns n^3; raises JacobiFailure at the first failing sorted triple."""
     if graded != bool(table.odd):
         raise GradingViolation(f"graded={graded} but the table's odd labels "
                                f"are {sorted(table.odd, key=label_sort_key)}")
     twin = table.plain if graded else None
     if twin is not None and not table.jacobi_passed:
-        pos, entries = table.position, table.entries
-        differ = [(pos[a], pos[b]) for a, b in entries.keys() | twin.entries
-                  if not table.odd >= {a, b}
-                  and entries.get((a, b)) != twin.entries.get((a, b))]
+        pos, mine, theirs = table.position, table.entries, twin.entries
+        differ = [(pos[a], pos[b]) for a, b in mine.keys() | theirs
+                  if mine.get((a, b)) != theirs.get((a, b))
+                  and not {a, b} <= table.odd]
         if differ:
             a, b = (table.labels[k] for k in min(differ))
             raise GradingViolation(
@@ -219,62 +218,56 @@ def check_jacobi(table: StructureTable, graded: bool) -> int:
 def _walk(table: StructureTable, min_odd: int) -> None:
     """Raise JacobiFailure at the first sorted triple a <= b <= d with at
     least min_odd odd labels and a nonzero residual (over D^2, D the
-    table's denominator).  Per pair a <= b one sum, keyed by the int
-    d*N + label*K + c-power - 2 lo, reads the rows sorted by d from the
-    first d >= b, so any Laurent coefficient is checked exactly."""
+    table's denominator); any Laurent coefficient is checked exactly."""
     labels, odd, pos = table.labels, table.odd, table.position
-    n = len(labels)
     den = lcm(*(q.denominator for elem in table.entries.values()
                 for cs in elem.terms.values() for q in cs.terms.values()))
-    ks = {k for elem in table.entries.values()
-          for cs in elem.terms.values() for k in cs.terms} or {0}
-    lo, big_k = min(ks), 2 * (max(ks) - min(ks)) + 1
-    big_n = n * big_k
-    # ad[x][d] = [x, d} as (d*N + e*K + c-power - lo, label e, numerator)
+    top = max((abs(k) for elem in table.entries.values()
+               for cs in elem.terms.values() for k in cs.terms), default=0)
+    big_k, big_n = 4 * top + 1, len(labels) * (4 * top + 1)
+    # ad[x][d] = [x, d} as (d*N + e*K + c-power + top, label e, numerator)
     ad: List[Dict[int, tuple]] = [{} for _ in labels]
     for (a, b), elem in table.entries.items():
-        row = [(pos[lb] * big_k + k - lo, pos[lb],
+        row = [(pos[lb] * big_k + k + top, pos[lb],
                 q.numerator * (den // q.denominator))
                for lb, cs in elem.terms.items() for k, q in cs.terms.items()]
         x, d = pos[a], pos[b]
         ad[x][d] = tuple([(d * big_n + v, e, q) for v, e, q in row])
         if a != b:  # the sign of bracket(b, a) gives the mirrored entry
-            s = 1 if a in odd and b in odd else -1
+            s = 1 if {a, b} <= odd else -1
             ad[d][x] = tuple([(x * big_n + v, e, s * q) for v, e, q in row])
     is_odd = [lb in odd for lb in labels]
     # per x, the terms of ad[x] in order of d: at every d, at the odd d
     scans = [[[t for d in sorted(row) if keep[d] for t in row[d]]
-              for row in ad] for keep in ([True] * n, is_odd)]
-    for i in range(n):
-        for j in range(i, n):
-            m = is_odd[i] + is_odd[j]
-            if m < min_odd - 1:
-                continue
-            rows, acc, sign = scans[m < min_odd], {}, -1 if m == 2 else 1
-            start = (j * big_n,)  # sorts before every term at d >= j
-            # [[a,b},d}, then -[a,[b,d}} and sign * [b,[a,d}}
-            for v, e, qe in ad[i].get(j, ()):
-                terms, v = rows[e], v - (j * big_n + e * big_k)
-                for u, _, q in terms[bisect_left(terms, start):]:
-                    acc[v + u] = acc.get(v + u, 0) + qe * q
-            for x, inner, s in ((j, ad[i], -1), (i, ad[j], sign)):
-                terms = rows[x]
-                for v, e, qe in terms[bisect_left(terms, start):]:
-                    row = inner.get(e)
-                    if row:
-                        v, qe = v - e * (big_k + big_n), s * qe
-                        for u, _, q in row:
-                            acc[v + u] = acc.get(v + u, 0) + qe * q
-            if any(acc.values()):
-                d = min(key for key, v in acc.items() if v) // big_n
-                res: Dict[GenLabel, dict] = {}
-                for key, v in acc.items():
-                    if key // big_n == d:
-                        lb, k = divmod(key - d * big_n, big_k)
-                        res.setdefault(labels[lb], {})[k + 2 * lo] = v
-                raise JacobiFailure((labels[i], labels[j], labels[d]),
-                                    AlgebraElement(from_raw(res, den * den)),
-                                    "graded" if odd else "plain")
+              for row in ad] for keep in ([True] * len(labels), is_odd)]
+    for i, j in combinations_with_replacement(range(len(labels)), 2):
+        m = is_odd[i] + is_odd[j]
+        if m < min_odd - 1:
+            continue
+        rows, acc, sign = scans[m < min_odd], {}, -1 if m == 2 else 1
+        start = (j * big_n,)  # sorts before every term at d >= j
+        # [[a,b},d}, then -[a,[b,d}} and sign * [b,[a,d}}
+        for v, e, qe in ad[i].get(j, ()):
+            terms, v = rows[e], v - (j * big_n + e * big_k)
+            for u, _, q in terms[bisect_left(terms, start):]:
+                acc[v + u] = acc.get(v + u, 0) + qe * q
+        for x, inner, s in ((j, ad[i], -1), (i, ad[j], sign)):
+            terms = rows[x]
+            for v, e, qe in terms[bisect_left(terms, start):]:
+                row = inner.get(e)
+                if row:
+                    v, qe = v - e * (big_k + big_n), s * qe
+                    for u, _, q in row:
+                        acc[v + u] = acc.get(v + u, 0) + qe * q
+        if any(acc.values()):
+            d, res = min(key for key, v in acc.items() if v) // big_n, {}
+            for key, v in acc.items():
+                if key // big_n == d:
+                    lb, k = divmod(key - d * big_n, big_k)
+                    res.setdefault(labels[lb], {})[k - 2 * top] = v
+            raise JacobiFailure((labels[i], labels[j], labels[d]),
+                                AlgebraElement(from_raw(res, den * den)),
+                                "graded" if odd else "plain")
 
 
 def _check_sector(table: StructureTable, sector: List[GenLabel],

@@ -328,13 +328,11 @@ class StructureTable:
 
     Entries are stored read-only for pairs a <= b in label order;
     lookups apply the symmetry of an anticommutator iff both labels are
-    odd.  BadTableEntry refuses an odd label off the table and an entry
-    out of label order or off the table, GradingViolation an entry
-    outside its pair's parity sector (odd iff exactly one label is odd)
-    or on an even diagonal.  A graded table may carry plain, its plain
-    twin on the same labels, refused by GradingViolation if graded and by
-    BadTableEntry on other labels; check_jacobi sets jacobi_passed once
-    the table passes.  Neither takes part in equality."""
+    odd.  BadTableEntry refuses an odd label off the table, an entry out
+    of label order or off the table and a plain twin that is graded or
+    on other labels, GradingViolation an entry outside its pair's parity
+    sector (odd iff exactly one label is odd) or on an even diagonal.
+    The twin and jacobi_passed serve check_jacobi, not equality."""
 
     def __init__(self, labels, entries, odd=frozenset(), plain=None):
         self.labels = tuple(sorted(labels, key=label_sort_key))
@@ -344,10 +342,8 @@ class StructureTable:
         if stray:
             raise BadTableEntry("odd labels outside the table: "
                                 f"{sorted(stray, key=str)}")
-        if plain is not None and plain.odd:
-            raise GradingViolation("the plain twin has odd labels")
-        if plain is not None and plain.labels != self.labels:
-            raise BadTableEntry("the plain twin has other labels")
+        if plain is not None and (plain.odd or plain.labels != self.labels):
+            raise BadTableEntry("the plain twin is graded or on other labels")
         self.plain, self.jacobi_passed = plain, False
         for (a, b), elem in entries.items():
             unknown = [lb for lb in (a, b, *elem.terms) if lb not in known]
