@@ -16,11 +16,12 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DiagonalDependsOnC, Inconsistent, Mismatch, NotTriangular
-from .funcspace import GaussFunc, apply_op, image, prepare
+from .funcspace import (GaussFunc, apply_op, from_rows, image, prepare,
+                        to_rows)
 from .onshell import omega0_osc
 from .realizations import (Z_ZERO, convention, delta, osc_generators,
                            positive_w_indices, w_label)
-from .scalars import CScalar, HalfInt, check_half_odd, from_raw, numerators
+from .scalars import CScalar, HalfInt, check_half_odd
 from .weyl import Chart, WeylOp, conjugate
 
 
@@ -151,10 +152,11 @@ class Ladder:
     vacuum's frame.  Every state is P e^{kappa x1^2} with the vacuum's
     kappa, so lowering and h hold the lowering operators and H conjugated
     once by weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
-    funcspace.image, which reads only the integer part t / d of P.
-    parts holds the parts built so far: the vacuum's numerators, and for
-    every other state the raw image of its lowering step, unreduced;
-    vacuum() checks the raising operators once, on the Gaussian state.
+    funcspace.image, which reads only the integer part t / d of P, as
+    flat {(2mu, exponents, c-power): int} rows over d.  parts holds the
+    parts built so far: the vacuum's rows, and for every other state
+    the rows of its lowering step's image, unreduced; vacuum() checks
+    the raising operators once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where
@@ -174,7 +176,7 @@ class Ladder:
                          for j in _lowering_order(ell, normalization)]
         self.h = prepare(conjugate(hamiltonian(ell, normalization), frame))
         self.parts: Dict[Tuple[int, ...], Tuple[dict, int]] = {
-            (0,) * len(self.lowering): numerators(vac.terms)}
+            (0,) * len(self.lowering): to_rows(vac.terms)}
 
     def _build(self, n: Tuple[int, ...]) -> Tuple[dict, int]:
         """The part (t, d) of the checked multi-index n, built down the
@@ -188,7 +190,7 @@ class Ladder:
         part = self.parts[n]
         for m, i in reversed(path):
             part = image(self.lowering[i], *part)
-            if not any(q for acc in part[0].values() for q in acc.values()):
+            if not any(part[0].values()):
                 # a zero state satisfies every eigen-relation, so the
                 # eigen check cannot catch it
                 raise Mismatch(f"lowering step to n={m} gives the zero state",
@@ -201,16 +203,16 @@ class Ladder:
         its part on the vacuum's chart and kappa."""
         n = tuple(n)
         _check_multi_index(n, len(self.lowering))
-        return self.vacuum._like(from_raw(*self._build(n)))
+        return self.vacuum._like(from_rows(*self._build(n)))
 
 
 def ladder_state(ladder: Ladder, n: Sequence[int]) -> SpectrumRecord:
     """The energy of the eigenstate built by lowering operators acting on
     the vacuum, with its eigen-relation checked exactly: e^{-q} (H - E)
     e^{q} P = (conj H - E) P, with e^{q} the vacuum Gaussian and
-    conj H = ladder.h.  The residual's raw map is formed once, from the
-    one image of P's integer part t_p / d_p, and must be zero; a failing
-    Mismatch carries it.  ladder.state(n) makes the state itself.
+    conj H = ladder.h.  The residual's rows come from the one image of
+    P's rows t_p / d_p and must all be zero; a failing Mismatch carries
+    the residual.  ladder.state(n) makes the state itself.
 
     n_a counts w_{-j_a} in the order of _lowering_order of the ladder's
     (ell, normalization); the last position acts innermost."""
@@ -222,13 +224,11 @@ def ladder_state(ladder: Ladder, n: Sequence[int]) -> SpectrumRecord:
     t_r, d_r = image(ladder.h, t_p, d_p)
     e = energy * ladder.h[1]
     e = e.numerator if e.denominator == 1 else e
-    for key, acc in t_p.items():
-        out = t_r.setdefault(key, {})
-        for k, q in acc.items():
-            out[k] = out.get(k, 0) - e * q
-    if any(q for acc in t_r.values() for q in acc.values()):
+    for key, q in t_p.items():
+        t_r[key] = t_r.get(key, 0) - e * q
+    if any(t_r.values()):
         raise Mismatch(f"eigen-relation for n={n}",
-                       ladder.vacuum._like(from_raw(t_r, d_r)))
+                       ladder.vacuum._like(from_rows(t_r, d_r)))
     return SpectrumRecord(n=n, energy=energy)
 
 

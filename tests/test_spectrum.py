@@ -9,10 +9,10 @@ import cgaosc.funcspace
 import cgaosc.spectrum
 from cgaosc.errors import (BadEll, DiagonalDependsOnC, Inconsistent,
                            Mismatch, NormalizationUnavailable, NotTriangular)
-from cgaosc.funcspace import GaussFunc, apply_op, prepare
+from cgaosc.funcspace import GaussFunc, apply_op, from_rows, prepare
 from cgaosc.realizations import (Z_ZERO, convention, osc_generators,
                                  positive_w_indices, w_label)
-from cgaosc.scalars import CScalar, HalfInt, from_raw
+from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.spectrum import (ExactMatrix, Ladder, _lowering_order,
                              _multi_indices, harmonic_reduction, hamiltonian,
                              hamiltonian_m_form_expected,
@@ -184,14 +184,29 @@ class TestLadder:
         (H(5), "section7"), (H(3), "section6"),
     ], ids=str)
     def test_spectrum_builds_no_state(self, monkeypatch, ell, norm):
-        # every step and eigen check reads integer parts; Fractions are
-        # made only for a state asked for, or a failure's residual
-        def refused(*args):
-            raise AssertionError("from_raw called")
+        # every step and eigen check reads integer rows; Fractions are
+        # made only for a state asked for, or a failure's residual, and
+        # once the ladder holds the vacuum's rows no state's terms are
+        # turned back into rows
+        def refused(name):
+            def call(*args):
+                raise AssertionError(f"{name} called")
+            return call
 
-        monkeypatch.setattr(cgaosc.spectrum, "from_raw", refused)
+        init = Ladder.__init__
+
+        def built(self, *args):
+            init(self, *args)
+            for module in (cgaosc.spectrum, cgaosc.funcspace):
+                monkeypatch.setattr(module, "to_rows", refused("to_rows"))
+
+        monkeypatch.setattr(cgaosc.spectrum, "from_rows",
+                            refused("from_rows"))
+        monkeypatch.setattr(Ladder, "__init__", built)
         size = len(_lowering_order(ell, norm))
         assert len(spectrum(ell, 4, norm)) == comb(size + 4, 4)
+        with pytest.raises(AssertionError, match="to_rows called"):
+            cgaosc.spectrum.to_rows({})
 
     def test_one_ladder_state_call_per_record(self, monkeypatch):
         # perfbench's tracing counts spectrum() through this module-level
@@ -230,7 +245,7 @@ class TestLadder:
         for n in _multi_indices(size, 3):
             record = ladder_state(ladder, n)
             state = ladder.state(record.n)
-            assert state.terms == from_raw(*ladder.parts[record.n])
+            assert state.terms == from_rows(*ladder.parts[record.n])
             assert state.kappa == root.kappa
 
     def test_operators_conjugated_once_per_ladder(self, monkeypatch):
@@ -298,7 +313,7 @@ class TestLadder:
         ladder = Ladder(H(5))
         for n in _multi_indices(len(ladder.lowering), 4):
             ladder_state(ladder, n)
-        keys = {key for t, _ in ladder.parts.values() for key in t}
+        keys = {key[:2] for t, _ in ladder.parts.values() for key in t}
         columns = ladder.h[2]
         assert set(columns) == {m for _, m in keys}
         assert len(columns) < len(keys)
@@ -469,6 +484,24 @@ class TestMatrixOracle:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             matrix_oracle(H(3), -1)
+
+    @pytest.mark.parametrize("ell,degree", [(H(3), 3), (H(7), 2)], ids=str)
+    def test_one_apply_op_per_basis_monomial(self, monkeypatch, ell,
+                                             degree):
+        # the benchmark traces funcspace.apply_op and needs its terms_out
+        # nonzero on the oracle's workloads, so every column of the
+        # matrix goes through apply_op, one call per basis monomial
+        calls = []
+        for module in (cgaosc.spectrum, cgaosc.funcspace):
+            def counted(op, f, _fn=module.apply_op):
+                out = _fn(op, f)
+                calls.append((f, out))
+                return out
+            monkeypatch.setattr(module, "apply_op", counted)
+        mo = matrix_oracle(ell, degree)
+        assert [list(f.terms) for f, _ in calls] \
+            == [[(0, n)] for n in mo.basis]
+        assert all(out.terms for _, out in calls)
 
 
 class TestHarmonicReduction:

@@ -4,14 +4,16 @@ from itertools import permutations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (gaussfunc_to_sympy, random_cscalar, random_weylop,
                       weyl_apply_sympy)
 from cgaosc.errors import ChartMismatch, NotMonomial, RelationViolation
-from cgaosc.funcspace import GaussFunc, apply_op, image
+from cgaosc.funcspace import GaussFunc, apply_op, from_rows, image, to_rows
 from cgaosc.funcspace import prepare as prepare_image
 from cgaosc.realizations import C_LABEL, Z_PLUS, AlgebraElement
-from cgaosc.scalars import CScalar, HalfInt, from_raw, numerators
+from cgaosc.scalars import CScalar, HalfInt
 from cgaosc.weyl import (COMMUTATOR, Chart, Substitution, WeylOp, bracket,
                          conjugate, degree_of, free_to_osc_substitution,
                          prepare)
@@ -316,6 +318,53 @@ class TestApplyKernel:
                                            (0, (-1, 0, 1)): -1})
         assert apply_op(op, f) == want
 
+    def test_several_c_powers_on_one_key(self):
+        # (c + 1)(u1 d1 + ds) on (c - 1) e^{s/2} u1^2 u2: the c^1 sums
+        # cancel, c^2 and c^0 survive with weight p + mu = 2 + 1/2
+        op = CScalar({0: 1, 1: 1}) * (WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1)
+                                      + WeylOp.der(OSC, 0))
+        f = GaussFunc(OSC, self.ZERO, {(1, (2, 1)): CScalar({0: -1, 1: 1})})
+        assert to_rows(f.terms) == ({(1, (2, 1), 0): -1,
+                                     (1, (2, 1), 1): 1}, 1)
+        # over 2, the d_s order of op: u1 d1 weighs 2 * 2, ds weighs 1
+        assert image(prepare_image(op), *to_rows(f.terms)) == (
+            {(1, (2, 1), 2): 5, (1, (2, 1), 1): 0, (1, (2, 1), 0): -5}, 2)
+        out = apply_op(op, f)
+        assert out.terms == {(1, (2, 1)): CScalar({2: Fraction(5, 2),
+                                                   0: Fraction(-5, 2)})}
+        assert set(out.terms[(1, (2, 1))].terms) == {0, 2}
+
+
+@st.composite
+def gaussfuncs(draw):
+    """GaussFuncs on either chart, the zero function included, with
+    Laurent coefficients in c and negative exponents."""
+    chart = draw(st.sampled_from([FREE, OSC]))
+    mu2s = st.integers(-3, 3) if chart.kind == "osc" else st.just(0)
+    keys = st.tuples(mu2s, st.tuples(*[st.integers(-2, 2)] * chart.nvars))
+    coefs = st.dictionaries(st.integers(-3, 3),
+                            st.fractions(-20, 20, max_denominator=12),
+                            max_size=3)
+    terms = draw(st.dictionaries(keys, coefs.map(CScalar), max_size=4))
+    return GaussFunc(chart, CScalar.c_power(1, Fraction(1, 4)), terms)
+
+
+class TestRows:
+    """The converters between {key: CScalar} terms and flat rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gaussfuncs())
+    def test_rows_give_back_the_terms(self, f):
+        rows, den = to_rows(f.terms)
+        assert all(type(q) is int for q in rows.values())
+        back = from_rows(rows, den)
+        assert back == f.terms
+        assert list(back) == list(f.terms)
+
+    def test_zero_function_has_no_rows(self):
+        assert to_rows(GaussFunc(OSC, CScalar.zero()).terms) == ({}, 1)
+        assert from_rows({(0, (1, 0), 2): 0}, 3) == {}
+
 
 class TestColumnCache:
     """image() forms each exponent tuple's column once per prepared
@@ -340,15 +389,15 @@ class TestColumnCache:
         for mu2, want in ((1, Fraction(35, 4)), (0, Fraction(6)),
                           (-3, Fraction(3, 4)), (2, Fraction(12))):
             f = GaussFunc.monomial(OSC, self.ZERO, mu2, (2, 1))
-            got = f._like(from_raw(*image(prepared, *numerators(f.terms))))
+            got = f._like(from_rows(*image(prepared, *to_rows(f.terms))))
             assert got == GaussFunc(OSC, self.ZERO, {(mu2, (2, 1)): want,
                                                      (mu2 + 1, (3, 1)): 1})
             assert got == apply_op(op, f)
         mixed = GaussFunc(OSC, self.ZERO, {(0, (2, 1)): Fraction(1, 3),
                                            (1, (2, 1)): CScalar.c(),
                                            (2, (1, 0)): 2})
-        raw = image(prepared, *numerators(mixed.terms))
-        assert mixed._like(from_raw(*raw)) == apply_op(op, mixed)
+        raw = image(prepared, *to_rows(mixed.terms))
+        assert mixed._like(from_rows(*raw)) == apply_op(op, mixed)
         # one column per exponent tuple: 7 terms, 4 entries on u1^2 u2
         columns = prepared[2]
         assert set(columns) == {(2, 1), (1, 0)}
@@ -359,7 +408,7 @@ class TestColumnCache:
         prepared = prepare_image(WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1)
                                  - WeylOp.one(OSC))
         f = GaussFunc.monomial(OSC, self.ZERO, varpow=(1, 0))
-        assert from_raw(*image(prepared, *numerators(f.terms))) == {}
+        assert from_rows(*image(prepared, *to_rows(f.terms))) == {}
         assert prepared[2] == {(1, 0): []}
 
 
