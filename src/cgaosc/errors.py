@@ -26,6 +26,10 @@ class ChartMismatch(CgaError):
     pass
 
 
+class RowOverflow(InputError):
+    """A function-space row field past the +-2^30 of a packed row key."""
+
+
 class RelationViolation(CgaError):
     pass
 

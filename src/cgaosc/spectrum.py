@@ -153,10 +153,10 @@ class Ladder:
     kappa, so lowering and h hold the lowering operators and H conjugated
     once by weyl.conjugate(op, ("gauss", 2 kappa)) and prepared for
     funcspace.image, which reads only the integer part t / d of P, as
-    flat {(2mu, exponents, c-power): int} rows over d.  parts holds the
-    parts built so far: the vacuum's rows, and for every other state
-    the rows of its lowering step's image, unreduced; vacuum() checks
-    the raising operators once, on the Gaussian state.
+    flat rows over d, keyed by one int packing (exponents, 2mu, c-power).
+    parts holds the parts built so far: the vacuum's rows, and for every
+    other state the rows of its lowering step's image, unreduced;
+    vacuum() checks the raising operators once, on the Gaussian state.
 
     A state is one lowering step from its parent:
     state(n) = low_i(state(n - e_i)) with i the first position where

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random generators for exact scalars and
 operators, a sympy-based application oracle for the operator engine, a
-fixture that clears the package's build caches, the printed ell=3/2
+fixture that clears the package's build caches, one that records the
+operators funcspace.prepare is called on, the printed ell=3/2
 invariants as algebra elements, and the realized-bracket oracle of the
 enlarged structure tables.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import cgaosc.funcspace
 from cgaosc.errors import NotClosed
 from cgaosc.realizations import (AlgebraElement, SpanBasis, StructureTable,
                                  Z_PLUS, Z_ZERO, label_sort_key, ww_label)
@@ -65,6 +67,21 @@ def fresh_caches():
     _clear_package_caches()
     yield
     _clear_package_caches()
+
+
+@pytest.fixture
+def prepared_ops(monkeypatch):
+    """The operators funcspace.prepare is called on during the test, in
+    call order; each call still prepares."""
+    calls = []
+    fn = cgaosc.funcspace.prepare
+
+    def counted(op):
+        calls.append(op)
+        return fn(op)
+
+    monkeypatch.setattr(cgaosc.funcspace, "prepare", counted)
+    return calls
 
 
 # -- the printed ell=3/2 invariants ------------------------------------------

@@ -9,7 +9,8 @@ import cgaosc.funcspace
 import cgaosc.spectrum
 from cgaosc.errors import (BadEll, DiagonalDependsOnC, Inconsistent,
                            Mismatch, NormalizationUnavailable, NotTriangular)
-from cgaosc.funcspace import GaussFunc, apply_op, from_rows, prepare
+from cgaosc.funcspace import (GaussFunc, _pack, _unpack, apply_op, from_rows,
+                              prepare)
 from cgaosc.realizations import (Z_ZERO, convention, osc_generators,
                                  positive_w_indices, w_label)
 from cgaosc.scalars import CScalar, HalfInt
@@ -19,7 +20,7 @@ from cgaosc.spectrum import (ExactMatrix, Ladder, _lowering_order,
                              ladder_energy, ladder_relations, ladder_state,
                              matrix_oracle, spectrum, to_m_form, vacuum,
                              vacuum_energy)
-from cgaosc.weyl import Chart, WeylOp
+from cgaosc.weyl import Chart, WeylOp, conjugate
 
 H = HalfInt
 ELLS = [H(1), H(3), H(5), H(7), H(9)]
@@ -66,6 +67,20 @@ class TestVacuum:
         want = GaussFunc.monomial(chart, CScalar.c_power(1, F(1, 2)), mu2=2)
         assert v == want
         assert vacuum_energy(H(3), "section6") == 1
+
+    @pytest.mark.parametrize("ell,norm", [
+        (H(5), "section7"), (H(3), "section6"),
+    ], ids=str)
+    def test_each_raising_check_prepares_its_operator(self, prepared_ops,
+                                                      ell, norm):
+        # apply_op conjugates each raising operator by the Gaussian, a
+        # new operator each time, so none reuses another's preparation
+        v = vacuum(ell, norm)
+        frame = ("gauss", v.kappa + v.kappa)
+        gens = osc_generators(ell, convention(ell, norm, "spectrum")
+                              .realization)
+        assert prepared_ops == [conjugate(gens[w_label(j)], frame)
+                                for j in positive_w_indices(ell)]
 
 
 def _refusals():
@@ -313,9 +328,10 @@ class TestLadder:
         ladder = Ladder(H(5))
         for n in _multi_indices(len(ladder.lowering), 4):
             ladder_state(ladder, n)
-        keys = {key[:2] for t, _ in ladder.parts.values() for key in t}
+        keys = {_unpack(key)[:2] for t, _ in ladder.parts.values()
+                for key in t}
         columns = ladder.h[2]
-        assert set(columns) == {m for _, m in keys}
+        assert set(columns) == {_pack(m) for _, m in keys}
         assert len(columns) < len(keys)
 
     def test_zero_lowering_step_is_refused(self):
@@ -502,6 +518,15 @@ class TestMatrixOracle:
         assert [list(f.terms) for f, _ in calls] \
             == [[(0, n)] for n in mo.basis]
         assert all(out.terms for _, out in calls)
+
+    def test_conjugated_hamiltonian_is_prepared_once(self, prepared_ops):
+        # every apply_op gets the oracle's one conj(H), so apply_op
+        # prepares it on the first monomial and reuses it after
+        mo = matrix_oracle(H(3), 3)
+        assert len(mo.basis) == 10
+        assert len(prepared_ops) == 1
+        assert prepared_ops[0] == conjugate(hamiltonian(H(3)), (
+            "gauss", CScalar.c_power(1, Fraction(1, 4))))
 
 
 class TestHarmonicReduction:

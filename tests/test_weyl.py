@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (gaussfunc_to_sympy, random_cscalar, random_weylop,
                       weyl_apply_sympy)
-from cgaosc.errors import ChartMismatch, NotMonomial, RelationViolation
-from cgaosc.funcspace import GaussFunc, apply_op, from_rows, image, to_rows
+from cgaosc.errors import (ChartMismatch, NotMonomial, RelationViolation,
+                           RowOverflow)
+from cgaosc.funcspace import (GaussFunc, _pack, _unpack, apply_op, from_rows,
+                              image, to_rows)
 from cgaosc.funcspace import prepare as prepare_image
 from cgaosc.realizations import C_LABEL, Z_PLUS, AlgebraElement
 from cgaosc.scalars import CScalar, HalfInt
@@ -20,6 +22,17 @@ from cgaosc.weyl import (COMMUTATOR, Chart, Substitution, WeylOp, bracket,
 
 FREE = Chart("free", HalfInt(3))
 OSC = Chart("osc", HalfInt(3))
+BOUND = 2 ** 30  # a packed row field holds |value| < BOUND
+
+
+def unpacked(rows, den):
+    """Packed rows over den, read as {(2mu, exponents, c-power): int}."""
+    return {_unpack(key): q for key, q in rows.items()}, den
+
+
+def exponents(part):
+    """The exponent tuple of a packed key's exponent part."""
+    return _unpack(part << 64)[1]
 
 
 def random_gaussfunc(chart, rng, kappa=None):
@@ -324,10 +337,10 @@ class TestApplyKernel:
         op = CScalar({0: 1, 1: 1}) * (WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1)
                                       + WeylOp.der(OSC, 0))
         f = GaussFunc(OSC, self.ZERO, {(1, (2, 1)): CScalar({0: -1, 1: 1})})
-        assert to_rows(f.terms) == ({(1, (2, 1), 0): -1,
-                                     (1, (2, 1), 1): 1}, 1)
+        assert unpacked(*to_rows(f.terms)) == ({(1, (2, 1), 0): -1,
+                                                (1, (2, 1), 1): 1}, 1)
         # over 2, the d_s order of op: u1 d1 weighs 2 * 2, ds weighs 1
-        assert image(prepare_image(op), *to_rows(f.terms)) == (
+        assert unpacked(*image(prepare_image(op), *to_rows(f.terms))) == (
             {(1, (2, 1), 2): 5, (1, (2, 1), 1): 0, (1, (2, 1), 0): -5}, 2)
         out = apply_op(op, f)
         assert out.terms == {(1, (2, 1)): CScalar({2: Fraction(5, 2),
@@ -338,11 +351,15 @@ class TestApplyKernel:
 @st.composite
 def gaussfuncs(draw):
     """GaussFuncs on either chart, the zero function included, with
-    Laurent coefficients in c and negative exponents."""
+    Laurent coefficients in c and negative exponents; exponents, 2mu and
+    c-powers also come near the packed field bound, on both sides."""
+    near = (st.integers(BOUND - 3, BOUND - 1)
+            | st.integers(1 - BOUND, 3 - BOUND))
     chart = draw(st.sampled_from([FREE, OSC]))
-    mu2s = st.integers(-3, 3) if chart.kind == "osc" else st.just(0)
-    keys = st.tuples(mu2s, st.tuples(*[st.integers(-2, 2)] * chart.nvars))
-    coefs = st.dictionaries(st.integers(-3, 3),
+    mu2s = st.integers(-3, 3) | near if chart.kind == "osc" else st.just(0)
+    keys = st.tuples(mu2s, st.tuples(*[st.integers(-2, 2) | near]
+                                     * chart.nvars))
+    coefs = st.dictionaries(st.integers(-3, 3) | near,
                             st.fractions(-20, 20, max_denominator=12),
                             max_size=3)
     terms = draw(st.dictionaries(keys, coefs.map(CScalar), max_size=4))
@@ -363,7 +380,57 @@ class TestRows:
 
     def test_zero_function_has_no_rows(self):
         assert to_rows(GaussFunc(OSC, CScalar.zero()).terms) == ({}, 1)
-        assert from_rows({(0, (1, 0), 2): 0}, 3) == {}
+        assert from_rows({_pack((1, 0, 0, 2)): 0}, 3) == {}
+
+    @pytest.mark.parametrize("key,coef", [
+        ((0, (BOUND, 0)), 1), ((0, (0, -BOUND)), 1), ((BOUND, (0, 0)), 1),
+        ((-BOUND, (1, 0)), 1), ((0, (0, 0)), CScalar.c_power(-BOUND, 1)),
+    ], ids=["exponent", "negative-exponent", "mu", "negative-mu", "c-power"])
+    def test_field_at_the_bound_is_refused(self, key, coef):
+        f = GaussFunc(OSC, CScalar.zero(), {key: coef})
+        with pytest.raises(RowOverflow, match=r"1073741824 is outside"):
+            to_rows(f.terms)
+
+    @pytest.mark.parametrize("op", [
+        WeylOp.var(OSC, 1, power=BOUND),
+        WeylOp.der(OSC, 2, power=BOUND),
+        WeylOp.exp_s(OSC, HalfInt(BOUND)),
+        WeylOp.const(OSC, CScalar.c_power(BOUND, 1)),
+    ], ids=["exponent", "derivative", "mu", "c-power"])
+    def test_operator_shift_at_the_bound_is_refused(self, op):
+        with pytest.raises(RowOverflow, match=r"outside \+-2\^30"):
+            prepare_image(op)
+
+    def test_image_row_past_the_bound_is_refused(self):
+        # u2^(2^29) on u2^(2^29): both under the bound, the image at it
+        half = BOUND // 2
+        f = GaussFunc.monomial(OSC, CScalar.zero(), varpow=(0, half))
+        with pytest.raises(RowOverflow) as exc:
+            apply_op(WeylOp.var(OSC, 1, power=half), f)
+        assert str(exc.value) == (
+            f"image row (0, (0, {BOUND}), 0) is outside +-2^30")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("field", range(4),
+                             ids=["u1", "u2", "mu", "c-power"])
+    def test_each_field_of_an_image_row_is_checked(self, field, sign):
+        # the field moves by 2 * sign: from 2^30 - 3 it stays inside,
+        # from 2^30 - 1 it leaves, whichever field it is
+        op = [WeylOp.var(OSC, 0, power=2), WeylOp.var(OSC, 1, power=2),
+              WeylOp.exp_s(OSC, HalfInt(2)),
+              WeylOp.const(OSC, CScalar.c_power(2))]
+        if sign == -1:
+            op = [WeylOp.der(OSC, 1, power=2), WeylOp.der(OSC, 2, power=2),
+                  WeylOp.exp_s(OSC, HalfInt(-2)),
+                  WeylOp.const(OSC, CScalar.c_power(-2))]
+        prepared = prepare_image(op[field])
+        fields = [3, -2, 1, 0]
+        fields[field] = sign * (BOUND - 3)
+        out, _ = image(prepared, {_pack(fields): 1}, 1)
+        fields[field] += 2 * sign
+        assert [_pack(fields)] == list(out)
+        with pytest.raises(RowOverflow, match=r"outside \+-2\^30"):
+            image(prepared, out, 1)
 
 
 class TestColumnCache:
@@ -399,7 +466,7 @@ class TestColumnCache:
         raw = image(prepared, *to_rows(mixed.terms))
         assert mixed._like(from_rows(*raw)) == apply_op(op, mixed)
         # one column per exponent tuple: 7 terms, 4 entries on u1^2 u2
-        columns = prepared[2]
+        columns = {exponents(m): col for m, col in prepared[2].items()}
         assert set(columns) == {(2, 1), (1, 0)}
         assert len(prepared[0]) == 7 and len(columns[(2, 1)]) == 4
 
@@ -409,7 +476,54 @@ class TestColumnCache:
                                  - WeylOp.one(OSC))
         f = GaussFunc.monomial(OSC, self.ZERO, varpow=(1, 0))
         assert from_rows(*image(prepared, *to_rows(f.terms))) == {}
-        assert prepared[2] == {(1, 0): []}
+        assert prepared[2] == {_pack((1, 0)): []}
+
+
+class TestPreparedOnce:
+    """apply_op reuses the operator it prepared last only when it is
+    handed that same object again."""
+
+    ZERO = CScalar.zero()
+
+    def fresh_image(self, op, f):
+        return f._like(from_rows(*image(prepare_image(op),
+                                        *to_rows(f.terms))))
+
+    def test_same_operator_is_prepared_once(self, prepared_ops):
+        op = WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1) + WeylOp.der(OSC, 2)
+        fs = [GaussFunc.monomial(OSC, self.ZERO, 1, (p, 2)) for p in range(4)]
+        for f in fs + fs:
+            assert apply_op(op, f) == self.fresh_image(op, f)
+        assert prepared_ops == [op]
+
+    def test_equal_operators_are_prepared_apart(self, prepared_ops):
+        a = WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1) + 3 * WeylOp.one(OSC)
+        b = WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1) + 3 * WeylOp.one(OSC)
+        assert a == b and a is not b
+        f = GaussFunc.monomial(OSC, self.ZERO, 0, (2, 1))
+        want = GaussFunc.monomial(OSC, self.ZERO, 0, (2, 1), coef=5)
+        assert apply_op(a, f) == want and apply_op(b, f) == want
+        assert len(prepared_ops) == 2
+        assert prepared_ops[0] is a and prepared_ops[1] is b
+
+    def test_interleaved_operators_each_give_their_image(self, prepared_ops):
+        a = WeylOp.var(OSC, 0) * WeylOp.der(OSC, 1)
+        b = WeylOp.exp_s(OSC, HalfInt(1)) * WeylOp.der(OSC, 2)
+        f = GaussFunc.monomial(OSC, self.ZERO, 2, (3, 2))
+        for _ in range(2):
+            assert apply_op(a, f) == f.scaled(3)
+            assert apply_op(b, f) == GaussFunc.monomial(
+                OSC, self.ZERO, 3, (3, 1), coef=2)
+        assert prepared_ops == [a, b, a, b]
+
+    def test_gaussian_state_prepares_every_call(self, prepared_ops):
+        # the operator is conjugated by the state's Gaussian, a new
+        # object on every call, so nothing is reused
+        op = WeylOp.der(OSC, 1)
+        f = GaussFunc.monomial(OSC, CScalar.c_power(1, Fraction(1, 2)))
+        assert apply_op(op, f) == apply_op(op, f)
+        first, second = prepared_ops
+        assert first is not second
 
 
 class TestSympyOracle:
